@@ -228,13 +228,6 @@ def matmul(a: Variable, b: Variable) -> Variable:
     return make_op(out, (a, b), bw)
 
 
-def transpose_mat(a: Variable) -> Variable:
-    def bw(g):
-        accumulate(a, np.swapaxes(g, -1, -2))
-
-    return make_op(np.swapaxes(a.data, -1, -2), (a,), bw)
-
-
 def col_softmax(a: Variable) -> Variable:
     out = kernels.col_softmax(a.data)
 
@@ -244,34 +237,61 @@ def col_softmax(a: Variable) -> Variable:
     return make_op(out, (a,), bw)
 
 
-def unfold_mode3(a: Variable) -> Variable:
-    """(N, H, W, C) -> (N, C, H*W), batched mode-3 unfolding."""
-    n, h, w, c = a.data.shape
+# Score entries (keys x queries) computed at once by :func:`attention`.
+# Query blocks hold max(1, ATTENTION_BLOCK_SCORES // n_keys) positions,
+# so block boundaries depend on the key count only, never on the batch.
+ATTENTION_BLOCK_SCORES = 2 ** 22
+
+
+def attention(q: Variable, k: Variable, v: Variable) -> Variable:
+    """Global attention V col_softmax(K^T Q) as one tape node.
+
+    q: (N, Hq, Wq, C), k: (N, H, W, C), v: (N, H, W, Cv); returns
+    (N, Hq, Wq, Cv), where each output position is a softmax-weighted
+    sum of the value vectors at all H*W key positions of its batch
+    element. Query positions are processed in blocks, and backward
+    recomputes each block's weights, so no n_keys x n_queries matrix is
+    stored.
+    """
+    for name, t in (("q", q), ("k", k), ("v", v)):
+        if t.data.ndim != 4:
+            raise ShapeError(f"attention: {name} must be rank 4 (N,H,W,C), "
+                             f"got shape {t.data.shape}")
+    if q.data.shape[3] != k.data.shape[3] or q.data.shape[0] != k.data.shape[0]:
+        raise ShapeError(f"attention: query {q.data.shape} and key {k.data.shape} "
+                         "disagree in batch or channels")
+    if k.data.shape[:3] != v.data.shape[:3]:
+        raise ShapeError(f"attention: key {k.data.shape} and value {v.data.shape} "
+                         "disagree in batch or positions")
+    n, hq, wq, c = q.data.shape
+    cv = v.data.shape[3]
+    qm = q.data.reshape(n, hq * wq, c)
+    km = k.data.reshape(n, -1, c)
+    vm = v.data.reshape(n, -1, cv)
+    step = max(1, ATTENTION_BLOCK_SCORES // km.shape[1])
+    blocks = [slice(lo, lo + step) for lo in range(0, hq * wq, step)]
+    out = np.empty((n, hq * wq, cv), dtype=np.result_type(qm, km, vm))
+    for b in range(n):
+        for s in blocks:
+            weights = kernels.col_softmax(km[b] @ qm[b, s].T)
+            np.matmul(weights.T, vm[b], out=out[b, s])
+            del weights  # before the next block's scores: two blocks live, not three
 
     def bw(g):
-        accumulate(a, g.reshape(n, c, h, w).transpose(0, 2, 3, 1))
+        gm = g.reshape(n, hq * wq, cv)
+        gq, gk, gv = np.empty_like(qm), np.zeros_like(km), np.zeros_like(vm)
+        for b in range(n):
+            for s in blocks:
+                weights = kernels.col_softmax(km[b] @ qm[b, s].T)
+                gv[b] += weights @ gm[b, s]
+                gs = kernels.col_softmax_backward(weights, vm[b] @ gm[b, s].T)
+                np.matmul(gs.T, km[b], out=gq[b, s])
+                gk[b] += gs @ qm[b, s]
+        accumulate(q, gq.reshape(q.data.shape))
+        accumulate(k, gk.reshape(k.data.shape))
+        accumulate(v, gv.reshape(v.data.shape))
 
-    return make_op(
-        np.ascontiguousarray(a.data.transpose(0, 3, 1, 2).reshape(n, c, h * w)),
-        (a,), bw,
-    )
-
-
-def fold_mode3(a: Variable, height: int, width: int) -> Variable:
-    """(N, C, H*W) -> (N, H, W, C), inverse of :func:`unfold_mode3`."""
-    n, c, cols = a.data.shape
-    if cols != height * width:
-        raise ShapeError(
-            f"fold_mode3: {cols} columns, expected {height}x{width} = {height * width}"
-        )
-
-    def bw(g):
-        accumulate(a, g.transpose(0, 3, 1, 2).reshape(n, c, cols))
-
-    return make_op(
-        np.ascontiguousarray(a.data.reshape(n, c, height, width).transpose(0, 2, 3, 1)),
-        (a,), bw,
-    )
+    return make_op(out.reshape(n, hq, wq, cv), (q, k, v), bw)
 
 
 # ---------------------------------------------------------------------------

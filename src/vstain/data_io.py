@@ -129,16 +129,6 @@ def load_image(path: str | Path) -> np.ndarray:
     raise DataError(f"{path}: unknown image extension {path.suffix!r}")
 
 
-def save_image(path: str | Path, image: np.ndarray) -> None:
-    path = Path(path)
-    if path.suffix == ".pgm":
-        save_pgm(path, image)
-    elif path.suffix == ".gptt":
-        gptt.save_gptt(path, image)
-    else:
-        raise DataError(f"{path}: unknown image extension {path.suffix!r}")
-
-
 # ---------------------------------------------------------------------------
 # manifests
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Global pixel transformer layers.
 
 Each layer builds a query tensor with a small generator convolution, key
-and value tensors with 1x1 convolutions, unfolds all three along mode-3
-and computes, per batch element,
+and value tensors with 1x1 convolutions and computes, per batch element
+and with Q, K, V the mode-3 unfoldings of the three tensors,
 
     O = V @ col_softmax(K^T @ Q)
 
@@ -116,26 +116,6 @@ def make_gpt_layer(
     return GptLayerParams(variant, gen_w, gen_b, key_w, key_b, value_w, value_b)
 
 
-def attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Attention on mode-3 matrices: V @ col_softmax(K^T Q).
-
-    q: (C, m), k: (C, n), v: (Cv, n); returns (Cv, m). Each output column
-    is a convex combination of v's columns.
-    """
-    q = np.asarray(q)
-    k = np.asarray(k)
-    v = np.asarray(v)
-    if k.shape[0] != q.shape[0]:
-        raise ShapeError(
-            f"attention_core: key rows {k.shape[0]} != query rows {q.shape[0]}"
-        )
-    if k.shape[1] != v.shape[1]:
-        raise ShapeError(
-            f"attention_core: key cols {k.shape[1]} != value cols {v.shape[1]}"
-        )
-    return kernels.matmul(v, kernels.col_softmax(kernels.matmul(k.T, q)))
-
-
 def gpt_forward(x: Variable, params: GptLayerParams) -> Variable:
     """Apply one layer to (N, H, W, Cin); returns (N, Hq, Wq, Cv).
 
@@ -155,9 +135,4 @@ def gpt_forward(x: Variable, params: GptLayerParams) -> Variable:
     k = ag.conv2d(x, params.key_w, params.key_b, stride=1)
     v = ag.conv2d(x, params.value_w, params.value_b, stride=1)
 
-    qm = ag.unfold_mode3(q)
-    km = ag.unfold_mode3(k)
-    vm = ag.unfold_mode3(v)
-    weights = ag.col_softmax(ag.matmul(ag.transpose_mat(km), qm))
-    out = ag.matmul(vm, weights)
-    return ag.fold_mode3(out, q.data.shape[1], q.data.shape[2])
+    return ag.attention(q, k, v)

@@ -59,6 +59,24 @@ def run_suite(seed: int = 0) -> list[CheckRow]:
     p = rng.normal(size=(5, 4))
     check("col_softmax", lambda v: ag.dot_sum(ag.col_softmax(v), p), rng.normal(size=(5, 4)))
 
+    # fused attention, batch 2, 6 keys, its 10 queries in blocks of 4, 4 and 2;
+    # its own generator keeps every other check's inputs independent of it
+    ra = np.random.default_rng([seed, 1])
+    qa, ka, va = (ra.normal(size=(2, 2, 5, 3)), ra.normal(size=(2, 2, 3, 3)),
+                  ra.normal(size=(2, 2, 3, 2)))
+    p = ra.normal(size=(2, 2, 5, 2))
+    block_scores = ag.ATTENTION_BLOCK_SCORES
+    ag.ATTENTION_BLOCK_SCORES = 4 * 6
+    try:
+        check("attention/q",
+              lambda t: ag.dot_sum(ag.attention(t, ag.var(ka), ag.var(va)), p), qa)
+        check("attention/k",
+              lambda t: ag.dot_sum(ag.attention(ag.var(qa), t, ag.var(va)), p), ka)
+        check("attention/v",
+              lambda t: ag.dot_sum(ag.attention(ag.var(qa), ag.var(ka), t), p), va)
+    finally:
+        ag.ATTENTION_BLOCK_SCORES = block_scores
+
     # convolutions (input, weight and bias paths)
     w = rng.normal(size=(3, 3, 3, 4))
     x0 = rng.normal(size=(2, 5, 5, 3))

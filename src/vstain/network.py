@@ -427,7 +427,18 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     if len(raw) < 16 + hlen:
         raise DataError(f"{path}: truncated header at byte {len(raw)}")
-    header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
+    try:
+        header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: header is not UTF-8 ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: header is not JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: header is not a JSON object")
+    if not isinstance(header.get("config"), dict):
+        raise DataError(f"{path}: header has no 'config' object")
+    if not isinstance(header.get("tensors"), list):
+        raise DataError(f"{path}: header has no 'tensors' list")
     config = NetworkConfig.from_dict(header["config"])
     net = build(config, np.random.default_rng(0))
 
@@ -451,11 +462,14 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes at {offset}")
 
+    def tensor(name: str) -> np.ndarray:
+        if name not in tensors:
+            raise DataError(f"{path}: missing tensor {name!r}")
+        return tensors[name]
+
     params = net.named_parameters()
     for name, v in params.items():
-        arr = tensors.get(f"param/{name}")
-        if arr is None:
-            raise DataError(f"{path}: missing parameter {name!r}")
+        arr = tensor(f"param/{name}")
         if arr.shape != v.data.shape:
             raise DataError(
                 f"{path}: parameter {name!r} has shape {arr.shape}, "
@@ -463,15 +477,15 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
             )
         v.data = arr.astype(v.data.dtype)
     for name, st in net.named_state().items():
-        st.mean = tensors[f"state/{name}.mean"].astype(st.mean.dtype)
-        st.var = tensors[f"state/{name}.var"].astype(st.var.dtype)
+        st.mean = tensor(f"state/{name}.mean").astype(st.mean.dtype)
+        st.var = tensor(f"state/{name}.var").astype(st.var.dtype)
 
     extras: dict = {"step": header.get("step", 0),
                     "rng_state": header.get("rng_state")}
     if header.get("optimizer") is not None:
         extras["optimizer"] = {
             "t": header["optimizer"]["t"],
-            "m": {k: tensors[f"adam.m/{k}"] for k in params},
-            "v": {k: tensors[f"adam.v/{k}"] for k in params},
+            "m": {k: tensor(f"adam.m/{k}") for k in params},
+            "v": {k: tensor(f"adam.v/{k}") for k in params},
         }
     return net, extras

@@ -128,3 +128,41 @@ def test_batch_norm_eval_uses_running_stats():
     out = ag.batch_norm(x, ag.var(np.ones(1, np.float32)),
                         ag.var(np.zeros(1, np.float32)), state, "eval")
     assert np.allclose(out.data, (7.0 - 4.0) / np.sqrt(9.0 + 1e-5), atol=1e-6)
+
+
+def _attention_with_grads(q, k, v, probe):
+    qv, kv, vv = (ag.var(a.copy(), requires_grad=True) for a in (q, k, v))
+    out = ag.attention(qv, kv, vv)
+    ag.backward(ag.dot_sum(out, probe))
+    return out.data, qv.grad, kv.grad, vv.grad
+
+
+def test_attention_blocks_agree_with_one_block(monkeypatch):
+    r = np.random.default_rng(21)
+    q = r.normal(size=(2, 3, 5, 4))   # 15 queries
+    k = r.normal(size=(2, 4, 3, 4))   # 12 keys
+    v = r.normal(size=(2, 4, 3, 3))
+    probe = r.normal(size=(2, 3, 5, 3))
+    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", 10**9)
+    single = _attention_with_grads(q, k, v, probe)
+    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", 4 * 12)  # blocks 4, 4, 4, 3
+    chunked = _attention_with_grads(q, k, v, probe)
+    again = _attention_with_grads(q, k, v, probe)
+    for a, b, c in zip(single, chunked, again):
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
+        assert np.array_equal(b, c)
+
+
+def test_attention_shape_checks():
+    q = ag.var(np.zeros((1, 2, 2, 3)))
+    k = ag.var(np.zeros((1, 3, 3, 3)))
+    v = ag.var(np.zeros((1, 3, 3, 2)))
+    ag.attention(q, k, v)
+    with pytest.raises(ShapeError):
+        ag.attention(ag.var(np.zeros((1, 2, 2, 4))), k, v)
+    with pytest.raises(ShapeError):
+        ag.attention(q, k, ag.var(np.zeros((1, 3, 2, 2))))
+    with pytest.raises(ShapeError):
+        ag.attention(ag.var(np.zeros((2, 2, 2, 3))), k, v)
+    with pytest.raises(ShapeError):
+        ag.attention(ag.var(np.zeros((4, 3))), k, v)

@@ -1,10 +1,15 @@
 """Command-line behaviour: pipeline wiring, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vstain
 from vstain import cli
 from vstain import data_io as dio
 
@@ -104,6 +109,16 @@ def test_inspect_prints_ledger(pipeline, capsys):
     assert "parameter tensors" in out
 
 
+def test_inspect_corrupt_header_is_data_error(pipeline, tmp_path, capsys):
+    raw = bytearray((pipeline / "run" / "checkpoint_000015.gptc").read_bytes())
+    raw[16] ^= 0x80  # first header byte: no longer valid UTF-8
+    bad = tmp_path / "bad.gptc"
+    bad.write_bytes(bytes(raw))
+    assert cli.main(["inspect", "--checkpoint", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_missing_manifest_is_data_error(tmp_path, capsys):
     code = cli.main(["train", "--manifest", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "run")])
@@ -152,3 +167,45 @@ def test_eval_missing_predictions_is_data_error(pipeline, tmp_path, capsys):
                      "--pred", str(tmp_path), "--out", str(tmp_path / "rep")])
     assert code == 3
     assert "missing prediction" in capsys.readouterr().err
+
+
+# Runs one CLI command, then prints the thread count the loaded OpenBLAS
+# reports, or "absent" when no OpenBLAS symbol for it can be found.
+OPENBLAS_PROBE = """
+import ctypes, sys
+from vstain import cli
+assert cli.main(sys.argv[1:]) == 0
+with open("/proc/self/maps") as fh:
+    libs = sorted({line.split()[-1] for line in fh
+                   if "openblas" in line.rsplit("/", 1)[-1]})
+for path in libs:
+    lib = ctypes.CDLL(path)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, prefix + "_get_num_threads" + suffix, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                print(get())
+                sys.exit(0)
+print("absent")
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_threads_flag_sets_openblas_thread_count(threads, tmp_path):
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("needs /proc/self/maps to find the loaded OpenBLAS")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = str(Path(vstain.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", OPENBLAS_PROBE, "--threads", str(threads), "synth",
+         "--out", str(tmp_path / "data"), "--samples", "1", "--test-samples", "0",
+         "--size", "16"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    reported = proc.stdout.split()[-1]
+    if reported == "absent":
+        pytest.skip("no openblas_get_num_threads symbol in the loaded BLAS")
+    assert int(reported) == min(threads, len(os.sched_getaffinity(0)))

@@ -6,7 +6,7 @@ from oracles import oracle_attention, oracle_gpt_layer
 
 from vstain import autograd as ag
 from vstain.errors import ShapeError
-from vstain.gpt_layer import (GptLayerParams, GptVariant, attention_core,
+from vstain.gpt_layer import (GptLayerParams, GptVariant,
                               default_value_channels, gpt_forward,
                               make_gpt_layer, output_extents)
 
@@ -14,8 +14,18 @@ rng = np.random.default_rng(42)
 
 
 # ---------------------------------------------------------------------------
-# attention_core
+# attention on mode-3 matrices: q (C, m), k (C, n), v (Cv, n) -> (Cv, m)
 # ---------------------------------------------------------------------------
+
+def attention_core(q, k, v):
+    """ag.attention on (1, 1, positions, channels) tensors built from matrices."""
+    def as_row(m):
+        m = np.asarray(m)
+        return ag.var(m.T.reshape(1, 1, m.shape[1], m.shape[0]))
+
+    out = ag.attention(as_row(q), as_row(k), as_row(v)).data
+    return out.reshape(out.shape[2], out.shape[3]).T
+
 
 def test_identical_keys_average_values():
     q = rng.normal(size=(3, 4))
@@ -159,6 +169,24 @@ def test_global_sensitivity_gradient_probe():
             probe[0, oi, oj] = 1.0
             ag.backward(ag.dot_sum(gpt_forward(x, layer), probe))
             assert np.all(np.abs(x.grad).sum(axis=-1) > 0)
+
+
+def test_layer_records_one_attention_node_without_weight_matrix():
+    r = np.random.default_rng(8)
+    layer = make_gpt_layer(r, 2, GptVariant.DOWN)
+    x = ag.var(r.normal(size=(1, 8, 6, 2)).astype(np.float32), requires_grad=True)
+    out = gpt_forward(x, layer)
+    n_keys, n_queries = 8 * 6, 4 * 3
+    nodes = [node for node in ag._topo_order(out) if node._backward is not None]
+    # three convolutions (query generator, key, value) and the attention op
+    assert len(nodes) == 4
+    assert sum("attention" in node._backward.__qualname__ for node in nodes) == 1
+    for node in nodes:
+        for cell in node._backward.__closure__ or ():
+            held = cell.cell_contents
+            held = held.data if isinstance(held, ag.Variable) else held
+            if isinstance(held, np.ndarray):
+                assert held.size != n_keys * n_queries
 
 
 def test_qk_channel_equality_enforced():

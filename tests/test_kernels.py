@@ -103,6 +103,30 @@ def test_col_softmax_rejects_non_finite():
         K.col_softmax(np.array([[np.inf], [0.0]]))
 
 
+def test_col_softmax_flushes_subnormals_forward_and_backward():
+    # float32 scores spanning about 1e5, half of them within 120 of the max
+    r = np.random.default_rng(17)
+    scores = r.uniform(-120.0, 0.0, size=(4096, 64))
+    scores[::2] *= 800.0
+    scores = scores.astype(np.float32)
+    grad = r.normal(size=scores.shape).astype(np.float32)
+    tiny = np.finfo(np.float32).tiny
+
+    def subnormal(t):
+        return np.count_nonzero((t != 0) & (np.abs(t) < tiny))
+
+    # unflushed, both passes would land in the subnormal range
+    e = np.exp(scores - scores.max(axis=0))
+    plain = e / e.sum(axis=0)
+    assert subnormal(plain) > 0
+    out = K.col_softmax(scores)
+    assert subnormal(out) == 0
+    assert np.all((out == plain) | (plain < tiny))
+
+    assert subnormal(out * (grad - (grad * out).sum(axis=0))) > 0
+    assert subnormal(K.col_softmax_backward(out, grad)) == 0
+
+
 # ---------------------------------------------------------------------------
 # conv2d
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Network assembly: shape ledger, determinism, rendering, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -198,3 +201,75 @@ def test_checkpoint_corruption_detected(tmp_path):
     truncated.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(DataError):
         nw.load_checkpoint(truncated)
+
+
+def _saved_with_optimizer(tmp_path):
+    _, net = tiny_net(seed=8)
+    params = net.named_parameters()
+    moments = {k: np.full_like(v.data, 0.5) for k, v in params.items()}
+    path = tmp_path / "ok.gptc"
+    nw.save_checkpoint(path, net, step=3,
+                       optimizer={"t": 3, "m": moments, "v": moments})
+    return path
+
+
+def _rewrite(path, edit):
+    """Rewrite a checkpoint as edit(header bytes, [(name, blob)]) returns it."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
+    hbytes = raw[16:16 + hlen]
+    offset, blobs = 16 + hlen, []
+    for name in json.loads(hbytes)["tensors"]:
+        rank = raw[offset + 5]
+        dims = struct.unpack_from(f"<{rank}I", raw, offset + 6)
+        end = offset + 6 + 4 * rank + 4 * int(np.prod(dims))
+        blobs.append((name, raw[offset:end]))
+        offset = end
+    hbytes, blobs = edit(hbytes, blobs)
+    bad = path.with_name("bad.gptc")
+    bad.write_bytes(nw.CHECKPOINT_MAGIC
+                    + struct.pack("<IQ", nw.CHECKPOINT_VERSION, len(hbytes))
+                    + hbytes + b"".join(blob for _, blob in blobs))
+    return bad
+
+
+def _flip_first_header_byte(hbytes, blobs):
+    return bytes([hbytes[0] ^ 0x80]) + hbytes[1:], blobs
+
+
+def _without_key(key):
+    def edit(hbytes, blobs):
+        header = json.loads(hbytes)
+        del header[key]
+        return json.dumps(header).encode(), blobs
+    return edit
+
+
+def _without_tensor(prefix):
+    def edit(hbytes, blobs):
+        header = json.loads(hbytes)
+        drop = next(name for name, _ in blobs if name.startswith(prefix))
+        header["tensors"].remove(drop)
+        return (json.dumps(header).encode(),
+                [(name, blob) for name, blob in blobs if name != drop])
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _flip_first_header_byte,
+    lambda h, b: (b"not json", b),
+    lambda h, b: (b"[1, 2]", b),
+    _without_key("config"),
+    _without_key("tensors"),
+    _without_tensor("param/"),
+    _without_tensor("state/"),
+    _without_tensor("adam.m/"),
+    _without_tensor("adam.v/"),
+], ids=["header-not-utf8", "header-not-json", "header-not-object",
+        "no-config", "no-tensors", "no-param-tensor", "no-state-tensor",
+        "no-adam-m-tensor", "no-adam-v-tensor"])
+def test_corrupt_checkpoint_is_data_error(tmp_path, edit):
+    path = _saved_with_optimizer(tmp_path)
+    assert "optimizer" in nw.load_checkpoint(path)[1]
+    with pytest.raises(DataError):
+        nw.load_checkpoint(_rewrite(path, edit))
