@@ -155,6 +155,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     from . import data_io, gptt
     from .errors import DataError
+    from .evaluation import prediction_filename
     from .inference import predict_image
     from .network import distributions_to_image, load_checkpoint
 
@@ -175,7 +176,7 @@ def cmd_predict(args) -> int:
     for t in range(net.config.task_count):
         for render in renders:
             img = distributions_to_image(dist[None], t, render)[0]
-            path = out_dir / f"{stem}_task{t}_{render}.pgm"
+            path = out_dir / prediction_filename(args.image, t, render)
             data_io.save_pgm(path, img)
             written.append(path)
     print(f"wrote {len(written)} files under {out_dir}")

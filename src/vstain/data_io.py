@@ -175,10 +175,12 @@ def load_manifest(path: str | Path) -> Manifest:
         raise DataError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or "samples" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("samples"), list):
         raise DataError(f"{path}: manifest must be an object with a 'samples' list")
     samples = []
     for i, rec in enumerate(doc["samples"]):
+        if not isinstance(rec, dict) or not isinstance(rec.get("targets", {}), dict):
+            raise DataError(f"{path}: sample record {i} and its 'targets' must be objects")
         try:
             targets = {int(t): p for t, p in rec.get("targets", {}).items()}
             samples.append(SampleRecord(
@@ -187,8 +189,10 @@ def load_manifest(path: str | Path) -> Manifest:
                 condition=rec.get("condition", ""),
                 split=rec.get("split", "train"),
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:
             raise DataError(f"{path}: bad sample record {i} ({exc})") from exc
+        if not all(isinstance(p, str) for p in [rec["input"], *targets.values()]):
+            raise DataError(f"{path}: sample record {i} has a path that is not a string")
     names = tuple(doc.get("task_names", TASK_NAMES))
     return Manifest(root=path.parent, samples=samples, task_names=names)
 

@@ -50,12 +50,17 @@ class DenseBlockParams:
     def out_channels(self) -> int:
         return self.out_w.data.shape[3]
 
-    def variables(self) -> list[Variable]:
+    def param_items(self) -> list[tuple[str, Variable]]:
+        """(name suffix, parameter) pairs in checkpoint order."""
         out = []
-        for layer in self.layers:
-            out += [layer.conv_w, layer.conv_b, layer.bn_gamma, layer.bn_beta]
-        out += [self.out_w, self.out_b]
-        return out
+        for j, layer in enumerate(self.layers, start=1):
+            out += [(f"l{j}.conv.w", layer.conv_w), (f"l{j}.conv.b", layer.conv_b),
+                    (f"l{j}.bn.gamma", layer.bn_gamma), (f"l{j}.bn.beta", layer.bn_beta)]
+        return out + [("out.w", self.out_w), ("out.b", self.out_b)]
+
+    def state_items(self) -> list[tuple[str, BnState]]:
+        """(name suffix, batch-norm running state) pairs in checkpoint order."""
+        return [(f"l{j}.bn", layer.bn_state) for j, layer in enumerate(self.layers, start=1)]
 
 
 def make_dense_block(

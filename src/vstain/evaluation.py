@@ -96,9 +96,11 @@ def sampled_pearson(
     return mean, std, values
 
 
-def value_bin(v: float) -> int:
-    """Bin index of a 0-255 value on the normalised 0.1-wide grid."""
-    return min(int((v / 255.0) * BIN_COUNT), BIN_COUNT - 1)
+def value_bin(v):
+    """Bin index of a 0-255 value, or of each value of an array, on the
+    normalised 0.1-wide grid."""
+    scaled = np.asarray(v, dtype=np.float64) / 255.0 * BIN_COUNT
+    return np.minimum(scaled.astype(np.int64), BIN_COUNT - 1)
 
 
 @dataclass
@@ -124,8 +126,8 @@ def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionResult:
     for name, arr in (("pred", pred), ("truth", truth)):
         if arr.min() < 0 or arr.max() > 255:
             raise DataError(f"confusion: {name} values outside 0-255")
-    pbin = np.minimum((pred / 255.0 * BIN_COUNT).astype(np.int64), BIN_COUNT - 1)
-    tbin = np.minimum((truth / 255.0 * BIN_COUNT).astype(np.int64), BIN_COUNT - 1)
+    pbin = value_bin(pred)
+    tbin = value_bin(truth)
     counts = np.bincount(tbin * BIN_COUNT + pbin,
                          minlength=BIN_COUNT * BIN_COUNT).reshape(BIN_COUNT, BIN_COUNT)
     row_sums = counts.sum(axis=1)

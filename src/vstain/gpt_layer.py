@@ -69,9 +69,15 @@ class GptLayerParams:
     def out_channels(self) -> int:
         return self.value_w.data.shape[3]
 
-    def variables(self) -> list[Variable]:
-        return [self.gen_w, self.gen_b, self.key_w, self.key_b,
-                self.value_w, self.value_b]
+    def param_items(self) -> list[tuple[str, Variable]]:
+        """(name suffix, parameter) pairs in checkpoint order."""
+        return [("gen.w", self.gen_w), ("gen.b", self.gen_b),
+                ("key.w", self.key_w), ("key.b", self.key_b),
+                ("value.w", self.value_w), ("value.b", self.value_b)]
+
+    def state_items(self) -> list:
+        """Transformer layers keep no running state."""
+        return []
 
 
 def default_qk_channels(c_in: int) -> int:

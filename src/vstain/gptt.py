@@ -41,31 +41,48 @@ def write_gptt_bytes(t: np.ndarray) -> bytes:
     return out.getvalue()
 
 
-def read_gptt_bytes(raw: bytes, source: str = "<bytes>") -> np.ndarray:
-    if len(raw) < 6:
+def read_gptt_at(raw: bytes, offset: int = 0,
+                 source: str = "<bytes>") -> tuple[np.ndarray, int]:
+    """Read the blob that starts at byte `offset` of `raw`.
+
+    Returns (array, end): a read-only view into `raw` and the offset of
+    the first byte after the blob. Every read stays inside `raw`.
+    """
+    if len(raw) < offset + 6:
         raise DataError(f"{source}: truncated gptt header at byte {len(raw)}")
-    if raw[:4] != MAGIC:
-        raise DataError(f"{source}: bad magic {raw[:4]!r} at byte 0")
-    version, rank = struct.unpack_from("<BB", raw, 4)
+    if raw[offset:offset + 4] != MAGIC:
+        raise DataError(f"{source}: bad magic {raw[offset:offset + 4]!r} at byte {offset}")
+    version, rank = struct.unpack_from("<BB", raw, offset + 4)
     if version != VERSION:
-        raise DataError(f"{source}: unsupported gptt version {version} at byte 4")
-    header_end = 6 + 4 * rank
+        raise DataError(f"{source}: unsupported gptt version {version} at byte {offset + 4}")
+    header_end = offset + 6 + 4 * rank
     if len(raw) < header_end:
         raise DataError(f"{source}: truncated extents at byte {len(raw)} (need {header_end})")
-    dims = struct.unpack_from(f"<{rank}I", raw, 6)
+    dims = struct.unpack_from(f"<{rank}I", raw, offset + 6)
     count = 1
     for d in dims:
         if d < 1:
-            raise DataError(f"{source}: zero extent in header at byte 6")
+            raise DataError(f"{source}: zero extent in header at byte {offset + 6}")
         count *= d
-    expected = header_end + 4 * count
-    if len(raw) != expected:
+    end = header_end + 4 * count
+    if len(raw) < end:
         raise DataError(
-            f"{source}: payload length mismatch at byte {header_end}: "
-            f"file has {len(raw)} bytes, expected {expected}"
+            f"{source}: truncated payload at byte {header_end}: "
+            f"{len(raw)} bytes, blob needs {end}"
         )
     data = np.frombuffer(raw, dtype="<f4", count=count, offset=header_end)
-    return data.reshape(dims).copy()
+    return data.reshape(dims), end
+
+
+def read_gptt_bytes(raw: bytes, source: str = "<bytes>") -> np.ndarray:
+    """Read `raw` as exactly one blob; returns a writable copy."""
+    data, end = read_gptt_at(raw, 0, source)
+    if end != len(raw):
+        raise DataError(
+            f"{source}: payload length mismatch at byte {end}: "
+            f"file has {len(raw)} bytes, expected {end}"
+        )
+    return data.copy()
 
 
 def save_gptt(path: str | Path, t: np.ndarray) -> None:

@@ -41,36 +41,6 @@ def check_tensor4(t: np.ndarray, name: str = "tensor") -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# mode-3 unfold / fold
-# ---------------------------------------------------------------------------
-
-def unfold_mode3(t: np.ndarray) -> np.ndarray:
-    """Unfold one batch element (H, W, C) into a C x (H*W) matrix.
-
-    Column h*W + w holds the channel vector at spatial position (h, w).
-    """
-    t = np.asarray(t)
-    if t.ndim != 3:
-        raise ShapeError(f"unfold_mode3: expected (H,W,C), got rank {t.ndim}")
-    h, w, c = t.shape
-    return np.ascontiguousarray(t.transpose(2, 0, 1).reshape(c, h * w))
-
-
-def fold_mode3(m: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Inverse of :func:`unfold_mode3`: C x (H*W) back to (H, W, C)."""
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise ShapeError(f"fold_mode3: expected a matrix, got rank {m.ndim}")
-    c, cols = m.shape
-    if cols != height * width:
-        raise ShapeError(
-            f"fold_mode3: matrix has {cols} columns, expected H*W = "
-            f"{height}*{width} = {height * width}"
-        )
-    return np.ascontiguousarray(m.reshape(c, height, width).transpose(1, 2, 0))
-
-
-# ---------------------------------------------------------------------------
 # matmul / softmax
 # ---------------------------------------------------------------------------
 

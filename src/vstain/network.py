@@ -34,12 +34,15 @@ from . import gptt
 from .autograd import BnState, Variable
 from .kernels import he_init
 from .dense_block import DenseBlockParams, dense_forward, make_dense_block
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import (ConfigError, DataError, NumericError, ShapeError,
+                     require_types)
 from .gpt_layer import (GptLayerParams, GptVariant, default_value_channels,
                         gpt_forward, make_gpt_layer)
 
 CHECKPOINT_MAGIC = b"GPTC"
 CHECKPOINT_VERSION = 1
+STAGE_LISTS = ("encoder_depths", "encoder_channels", "decoder_depths",
+               "decoder_channels")
 
 
 @dataclass
@@ -62,10 +65,9 @@ class NetworkConfig:
     qk_channels: int | None = None  # None: each layer uses max(c_in // 2, 1)
 
     def __post_init__(self):
-        self.encoder_depths = tuple(self.encoder_depths)
-        self.encoder_channels = tuple(self.encoder_channels)
-        self.decoder_depths = tuple(self.decoder_depths)
-        self.decoder_channels = tuple(self.decoder_channels)
+        for name in STAGE_LISTS:
+            if isinstance(getattr(self, name), list):
+                setattr(self, name, tuple(getattr(self, name)))
 
     @property
     def stages(self) -> int:
@@ -76,6 +78,11 @@ class NetworkConfig:
         return self.task_count * self.value_classes
 
     def validate(self) -> None:
+        require_types("config", self, int_lists=STAGE_LISTS, reals=("dropout_rate",),
+                      ints=("input_channels", "task_count", "value_classes",
+                            "patch_size", "growth_rate", "stem_channels",
+                            "bottom_depth", "bottom_channels")
+                      + (("qk_channels",) if self.qk_channels is not None else ()))
         if min(self.input_channels, self.task_count, self.value_classes,
                self.patch_size, self.growth_rate, self.stem_channels,
                self.bottom_channels) < 1:
@@ -117,14 +124,14 @@ class NetworkConfig:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["encoder_depths"] = list(self.encoder_depths)
-        d["encoder_channels"] = list(self.encoder_channels)
-        d["decoder_depths"] = list(self.decoder_depths)
-        d["decoder_channels"] = list(self.decoder_channels)
+        for name in STAGE_LISTS:
+            d[name] = list(d[name])
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkConfig":
+        if not isinstance(d, dict):
+            raise ConfigError("config: 'network' must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(d) - known
         if extra:
@@ -164,53 +171,31 @@ class Network:
     head_w: Variable
     head_b: Variable
 
+    def blocks(self):
+        """(stage name, block) for every dense block and transformer layer,
+        in forward order: ("enc1.db", db), ("enc1.gdt", gdt), ..., ("dec3.db", db)."""
+        for i, (db, gdt) in enumerate(self.encoder, start=1):
+            yield f"enc{i}.db", db
+            yield f"enc{i}.gdt", gdt
+        yield "bottom.db", self.bottom_db
+        yield "bottom.gst", self.bottom_gst
+        for i, (gut, db) in enumerate(self.decoder, start=1):
+            yield f"dec{i}.gut", gut
+            yield f"dec{i}.db", db
+
     def named_parameters(self) -> dict[str, Variable]:
         """Stable name -> trainable variable map (checkpoint order)."""
-        out: dict[str, Variable] = {"stem.w": self.stem_w, "stem.b": self.stem_b}
-
-        def add_db(prefix: str, db: DenseBlockParams):
-            for j, layer in enumerate(db.layers, start=1):
-                out[f"{prefix}.l{j}.conv.w"] = layer.conv_w
-                out[f"{prefix}.l{j}.conv.b"] = layer.conv_b
-                out[f"{prefix}.l{j}.bn.gamma"] = layer.bn_gamma
-                out[f"{prefix}.l{j}.bn.beta"] = layer.bn_beta
-            out[f"{prefix}.out.w"] = db.out_w
-            out[f"{prefix}.out.b"] = db.out_b
-
-        def add_gpt(prefix: str, gl: GptLayerParams):
-            out[f"{prefix}.gen.w"] = gl.gen_w
-            out[f"{prefix}.gen.b"] = gl.gen_b
-            out[f"{prefix}.key.w"] = gl.key_w
-            out[f"{prefix}.key.b"] = gl.key_b
-            out[f"{prefix}.value.w"] = gl.value_w
-            out[f"{prefix}.value.b"] = gl.value_b
-
-        for i, (db, gdt) in enumerate(self.encoder, start=1):
-            add_db(f"enc{i}.db", db)
-            add_gpt(f"enc{i}.gdt", gdt)
-        add_db("bottom.db", self.bottom_db)
-        add_gpt("bottom.gst", self.bottom_gst)
-        for i, (gut, db) in enumerate(self.decoder, start=1):
-            add_gpt(f"dec{i}.gut", gut)
-            add_db(f"dec{i}.db", db)
+        out = {"stem.w": self.stem_w, "stem.b": self.stem_b}
+        for stage, block in self.blocks():
+            out.update((f"{stage}.{s}", v) for s, v in block.param_items())
         out["head.w"] = self.head_w
         out["head.b"] = self.head_b
         return out
 
     def named_state(self) -> dict[str, BnState]:
         """Stable name -> batch-norm running state map."""
-        out: dict[str, BnState] = {}
-
-        def add_db(prefix: str, db: DenseBlockParams):
-            for j, layer in enumerate(db.layers, start=1):
-                out[f"{prefix}.l{j}.bn"] = layer.bn_state
-
-        for i, (db, _) in enumerate(self.encoder, start=1):
-            add_db(f"enc{i}.db", db)
-        add_db("bottom.db", self.bottom_db)
-        for i, (_, db) in enumerate(self.decoder, start=1):
-            add_db(f"dec{i}.db", db)
-        return out
+        return {f"{stage}.{s}": st for stage, block in self.blocks()
+                for s, st in block.state_items()}
 
     def parameter_count(self) -> int:
         return sum(v.data.size for v in self.named_parameters().values())
@@ -359,11 +344,22 @@ def distributions_to_image(probs: np.ndarray, task: int,
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _state_tensors(net: Network) -> dict[str, np.ndarray]:
-    out = {}
-    for name, st in net.named_state().items():
-        out[f"{name}.mean"] = st.mean
-        out[f"{name}.var"] = st.var
+def checkpoint_tensors(net: Network, optimizer: dict | None = None
+                       ) -> list[tuple[str, np.ndarray]]:
+    """(name, array) for every tensor a checkpoint of `net` holds, in file order.
+
+    Parameters, then each batch-norm state's running mean and variance,
+    then, when an optimizer is given, every parameter's Adam m and then
+    every parameter's Adam v. The arrays are the live ones, so their
+    shapes are the shapes a checkpoint must hold.
+    """
+    params = net.named_parameters()
+    out = [(f"param/{k}", v.data) for k, v in params.items()]
+    for k, st in net.named_state().items():
+        out += [(f"state/{k}.mean", st.mean), (f"state/{k}.var", st.var)]
+    if optimizer is not None:
+        for moment in ("m", "v"):
+            out += [(f"adam.{moment}/{k}", optimizer[moment][k]) for k in params]
     return out
 
 
@@ -379,23 +375,13 @@ def save_checkpoint(
     `optimizer`, when present, is {"t": int, "m": {name: array},
     "v": {name: array}} as produced by the training loop.
     """
-    params = net.named_parameters()
-    state = _state_tensors(net)
-    entries: list[tuple[str, np.ndarray]] = []
-    entries += [(f"param/{k}", v.data) for k, v in params.items()]
-    entries += [(f"state/{k}", v) for k, v in state.items()]
-    opt_meta = None
-    if optimizer is not None:
-        opt_meta = {"t": int(optimizer["t"])}
-        entries += [(f"adam.m/{k}", optimizer["m"][k]) for k in params]
-        entries += [(f"adam.v/{k}", optimizer["v"][k]) for k in params]
-
+    entries = checkpoint_tensors(net, optimizer)
     header = {
         "format": "gptc",
         "version": CHECKPOINT_VERSION,
         "config": net.config.to_dict(),
         "step": int(step),
-        "optimizer": opt_meta,
+        "optimizer": None if optimizer is None else {"t": int(optimizer["t"])},
         "rng_state": rng_state,
         "tensors": [name for name, _ in entries],
     }
@@ -412,8 +398,10 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
     """Read a GPTC container; returns (network, extras).
 
-    extras holds "step", "rng_state" and, when saved, "optimizer" with
-    fully materialised moment tensors.
+    The header must list exactly the tensors :func:`checkpoint_tensors`
+    names for its config, in that order, and every tensor must have the
+    shape the config gives it. extras holds "step", "rng_state" and,
+    when saved, "optimizer" with fully materialised moment tensors.
     """
     path = Path(path)
     try:
@@ -439,53 +427,36 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
         raise DataError(f"{path}: header has no 'config' object")
     if not isinstance(header.get("tensors"), list):
         raise DataError(f"{path}: header has no 'tensors' list")
-    config = NetworkConfig.from_dict(header["config"])
-    net = build(config, np.random.default_rng(0))
+    opt_meta = header.get("optimizer")
+    if opt_meta is not None and not (isinstance(opt_meta, dict)
+                                     and type(opt_meta.get("t")) is int):
+        raise DataError(f"{path}: header 'optimizer' is neither null nor "
+                        "an object with an integer 't'")
+    try:
+        net = build(NetworkConfig.from_dict(header["config"]), np.random.default_rng(0))
+    except ConfigError as exc:
+        raise DataError(f"{path}: header config is invalid ({exc})") from exc
 
-    tensors: dict[str, np.ndarray] = {}
+    moments = None
+    if opt_meta is not None:
+        moments = {m: {k: np.zeros_like(v.data) for k, v in net.named_parameters().items()}
+                   for m in ("m", "v")}
+    entries = checkpoint_tensors(net, moments)
+    if header["tensors"] != [name for name, _ in entries]:
+        raise DataError(f"{path}: header tensor list differs from the "
+                        f"{len(entries)} tensors its config and optimizer need")
     offset = 16 + hlen
-    for name in header["tensors"]:
-        if offset + 6 > len(raw):
-            raise DataError(f"{path}: truncated tensor {name!r} at byte {offset}")
-        rank = raw[offset + 5]
-        if offset + 6 + 4 * rank > len(raw):
-            raise DataError(f"{path}: truncated tensor {name!r} header at byte {offset}")
-        count = 1
-        dims = struct.unpack_from(f"<{rank}I", raw, offset + 6)
-        for d in dims:
-            count *= d
-        end = offset + 6 + 4 * rank + 4 * count
-        if end > len(raw):
-            raise DataError(f"{path}: truncated tensor {name!r} payload at byte {offset}")
-        tensors[name] = gptt.read_gptt_bytes(raw[offset:end], source=f"{path}:{name}")
-        offset = end
+    for name, slot in entries:
+        arr, offset = gptt.read_gptt_at(raw, offset, source=f"{path}:{name}")
+        if arr.shape != slot.shape:
+            raise DataError(f"{path}: tensor {name!r} has shape {arr.shape}, "
+                            f"expected {slot.shape}")
+        slot[...] = arr
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes at {offset}")
 
-    def tensor(name: str) -> np.ndarray:
-        if name not in tensors:
-            raise DataError(f"{path}: missing tensor {name!r}")
-        return tensors[name]
-
-    params = net.named_parameters()
-    for name, v in params.items():
-        arr = tensor(f"param/{name}")
-        if arr.shape != v.data.shape:
-            raise DataError(
-                f"{path}: parameter {name!r} has shape {arr.shape}, "
-                f"expected {v.data.shape}"
-            )
-        v.data = arr.astype(v.data.dtype)
-    for name, st in net.named_state().items():
-        st.mean = tensor(f"state/{name}.mean").astype(st.mean.dtype)
-        st.var = tensor(f"state/{name}.var").astype(st.var.dtype)
-
     extras: dict = {"step": header.get("step", 0),
                     "rng_state": header.get("rng_state")}
-    if header.get("optimizer") is not None:
-        extras["optimizer"] = {
-            "t": header["optimizer"]["t"],
-            "m": {k: tensor(f"adam.m/{k}") for k in params},
-            "v": {k: tensor(f"adam.v/{k}") for k in params},
-        }
+    if moments is not None:
+        extras["optimizer"] = {"t": opt_meta["t"], **moments}
     return net, extras

@@ -23,7 +23,8 @@ import numpy as np
 from . import autograd as ag
 from . import data_io, gptt
 from .autograd import Variable
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import (ConfigError, DataError, NumericError, ShapeError,
+                     require_types)
 from .multiscale import sample_training_patch
 from .network import (NetworkConfig, build, forward, load_checkpoint,
                       save_checkpoint)
@@ -39,27 +40,25 @@ class TrainConfig:
     max_steps: int = 1000
     checkpoint_interval: int = 500
     seed: int = 0
-    precision: int = 32
 
     def validate(self) -> None:
+        require_types("train config", self,
+                      ints=("batch_size", "max_steps", "checkpoint_interval", "seed"),
+                      reals=("learning_rate", "beta1", "beta2", "eps"))
         if self.batch_size < 1:
             raise ConfigError(f"train config: batch_size {self.batch_size} < 1")
         if self.learning_rate <= 0:
             raise ConfigError(f"train config: learning_rate {self.learning_rate} <= 0")
-        if self.precision not in (32, 64):
-            raise ConfigError(f"train config: precision must be 32 or 64")
         if self.max_steps < 1 or self.checkpoint_interval < 1:
             raise ConfigError("train config: steps and interval must be >= 1")
-
-    @property
-    def dtype(self):
-        return np.float32 if self.precision == 32 else np.float64
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        if not isinstance(d, dict):
+            raise ConfigError("train config: 'train' must be a JSON object")
         known = set(cls.__dataclass_fields__)
         extra = set(d) - known
         if extra:
@@ -218,18 +217,15 @@ def train(
                 f"config expects {net_config.input_channels}"
             )
 
-    dtype = train_config.dtype
     init_ss, loop_ss = np.random.SeedSequence(train_config.seed).spawn(2)
     loop_rng = np.random.default_rng(loop_ss)
 
     start_step = 0
     if resume is None:
-        net = build(net_config, np.random.default_rng(init_ss), dtype=dtype)
+        net = build(net_config, np.random.default_rng(init_ss))
         params = net.named_parameters()
         opt = AdamState.create(params)
     else:
-        if train_config.precision != 32:
-            raise ConfigError("resume: only 32-bit runs can resume (checkpoints are f32)")
         net, extras = load_checkpoint(resume)
         if net.config != net_config:
             raise DataError("resume: checkpoint config differs from requested config")
@@ -265,7 +261,7 @@ def train(
             xs.append(inp)
             ts.append(targets)
             ms.append(mask)
-        x = ag.var(np.stack(xs).astype(dtype))
+        x = ag.var(np.stack(xs).astype(np.float32))
         targets = np.stack(ts)
         mask = np.stack(ms)
 

@@ -135,6 +135,56 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.fixture(scope="module")
+def one_sample_manifest(tmp_path_factory):
+    root = tmp_path_factory.mktemp("one")
+    return dio.generate_dataset(root / "d", 1, size=32, seed=0, n_test=0)
+
+
+@pytest.mark.parametrize("doc", [
+    {"network": {"patch_size": "32"}},
+    {"network": {"task_count": True}},
+    {"network": {"encoder_depths": [1, "1", 1]}},
+    {"network": {"encoder_channels": 8}},
+    {"network": {"dropout_rate": "0.5"}},
+    {"network": {"qk_channels": 2.0}},
+    {"network": []},
+    {"train": {"batch_size": "4"}},
+    {"train": {"max_steps": False}},
+    {"train": {"seed": 1.5}},
+    {"train": {"learning_rate": "fast"}},
+    {"train": {"beta1": None}},
+], ids=["patch-str", "tasks-bool", "depth-entry-str", "channels-not-list",
+        "dropout-str", "qk-float", "network-not-object", "batch-str",
+        "steps-bool", "seed-float", "lr-str", "beta1-null"])
+def test_config_value_of_wrong_type_is_usage_error(one_sample_manifest, tmp_path,
+                                                   capsys, doc):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    code = cli.main(["train", "--manifest", str(one_sample_manifest),
+                     "--config", str(cfg), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples", [
+    5,
+    ["x"],
+    [{"input": "a.pgm", "targets": ["b.pgm"]}],
+    [{"input": 7}],
+    [{"input": "a.pgm", "targets": {"0": 7}}],
+], ids=["samples-not-list", "record-not-object", "targets-not-object",
+        "input-not-str", "target-not-str"])
+def test_manifest_of_wrong_structure_is_data_error(tmp_path, capsys, samples):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps({"samples": samples}))
+    code = cli.main(["train", "--manifest", str(mpath), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["synth", "--bogus"])

@@ -10,48 +10,6 @@ from vstain.errors import NumericError, ShapeError
 
 rng = np.random.default_rng(1234)
 
-small_extents = st.integers(min_value=1, max_value=8)
-
-
-# ---------------------------------------------------------------------------
-# mode-3 unfold / fold
-# ---------------------------------------------------------------------------
-
-def test_unfold_single_position():
-    t = np.array([[[1.0, 2.0, 3.0]]])  # 1x1x3
-    m = K.unfold_mode3(t)
-    assert m.shape == (3, 1)
-    assert np.array_equal(m, [[1.0], [2.0], [3.0]])
-
-
-def test_unfold_flat_index_oracle():
-    # independent oracle: place each tensor entry by the flat-index formula
-    t = np.array([[[1.0], [2.0]], [[3.0], [4.0]]])  # 2x2x1
-    m = K.unfold_mode3(t)
-    assert m.shape == (1, 4)
-    h, w, c = t.shape
-    expected = np.zeros((c, h * w))
-    for i in range(h):
-        for j in range(w):
-            for ch in range(c):
-                expected[ch, i * w + j] = t[i, j, ch]
-    assert np.array_equal(m, expected)
-    assert np.array_equal(m, [[1.0, 2.0, 3.0, 4.0]])
-
-
-@settings(max_examples=50, deadline=None)
-@given(small_extents, small_extents, small_extents)
-def test_fold_unfold_round_trip(h, w, c):
-    t = np.random.default_rng(h * 64 + w * 8 + c).normal(size=(h, w, c)).astype(np.float32)
-    assert np.array_equal(K.fold_mode3(K.unfold_mode3(t), h, w), t)
-    m = np.random.default_rng(c).normal(size=(c, h * w)).astype(np.float32)
-    assert np.array_equal(K.unfold_mode3(K.fold_mode3(m, h, w)), m)
-
-
-def test_fold_dimension_mismatch():
-    with pytest.raises(ShapeError):
-        K.fold_mode3(np.zeros((2, 5)), 2, 2)
-
 
 # ---------------------------------------------------------------------------
 # matmul

@@ -1,5 +1,6 @@
 """Network assembly: shape ledger, determinism, rendering, checkpoints."""
 
+import hashlib
 import json
 import struct
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from vstain import autograd as ag
+from vstain import cli, gptt
 from vstain import network as nw
 from vstain.errors import ConfigError, DataError, ShapeError
 
@@ -220,9 +222,7 @@ def _rewrite(path, edit):
     hbytes = raw[16:16 + hlen]
     offset, blobs = 16 + hlen, []
     for name in json.loads(hbytes)["tensors"]:
-        rank = raw[offset + 5]
-        dims = struct.unpack_from(f"<{rank}I", raw, offset + 6)
-        end = offset + 6 + 4 * rank + 4 * int(np.prod(dims))
+        _, end = gptt.read_gptt_at(raw, offset)
         blobs.append((name, raw[offset:end]))
         offset = end
     hbytes, blobs = edit(hbytes, blobs)
@@ -255,6 +255,40 @@ def _without_tensor(prefix):
     return edit
 
 
+def _with_header(**fields):
+    def edit(hbytes, blobs):
+        header = json.loads(hbytes)
+        for key, value in fields.items():
+            target = header["config"] if key in header["config"] else header
+            target[key] = value
+        return json.dumps(header).encode(), blobs
+    return edit
+
+
+def _with_blob(prefix, make):
+    """Replace the first tensor under `prefix` with make(its array)."""
+    def edit(hbytes, blobs):
+        i = next(i for i, (name, _) in enumerate(blobs) if name.startswith(prefix))
+        name, blob = blobs[i]
+        blobs[i] = (name, gptt.write_gptt_bytes(make(gptt.read_gptt_bytes(blob))))
+        return hbytes, blobs
+    return edit
+
+
+def _with_extra_name(hbytes, blobs):
+    # a listed name with no blob: only the name-list check can see it
+    header = json.loads(hbytes)
+    header["tensors"].append("param/extra")
+    return json.dumps(header).encode(), blobs
+
+
+def _last_blob_overruns(hbytes, blobs):
+    name, blob = blobs[-1]
+    (first,) = struct.unpack_from("<I", blob, 6)
+    blobs[-1] = (name, blob[:6] + struct.pack("<I", first + 1) + blob[10:])
+    return hbytes, blobs
+
+
 @pytest.mark.parametrize("edit", [
     _flip_first_header_byte,
     lambda h, b: (b"not json", b),
@@ -265,11 +299,63 @@ def _without_tensor(prefix):
     _without_tensor("state/"),
     _without_tensor("adam.m/"),
     _without_tensor("adam.v/"),
+    _with_blob("state/", lambda a: np.zeros(1)),
+    _with_blob("adam.m/", lambda a: a.reshape(-1)),
+    _with_extra_name,
+    _with_header(optimizer={}),
+    _last_blob_overruns,
+    _with_header(patch_size="16"),
+    _with_header(patch_size=12),
 ], ids=["header-not-utf8", "header-not-json", "header-not-object",
         "no-config", "no-tensors", "no-param-tensor", "no-state-tensor",
-        "no-adam-m-tensor", "no-adam-v-tensor"])
-def test_corrupt_checkpoint_is_data_error(tmp_path, edit):
+        "no-adam-m-tensor", "no-adam-v-tensor", "state-wrong-shape",
+        "adam-m-wrong-shape", "extra-tensor-name", "optimizer-without-t",
+        "blob-overruns-file", "config-value-wrong-type", "config-invalid"])
+def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, edit):
     path = _saved_with_optimizer(tmp_path)
     assert "optimizer" in nw.load_checkpoint(path)[1]
+    bad = _rewrite(path, edit)
     with pytest.raises(DataError):
-        nw.load_checkpoint(_rewrite(path, edit))
+        nw.load_checkpoint(bad)
+    assert cli.main(["inspect", "--checkpoint", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_default_checkpoint_tensor_names_pinned():
+    # sha256 of the name list the format has always written; renaming or
+    # reordering any tensor breaks every existing checkpoint
+    net = nw.build(nw.NetworkConfig(), np.random.default_rng(0))
+    params = {k: v.data for k, v in net.named_parameters().items()}
+    names = [name for name, _ in nw.checkpoint_tensors(net, {"m": params, "v": params})]
+    assert len(names) == 586
+    digest = hashlib.sha256(json.dumps(names).encode()).hexdigest()
+    assert digest == "ce547058eaebaf3dc207a479264e78cc44ce6f1546403e4def5bacc9636b92f1"
+
+
+def _arange_like(a, scale, shift):
+    return (np.arange(a.size, dtype=np.float32) * scale + shift).reshape(a.shape)
+
+
+def test_tiny_checkpoint_bytes_pinned(tmp_path):
+    # every tensor is filled from np.arange, so the bytes depend on the
+    # format alone, not on the initialiser's random stream
+    _, net = tiny_net()
+    params = net.named_parameters()
+    for i, v in enumerate(params.values()):
+        v.data = _arange_like(v.data, 0.25, i)
+    for i, st in enumerate(net.named_state().values()):
+        st.mean = _arange_like(st.mean, 0.5, -i)
+        st.var = _arange_like(st.var, 1.0, 1 + i)
+    optimizer = {"t": 5,
+                 "m": {k: _arange_like(v.data, 0.125, 0) for k, v in params.items()},
+                 "v": {k: _arange_like(v.data, 0.0625, 1) for k, v in params.items()}}
+    path = tmp_path / "tiny.gptc"
+    nw.save_checkpoint(path, net, step=7, optimizer=optimizer, rng_state={"a": 1})
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "f7107e8dac7a36a22247cc30d3a3f907066e359a9d053187a35a18bbf84c27da"
+    loaded, extras = nw.load_checkpoint(path)
+    again = tmp_path / "again.gptc"
+    nw.save_checkpoint(again, loaded, step=extras["step"],
+                       optimizer=extras["optimizer"], rng_state=extras["rng_state"])
+    assert again.read_bytes() == path.read_bytes()
