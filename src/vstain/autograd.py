@@ -58,15 +58,6 @@ class Variable:
     def __repr__(self) -> str:
         return f"Variable(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other: "Variable") -> "Variable":
-        return add(self, other)
-
-    def __sub__(self, other: "Variable") -> "Variable":
-        return sub(self, other)
-
-    def __mul__(self, other: "Variable") -> "Variable":
-        return mul(self, other)
-
 
 def var(data, requires_grad: bool = False) -> Variable:
     return Variable(data, requires_grad=requires_grad)
@@ -143,55 +134,8 @@ def grad_of(v: Variable) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise / reduction ops
+# elementwise ops
 # ---------------------------------------------------------------------------
-
-def add(a: Variable, b: Variable) -> Variable:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add: shape mismatch {a.data.shape} vs {b.data.shape}")
-
-    def bw(g):
-        accumulate(a, g)
-        accumulate(b, g)
-
-    return make_op(a.data + b.data, (a, b), bw)
-
-
-def sub(a: Variable, b: Variable) -> Variable:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub: shape mismatch {a.data.shape} vs {b.data.shape}")
-
-    def bw(g):
-        accumulate(a, g)
-        accumulate(b, -g)
-
-    return make_op(a.data - b.data, (a, b), bw)
-
-
-def mul(a: Variable, b: Variable) -> Variable:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: shape mismatch {a.data.shape} vs {b.data.shape}")
-
-    def bw(g):
-        accumulate(a, g * b.data)
-        accumulate(b, g * a.data)
-
-    return make_op(a.data * b.data, (a, b), bw)
-
-
-def scale(a: Variable, s: float) -> Variable:
-    def bw(g):
-        accumulate(a, g * s)
-
-    return make_op(a.data * s, (a,), bw)
-
-
-def sum_all(a: Variable) -> Variable:
-    def bw(g):
-        accumulate(a, np.full_like(a.data, g))
-
-    return make_op(a.data.sum(), (a,), bw)
-
 
 def dot_sum(a: Variable, weights: np.ndarray) -> Variable:
     """sum(a * weights) with constant weights; a scalar probe for tests."""
@@ -215,27 +159,8 @@ def relu(a: Variable) -> Variable:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra / attention ops
+# attention
 # ---------------------------------------------------------------------------
-
-def matmul(a: Variable, b: Variable) -> Variable:
-    out = kernels.matmul(a.data, b.data)
-
-    def bw(g):
-        accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
-
-    return make_op(out, (a, b), bw)
-
-
-def col_softmax(a: Variable) -> Variable:
-    out = kernels.col_softmax(a.data)
-
-    def bw(g):
-        accumulate(a, kernels.col_softmax_backward(out, g))
-
-    return make_op(out, (a,), bw)
-
 
 # Score entries (keys x queries) computed at once by :func:`attention`.
 # Query blocks hold max(1, ATTENTION_BLOCK_SCORES // n_keys) positions,
@@ -320,16 +245,6 @@ def deconv2d(x: Variable, w: Variable, b: Variable) -> Variable:
         accumulate(b, gb)
 
     return make_op(out, (x, w, b), bw)
-
-
-def resize_bilinear(x: Variable, out_h: int, out_w: int) -> Variable:
-    in_h, in_w = x.data.shape[1], x.data.shape[2]
-    out = kernels.resize_bilinear(x.data, out_h, out_w)
-
-    def bw(g):
-        accumulate(x, kernels.resize_bilinear_backward(in_h, in_w, g))
-
-    return make_op(out, (x,), bw)
 
 
 def concat_channels(xs: list[Variable]) -> Variable:
@@ -431,27 +346,8 @@ def finite_diff_check(f, x: np.ndarray, h: float = 1e-5) -> float:
     use float64 input for meaningful tolerances. The relative error per
     coordinate uses denominator max(|analytic|, |numeric|, 1e-8).
     """
-    x = np.asarray(x)
-    xv = var(x.copy(), requires_grad=True)
-    backward(f(xv))
-    analytic = grad_of(xv)
-
-    worst = 0.0
-    flat = x.reshape(-1)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            xp = x.copy().reshape(-1)
-            xp[i] = orig + h
-            fp = float(f(var(xp.reshape(x.shape))).data)
-            xm = x.copy().reshape(-1)
-            xm[i] = orig - h
-            fm = float(f(var(xm.reshape(x.shape))).data)
-            numeric = (fp - fm) / (2.0 * h)
-            a = float(analytic.reshape(-1)[i])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, rel)
-    return worst
+    leaf = var(np.array(x, copy=True), requires_grad=True)
+    return finite_diff_check_param(lambda: f(leaf), leaf, h)
 
 
 def finite_diff_check_param(loss_fn, param: Variable, h: float = 1e-5) -> float:

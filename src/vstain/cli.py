@@ -72,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")
-    p.add_argument("--scale", choices=("tiny",), default="tiny")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 

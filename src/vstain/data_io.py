@@ -193,8 +193,10 @@ def load_manifest(path: str | Path) -> Manifest:
             raise DataError(f"{path}: bad sample record {i} ({exc})") from exc
         if not all(isinstance(p, str) for p in [rec["input"], *targets.values()]):
             raise DataError(f"{path}: sample record {i} has a path that is not a string")
-    names = tuple(doc.get("task_names", TASK_NAMES))
-    return Manifest(root=path.parent, samples=samples, task_names=names)
+    names = doc.get("task_names", list(TASK_NAMES))
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise DataError(f"{path}: 'task_names' must be a list of strings")
+    return Manifest(root=path.parent, samples=samples, task_names=tuple(names))
 
 
 def validate_manifest(manifest: Manifest, task_count: int | None = None) -> list[dict]:

@@ -62,10 +62,6 @@ class GptLayerParams:
         return self.gen_w.data.shape[2]
 
     @property
-    def qk_channels(self) -> int:
-        return self.gen_w.data.shape[3]
-
-    @property
     def out_channels(self) -> int:
         return self.value_w.data.shape[3]
 

@@ -48,16 +48,9 @@ def run_suite(seed: int = 0) -> list[CheckRow]:
     def check_param(name, loss_fn, param, tol=OP_TOL):
         rows.append(CheckRow(name, ag.finite_diff_check_param(loss_fn, param), tol))
 
-    # matmul, both operands
-    a0 = rng.normal(size=(2, 3, 4))
-    b0 = rng.normal(size=(2, 4, 5))
-    p = rng.normal(size=(2, 3, 5))
-    check("matmul/lhs", lambda v: ag.dot_sum(ag.matmul(v, ag.var(b0)), p), a0)
-    check("matmul/rhs", lambda v: ag.dot_sum(ag.matmul(ag.var(a0), v), p), b0)
-
-    # column softmax
-    p = rng.normal(size=(5, 4))
-    check("col_softmax", lambda v: ag.dot_sum(ag.col_softmax(v), p), rng.normal(size=(5, 4)))
+    # the suite has always drawn 134 normals here; drawing them keeps every
+    # later row's inputs, and so its reported error, the same across versions
+    rng.normal(size=134)
 
     # fused attention, batch 2, 6 keys, its 10 queries in blocks of 4, 4 and 2;
     # its own generator keeps every other check's inputs independent of it
@@ -98,13 +91,8 @@ def run_suite(seed: int = 0) -> list[CheckRow]:
     check("deconv2d/bias",
           lambda v: ag.dot_sum(ag.deconv2d(ag.var(x0), ag.var(w), v), p), b)
 
-    # bilinear resize, up and down
-    p = rng.normal(size=(1, 6, 6, 2))
-    check("resize/up", lambda v: ag.dot_sum(ag.resize_bilinear(v, 6, 6), p),
-          rng.normal(size=(1, 3, 4, 2)))
-    p = rng.normal(size=(1, 3, 2, 2))
-    check("resize/down", lambda v: ag.dot_sum(ag.resize_bilinear(v, 3, 2), p),
-          rng.normal(size=(1, 6, 5, 2)))
+    # likewise 168 normals here
+    rng.normal(size=168)
 
     # concat
     other = rng.normal(size=(1, 3, 3, 2))

@@ -69,7 +69,6 @@ def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray
 
     t, v = cfg.task_count, cfg.value_classes
     acc = np.zeros((h, w, t, v), dtype=np.float32)
-    cnt = np.zeros((h, w), dtype=np.float32)
     for oy in offsets_y:
         for ox in offsets_x:
             center = (ox + patch // 2, oy + patch // 2)
@@ -79,11 +78,12 @@ def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray
                 logits = forward(net, ag.var(inp[None]), mode="eval")
             probs = predict_distributions(logits.data, t, v)[0]
             acc[oy : oy + patch, ox : ox + patch] += probs
-            cnt[oy : oy + patch, ox : ox + patch] += 1.0
 
-    merged = acc / cnt[:, :, None, None]
+    cnt = coverage_map(h, w, patch, step).astype(np.float32)
     if cnt.max() == 1.0:
         # no overlap anywhere: each pixel is one softmax output already
-        return merged
-    sums = merged.sum(axis=-1, keepdims=True, dtype=np.float64)
-    return (merged / sums).astype(np.float32)
+        return acc
+    # merged in place: mean over windows, then renormalised in float64
+    acc /= cnt[:, :, None, None]
+    np.divide(acc, acc.sum(axis=-1, keepdims=True, dtype=np.float64), out=acc)
+    return acc

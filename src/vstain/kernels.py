@@ -41,22 +41,21 @@ def check_tensor4(t: np.ndarray, name: str = "tensor") -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# matmul / softmax
+# softmax
 # ---------------------------------------------------------------------------
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product, optionally batched over identical leading axes."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(
-            f"matmul: inner dimensions disagree, {a.shape} @ {b.shape}"
-        )
-    if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(
-            f"matmul: batch extents disagree, {a.shape} @ {b.shape}"
-        )
-    return np.matmul(a, b)
+def flush_subnormals(a: np.ndarray) -> np.ndarray:
+    """Zero, in place, the entries of `a` smaller in magnitude than its
+    dtype's smallest normal number; returns `a`.
+
+    Each entry moves by less than that number, and subnormal operands
+    would slow every later BLAS product on them by about 100x.
+    """
+    tiny = np.finfo(a.dtype).tiny
+    small = a < tiny  # two comparisons, not np.abs: no float-sized temporary
+    small &= a > -tiny
+    np.copyto(a, 0, where=small)
+    return a
 
 
 def col_softmax(m: np.ndarray) -> np.ndarray:
@@ -64,9 +63,8 @@ def col_softmax(m: np.ndarray) -> np.ndarray:
 
     For a key/query score matrix of shape (n_keys, n_queries) each output
     column is a probability vector over key positions. Weights below the
-    dtype's smallest normal number are flushed to zero: each moves by
-    less than that number, and subnormal operands would slow every later
-    BLAS product on them by about 100x.
+    dtype's smallest normal number are flushed to zero
+    (:func:`flush_subnormals`).
     """
     m = np.asarray(m)
     if m.ndim < 2:
@@ -76,8 +74,7 @@ def col_softmax(m: np.ndarray) -> np.ndarray:
     out = m - np.max(m, axis=-2, keepdims=True)
     np.exp(out, out=out)
     out /= np.sum(out, axis=-2, keepdims=True)
-    np.copyto(out, 0, where=out < np.finfo(out.dtype).tiny)
-    return out
+    return flush_subnormals(out)
 
 
 def col_softmax_backward(out: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -87,9 +84,7 @@ def col_softmax_backward(out: np.ndarray, grad: np.ndarray) -> np.ndarray:
     flushed to zero, as in the forward.
     """
     inner = np.sum(grad * out, axis=-2, keepdims=True)
-    g = out * (grad - inner)
-    np.copyto(g, 0, where=np.abs(g) < np.finfo(g.dtype).tiny)
-    return g
+    return flush_subnormals(out * (grad - inner))
 
 
 # ---------------------------------------------------------------------------
@@ -178,24 +173,27 @@ def _conv2d_input_grad(
     return gxp[:, pt : pt + in_h, pl : pl + in_w, :]
 
 
+def _conv2d_weight_grad(
+    x: np.ndarray, k: int, stride: int, grad: np.ndarray
+) -> np.ndarray:
+    """Gradient w.r.t. the (k, k, Cin, Cout) weights of a conv2d of `x`,
+    given upstream grad (N, out_h, out_w, Cout) on its output."""
+    n, h, ww, cin = x.shape
+    out_h, pt, pb = same_pad_amounts(h, k, stride)
+    out_w, pl, pr = same_pad_amounts(ww, k, stride)
+    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    cols = _im2col(xp, k, stride, out_h, out_w).reshape(n * out_h * out_w, k * k * cin)
+    cout = grad.shape[3]
+    return (cols.T @ grad.reshape(n * out_h * out_w, cout)).reshape(k, k, cin, cout)
+
+
 def conv2d_backward(
     x: np.ndarray, w: np.ndarray, stride: int, grad: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of conv2d w.r.t. (x, w, b) given upstream grad on the output."""
-    k = w.shape[0]
-    n, h, ww, cin = x.shape
-    out_h, pt, pb = same_pad_amounts(h, k, stride)
-    out_w, pl, pr = same_pad_amounts(ww, k, stride)
-    cout = w.shape[3]
-
-    grad_b = grad.sum(axis=(0, 1, 2))
-
-    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    cols = _im2col(xp, k, stride, out_h, out_w).reshape(n * out_h * out_w, k * k * cin)
-    grad_w = (cols.T @ grad.reshape(n * out_h * out_w, cout)).reshape(w.shape)
-
-    grad_x = _conv2d_input_grad(h, ww, w, stride, grad)
-    return grad_x, grad_w, grad_b
+    grad_x = _conv2d_input_grad(x.shape[1], x.shape[2], w, stride, grad)
+    grad_w = _conv2d_weight_grad(x, w.shape[0], stride, grad)
+    return grad_x, grad_w, grad.sum(axis=(0, 1, 2))
 
 
 def deconv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -227,18 +225,12 @@ def deconv2d_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of deconv2d w.r.t. (x, w, b)."""
     wt = np.ascontiguousarray(w.transpose(0, 1, 3, 2))
-    grad_b = grad.sum(axis=(0, 1, 2))
     grad_x = conv2d(grad, wt, np.zeros(w.shape[2], dtype=grad.dtype), stride=2)
-    # weight grad mirrors conv2d's, with the roles of input and output swapped
-    k = 3
-    n, gh, gw, cout = grad.shape
-    out_h, pt, pb = same_pad_amounts(gh, k, 2)
-    out_w, pl, pr = same_pad_amounts(gw, k, 2)
-    gp = np.pad(grad, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    cols = _im2col(gp, k, 2, out_h, out_w).reshape(n * out_h * out_w, k * k * cout)
-    gwt = (cols.T @ x.reshape(n * out_h * out_w, x.shape[3])).reshape(wt.shape)
+    # deconv2d is the input adjoint of a stride-2 conv mapping grad's grid
+    # to x's, so its weight grad is that conv's, channel-transposed back
+    gwt = _conv2d_weight_grad(grad, 3, 2, x)
     grad_w = np.ascontiguousarray(gwt.transpose(0, 1, 3, 2))
-    return grad_x, grad_w, grad_b
+    return grad_x, grad_w, grad.sum(axis=(0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -278,27 +270,6 @@ def resize_bilinear(t: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     lo = rows[:, :, xlo]
     out = lo + fx * (rows[:, :, xhi] - lo)
     return out.astype(t.dtype, copy=False)
-
-
-def resize_bilinear_backward(
-    in_h: int, in_w: int, grad: np.ndarray
-) -> np.ndarray:
-    """Adjoint of resize_bilinear: scatter output gradients back to the source grid."""
-    n, out_h, out_w, c = grad.shape
-    if (out_h, out_w) == (in_h, in_w):
-        return grad.copy()
-    frac_dtype = grad.dtype if grad.dtype == np.float64 else np.float32
-    ylo, yhi, fy = _resize_axis_coords(in_h, out_h)
-    xlo, xhi, fx = _resize_axis_coords(in_w, out_w)
-    fy = fy.astype(frac_dtype)[None, :, None, None]
-    fx = fx.astype(frac_dtype)[None, None, :, None]
-    rows = np.zeros((n, out_h, in_w, c), dtype=grad.dtype)
-    np.add.at(rows, (slice(None), slice(None), xlo), grad * (1 - fx))
-    np.add.at(rows, (slice(None), slice(None), xhi), grad * fx)
-    gx = np.zeros((n, in_h, in_w, c), dtype=grad.dtype)
-    np.add.at(gx, (slice(None), ylo), rows * (1 - fy))
-    np.add.at(gx, (slice(None), yhi), rows * fy)
-    return gx
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,16 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
                                      and type(opt_meta.get("t")) is int):
         raise DataError(f"{path}: header 'optimizer' is neither null nor "
                         "an object with an integer 't'")
+    step = header.get("step", 0)
+    if type(step) is not int or step < 0:
+        raise DataError(f"{path}: header 'step' is not an integer >= 0")
+    rng_state = header.get("rng_state")
+    if rng_state is not None:
+        try:
+            np.random.PCG64(0).state = rng_state
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
+            raise DataError(f"{path}: header 'rng_state' is not a PCG64 "
+                            f"state ({exc!r})") from exc
     try:
         net = build(NetworkConfig.from_dict(header["config"]), np.random.default_rng(0))
     except ConfigError as exc:
@@ -455,8 +465,7 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes at {offset}")
 
-    extras: dict = {"step": header.get("step", 0),
-                    "rng_state": header.get("rng_state")}
+    extras: dict = {"step": step, "rng_state": rng_state}
     if moments is not None:
         extras["optimizer"] = {"t": opt_meta["t"], **moments}
     return net, extras

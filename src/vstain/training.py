@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autograd as ag
-from . import data_io, gptt
+from . import data_io, gptt, kernels
 from .autograd import Variable
 from .errors import (ConfigError, DataError, NumericError, ShapeError,
                      require_types)
@@ -51,9 +51,6 @@ class TrainConfig:
             raise ConfigError(f"train config: learning_rate {self.learning_rate} <= 0")
         if self.max_steps < 1 or self.checkpoint_interval < 1:
             raise ConfigError("train config: steps and interval must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -118,7 +115,9 @@ def masked_cross_entropy(
         onehot = np.zeros_like(soft)
         np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
         dz = (soft - onehot) * active[..., None] * (g / count)
-        ag.accumulate(logits, dz.reshape(n, h, w, c).astype(logits.data.dtype))
+        # dz is this call's own array: flushed in place, like the softmax kernels
+        dz = dz.reshape(n, h, w, c).astype(logits.data.dtype, copy=False)
+        ag.accumulate(logits, kernels.flush_subnormals(dz))
 
     return ag.make_op(np.asarray(loss, dtype=logits.data.dtype), (logits,), bw)
 

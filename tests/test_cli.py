@@ -168,17 +168,19 @@ def test_config_value_of_wrong_type_is_usage_error(one_sample_manifest, tmp_path
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("samples", [
-    5,
-    ["x"],
-    [{"input": "a.pgm", "targets": ["b.pgm"]}],
-    [{"input": 7}],
-    [{"input": "a.pgm", "targets": {"0": 7}}],
+@pytest.mark.parametrize("doc", [
+    {"samples": 5},
+    {"samples": ["x"]},
+    {"samples": [{"input": "a.pgm", "targets": ["b.pgm"]}]},
+    {"samples": [{"input": 7}]},
+    {"samples": [{"input": "a.pgm", "targets": {"0": 7}}]},
+    {"samples": [], "task_names": 5},
+    {"samples": [], "task_names": "abc"},
 ], ids=["samples-not-list", "record-not-object", "targets-not-object",
-        "input-not-str", "target-not-str"])
-def test_manifest_of_wrong_structure_is_data_error(tmp_path, capsys, samples):
+        "input-not-str", "target-not-str", "task-names-int", "task-names-str"])
+def test_manifest_of_wrong_structure_is_data_error(tmp_path, capsys, doc):
     mpath = tmp_path / "manifest.json"
-    mpath.write_text(json.dumps({"samples": samples}))
+    mpath.write_text(json.dumps(doc))
     code = cli.main(["train", "--manifest", str(mpath), "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert code == 3

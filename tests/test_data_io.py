@@ -123,6 +123,16 @@ def test_malformed_manifest_json(tmp_path):
         dio.load_manifest(path)
 
 
+@pytest.mark.parametrize("names", [5, "abc", ["nuclei", 2]])
+def test_task_names_must_be_a_list_of_strings(tmp_path, names):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"samples": [], "task_names": names}))
+    with pytest.raises(DataError, match="task_names"):
+        dio.load_manifest(path)
+    path.write_text(json.dumps({"samples": [], "task_names": ["a", "b"]}))
+    assert dio.load_manifest(path).task_names == ("a", "b")
+
+
 # ---------------------------------------------------------------------------
 # synthetic scenes
 # ---------------------------------------------------------------------------

@@ -12,25 +12,6 @@ rng = np.random.default_rng(1234)
 
 
 # ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
-
-def test_matmul_identity():
-    a = rng.normal(size=(4, 3))
-    assert np.allclose(K.matmul(np.eye(4), a), a)
-
-
-def test_matmul_hand_oracle():
-    out = K.matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-    assert np.array_equal(out, [[3.0], [7.0]])
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ShapeError):
-        K.matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-
-# ---------------------------------------------------------------------------
 # column softmax
 # ---------------------------------------------------------------------------
 

@@ -173,10 +173,11 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     nw.forward(net, x, "train", np.random.default_rng(5))
     before = nw.forward(net, x, "eval").data
     path = tmp_path / "net.gptc"
-    nw.save_checkpoint(path, net, step=11, rng_state={"k": 2})
+    rng_state = np.random.default_rng(2).bit_generator.state
+    nw.save_checkpoint(path, net, step=11, rng_state=rng_state)
     loaded, extras = nw.load_checkpoint(path)
     assert extras["step"] == 11
-    assert extras["rng_state"] == {"k": 2}
+    assert extras["rng_state"] == rng_state
     after = nw.forward(loaded, ag.var(x.data), "eval").data
     assert np.array_equal(before, after)
 
@@ -306,11 +307,15 @@ def _last_blob_overruns(hbytes, blobs):
     _last_blob_overruns,
     _with_header(patch_size="16"),
     _with_header(patch_size=12),
+    _with_header(step="1"),
+    _with_header(rng_state={"bit_generator": "PCG64", "state": {"state": "1", "inc": 3},
+                            "has_uint32": 0, "uinteger": 0}),
 ], ids=["header-not-utf8", "header-not-json", "header-not-object",
         "no-config", "no-tensors", "no-param-tensor", "no-state-tensor",
         "no-adam-m-tensor", "no-adam-v-tensor", "state-wrong-shape",
         "adam-m-wrong-shape", "extra-tensor-name", "optimizer-without-t",
-        "blob-overruns-file", "config-value-wrong-type", "config-invalid"])
+        "blob-overruns-file", "config-value-wrong-type", "config-invalid",
+        "step-not-int", "rng-state-not-pcg64"])
 def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, edit):
     path = _saved_with_optimizer(tmp_path)
     assert "optimizer" in nw.load_checkpoint(path)[1]
@@ -351,9 +356,12 @@ def test_tiny_checkpoint_bytes_pinned(tmp_path):
                  "m": {k: _arange_like(v.data, 0.125, 0) for k, v in params.items()},
                  "v": {k: _arange_like(v.data, 0.0625, 1) for k, v in params.items()}}
     path = tmp_path / "tiny.gptc"
-    nw.save_checkpoint(path, net, step=7, optimizer=optimizer, rng_state={"a": 1})
+    # load_checkpoint accepts only null or a real PCG64 state
+    rng_state = {"bit_generator": "PCG64", "state": {"state": 1, "inc": 3},
+                 "has_uint32": 0, "uinteger": 0}
+    nw.save_checkpoint(path, net, step=7, optimizer=optimizer, rng_state=rng_state)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "f7107e8dac7a36a22247cc30d3a3f907066e359a9d053187a35a18bbf84c27da"
+    assert digest == "c94f5069e07d06afa3b29f965cae1724fb6049587be67c215390489b53a2f738"
     loaded, extras = nw.load_checkpoint(path)
     again = tmp_path / "again.gptc"
     nw.save_checkpoint(again, loaded, step=extras["step"],

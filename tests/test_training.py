@@ -72,6 +72,20 @@ def test_masked_task_gradients_exactly_zero():
                 assert np.array_equal(block, np.zeros_like(block))
 
 
+def test_float32_loss_gradient_has_no_subnormals():
+    # logits spanning about +-400: unflushed, exp(z - zmax) / sez and the
+    # mean's 1/count put part of the gradient below finfo(float32).tiny
+    r = np.random.default_rng(19)
+    logits = ag.var(r.uniform(-400.0, 400.0, size=(2, 8, 8, 2 * 256)).astype(np.float32),
+                    requires_grad=True)
+    targets = r.integers(0, 256, size=(2, 8, 8, 2))
+    loss = tr.masked_cross_entropy(logits, targets, np.ones((2, 2), bool), 256)
+    ag.backward(loss)
+    g = logits.grad
+    assert g.dtype == np.float32 and np.count_nonzero(g) > 0
+    assert np.count_nonzero((g != 0) & (np.abs(g) < np.finfo(np.float32).tiny)) == 0
+
+
 def test_target_out_of_range_rejected():
     logits = ag.var(np.zeros((1, 1, 1, 4)))
     with pytest.raises(DataError):
