@@ -76,10 +76,6 @@ class GptLayerParams:
         return []
 
 
-def default_qk_channels(c_in: int) -> int:
-    return max(c_in // 2, 1)
-
-
 def default_value_channels(variant: GptVariant, c_in: int) -> int:
     """DOWN/SAME keep the channel count; UP halves it (ceil)."""
     if variant is GptVariant.UP:
@@ -87,25 +83,16 @@ def default_value_channels(variant: GptVariant, c_in: int) -> int:
     return c_in
 
 
-def output_extents(variant: GptVariant, h: int, w: int) -> tuple[int, int]:
-    if variant is GptVariant.DOWN:
-        return -(-h // 2), -(-w // 2)
-    if variant is GptVariant.UP:
-        return 2 * h, 2 * w
-    return h, w
-
-
 def make_gpt_layer(
     rng: np.random.Generator,
     c_in: int,
     variant: GptVariant,
     qk_channels: int | None = None,
-    value_channels: int | None = None,
     dtype=np.float32,
 ) -> GptLayerParams:
     """Allocate and He-initialise one layer's parameters."""
-    c_qk = qk_channels if qk_channels is not None else default_qk_channels(c_in)
-    c_v = value_channels if value_channels is not None else default_value_channels(variant, c_in)
+    c_qk = qk_channels if qk_channels is not None else max(c_in // 2, 1)
+    c_v = default_value_channels(variant, c_in)
     fan = 9 * c_in
 
     def conv_param(shape, fan_in):

@@ -273,30 +273,6 @@ def resize_bilinear(t: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# padding
-# ---------------------------------------------------------------------------
-
-def mirror_pad(
-    t: np.ndarray, top: int, bottom: int, left: int, right: int
-) -> np.ndarray:
-    """Reflection padding of (N, H, W, C) without repeating the border pixel."""
-    t = check_tensor4(t, "mirror_pad input")
-    for amount, extent, axis in (
-        (top, t.shape[1], "top"), (bottom, t.shape[1], "bottom"),
-        (left, t.shape[2], "left"), (right, t.shape[2], "right"),
-    ):
-        if amount < 0:
-            raise ShapeError(f"mirror_pad: negative {axis} pad {amount}")
-        if amount >= extent:
-            raise ShapeError(
-                f"mirror_pad: {axis} pad {amount} too large for extent {extent}"
-            )
-    if top == bottom == left == right == 0:
-        return t.copy()
-    return np.pad(t, ((0, 0), (top, bottom), (left, right), (0, 0)), mode="reflect")
-
-
-# ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------
 

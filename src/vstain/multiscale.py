@@ -7,9 +7,10 @@ along channels in that order, so a C-channel image yields a 3C-channel
 network input.
 
 Crop windows are half-open with top-left = center - side // 2. Regions
-falling outside the image are filled by reflection (same values as
-mirror_pad, computed by index folding so any overhang is allowed); the
-scale-1 crop itself is a plain copy whenever it is in bounds.
+falling outside the image are filled by reflection that does not repeat
+the border pixel (numpy's "reflect" padding), computed by index folding
+so any overhang is allowed; the scale-1 crop itself is a plain copy
+whenever it is in bounds.
 
 Training targets are never rescaled: the label patch is the ground
 truth aligned with the scale-1 crop only.

@@ -221,21 +221,20 @@ def build(config: NetworkConfig, rng: np.random.Generator,
     encoder = []
     for depth, target in zip(config.encoder_depths, config.encoder_channels):
         db = make_dense_block(rng, c, depth, k, target, drop, dtype)
-        gdt = make_gpt_layer(rng, target, GptVariant.DOWN, qk, target, dtype)
+        gdt = make_gpt_layer(rng, target, GptVariant.DOWN, qk, dtype)
         encoder.append((db, gdt))
         c = target
 
     bottom_db = make_dense_block(rng, c, config.bottom_depth,
                                  k, config.bottom_channels, drop, dtype)
-    bottom_gst = make_gpt_layer(rng, config.bottom_channels, GptVariant.SAME,
-                                qk, config.bottom_channels, dtype)
+    bottom_gst = make_gpt_layer(rng, config.bottom_channels, GptVariant.SAME, qk, dtype)
     c = config.bottom_channels
 
     n = config.stages
     decoder = []
     for i, (depth, target) in enumerate(zip(config.decoder_depths,
                                             config.decoder_channels)):
-        gut = make_gpt_layer(rng, c, GptVariant.UP, qk, None, dtype)
+        gut = make_gpt_layer(rng, c, GptVariant.UP, qk, dtype)
         if i < n - 1:
             skip_c = config.encoder_channels[n - 2 - i]
         else:

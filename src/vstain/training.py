@@ -2,9 +2,10 @@
 
 The loss treats each pixel of each task as a 256-way classification and
 averages the cross-entropy over exactly the (pixel, task) cells whose
-task is present in the sample's mask; absent tasks contribute nothing
-to the value or the gradient, so label coverage never changes the loss
-scale. Optimisation is plain bias-corrected Adam.
+task is present in the sample's mask. It is evaluated on those labelled
+(sample, task) slices only: absent tasks are never computed, get an
+exact zero gradient, and label coverage never changes the loss scale.
+Optimisation is plain bias-corrected Adam.
 
 A run is a pure function of (manifest, configs, seed): sampling and
 dropout share one generator whose state is checkpointed, so resuming
@@ -76,8 +77,9 @@ def masked_cross_entropy(
     """Mean 256-way cross-entropy over the active (pixel, task) cells.
 
     logits: (N, H, W, T * value_classes); targets: (N, H, W, T) integer
-    classes; mask: (N, T) booleans. With no active cell the loss is an
-    exact zero with zero gradients.
+    classes; mask: (N, T) booleans. Only the labelled (sample, task)
+    slices are evaluated, and only they are kept for the backward. With
+    no active cell the loss is an exact +0.0 with zero gradients.
     """
     n, h, w, c = logits.data.shape
     targets = np.asarray(targets)
@@ -96,28 +98,23 @@ def masked_cross_entropy(
             f"cross entropy: target classes outside [0, {value_classes})"
         )
 
+    rows, tasks = np.nonzero(mask)
     z = logits.data.reshape(n, h, w, t, value_classes)
-    zmax = z.max(axis=-1, keepdims=True)
-    ez = np.exp(z - zmax)
-    sez = ez.sum(axis=-1, keepdims=True)
-    log_probs = (z - zmax) - np.log(sez)
-    picked = np.take_along_axis(log_probs, targets[..., None], axis=-1)[..., 0]
-
-    active = np.broadcast_to(mask[:, None, None, :], (n, h, w, t))
-    count = int(active.sum())
-    if count == 0:
-        return ag.make_op(np.zeros((), dtype=logits.data.dtype), (logits,),
-                          lambda g: ag.accumulate(logits, np.zeros_like(logits.data)))
-    loss = -(picked * active).sum() / count
+    za = z[rows, :, :, tasks]  # (labelled, H, W, V): a copy, shifted in place
+    ta = targets[rows, :, :, tasks][..., None]
+    za -= za.max(axis=-1, keepdims=True)
+    sez = np.exp(za).sum(axis=-1, keepdims=True)
+    count = max(ta.size, 1)
+    loss = (np.log(sez) - np.take_along_axis(za, ta, axis=-1)).sum() / count
 
     def bw(g):
-        soft = ez / sez
-        onehot = np.zeros_like(soft)
-        np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
-        dz = (soft - onehot) * active[..., None] * (g / count)
-        # dz is this call's own array: flushed in place, like the softmax kernels
-        dz = dz.reshape(n, h, w, c).astype(logits.data.dtype, copy=False)
-        ag.accumulate(logits, kernels.flush_subnormals(dz))
+        dz = np.exp(za)
+        dz /= sez
+        np.put_along_axis(dz, ta, np.take_along_axis(dz, ta, axis=-1) - 1, axis=-1)
+        dz *= g / count
+        grad = np.zeros((n, h, w, t, value_classes), dtype=dz.dtype)
+        grad[rows, :, :, tasks] = kernels.flush_subnormals(dz)
+        ag.accumulate(logits, grad.reshape(n, h, w, c))
 
     return ag.make_op(np.asarray(loss, dtype=logits.data.dtype), (logits,), bw)
 
@@ -169,10 +166,6 @@ class TrainResult:
     checkpoints: list[Path]
     final_checkpoint: Path
     loss_csv: Path
-
-
-def _rng_state(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
 
 
 def _write_loss_csv(path: Path, rows: list[tuple[int, float, float]]) -> None:
@@ -249,7 +242,7 @@ def train(
         path = out_dir / f"checkpoint_{step:06d}.gptc"
         save_checkpoint(path, net, step=step,
                         optimizer={"t": opt.t, "m": opt.m, "v": opt.v},
-                        rng_state=_rng_state(loop_rng))
+                        rng_state=loop_rng.bit_generator.state)
         return path
 
     for step in range(start_step + 1, train_config.max_steps + 1):

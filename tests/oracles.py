@@ -1,7 +1,8 @@
 """Independent scalar reimplementations used as test oracles.
 
-Everything here is deliberately written with plain python loops and
-never calls the production kernels, so agreement is meaningful.
+Everything here is deliberately written with plain python loops or
+plain numpy and never calls the production kernels, so agreement is
+meaningful.
 """
 
 import numpy as np
@@ -91,3 +92,30 @@ def oracle_gpt_layer(x, params):
         for j in range(wq):
             out[i, j] = o[:, i * wq + j]
     return out
+
+
+def oracle_mirror_pad(t, top, bottom, left, right):
+    """Reflection padding of (N, H, W, C) without repeating the border pixel."""
+    return np.pad(t, ((0, 0), (top, bottom), (left, right), (0, 0)), mode="reflect")
+
+
+def oracle_masked_cross_entropy(logits, targets, mask, value_classes):
+    """(value, gradient) of the masked loss by the dense formula: every
+    task is evaluated, then the masked ones are multiplied by zero."""
+    n, h, w, c = logits.shape
+    t = targets.shape[3]
+    z = logits.reshape(n, h, w, t, value_classes)
+    zmax = z.max(axis=-1, keepdims=True)
+    ez = np.exp(z - zmax)
+    sez = ez.sum(axis=-1, keepdims=True)
+    log_probs = (z - zmax) - np.log(sez)
+    picked = np.take_along_axis(log_probs, targets[..., None], axis=-1)[..., 0]
+    active = np.broadcast_to(mask[:, None, None, :], (n, h, w, t))
+    count = int(active.sum())
+    loss = -(picked * active).sum() / count
+    g = np.ones((), dtype=logits.dtype)
+    onehot = np.zeros_like(ez)
+    np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
+    dz = (ez / sez - onehot) * active[..., None] * (g / count)
+    dz[np.abs(dz) < np.finfo(dz.dtype).tiny] = 0
+    return loss, dz.reshape(n, h, w, c)

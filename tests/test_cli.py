@@ -187,6 +187,32 @@ def test_manifest_of_wrong_structure_is_data_error(tmp_path, capsys, doc):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--cells", "8,3"],
+    ["--cells=-1,3"],
+    ["--noise", "-0.5"],
+    ["--size", "11"],
+], ids=["cells-min-above-max", "cells-negative", "noise-negative", "size-below-12"])
+def test_synth_bad_flag_is_usage_error(tmp_path, capsys, flags):
+    code = cli.main(["synth", "--out", str(tmp_path / "d"), "--samples", "1",
+                     "--test-samples", "0", *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("repetitions", ["0", "-1"])
+def test_eval_repetitions_below_one_is_usage_error(pipeline, tmp_path, capsys,
+                                                  repetitions):
+    code = cli.main(["eval", "--manifest", str(pipeline / "data/manifest.json"),
+                     "--pred", str(pipeline / "pred"), "--out", str(tmp_path / "rep"),
+                     "--sample-size", "1000", "--repetitions", repetitions])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "rep").exists()
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["synth", "--bogus"])

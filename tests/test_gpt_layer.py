@@ -8,7 +8,7 @@ from vstain import autograd as ag
 from vstain.errors import ShapeError
 from vstain.gpt_layer import (GptLayerParams, GptVariant,
                               default_value_channels, gpt_forward,
-                              make_gpt_layer, output_extents)
+                              make_gpt_layer)
 
 rng = np.random.default_rng(42)
 
@@ -116,18 +116,21 @@ def test_layer_spatial_law_16(variant, expected):
 
 
 def test_shape_law_all_sizes_1_to_16():
-    for variant in GptVariant:
+    # DOWN halves (ceil), SAME keeps, UP doubles each spatial extent
+    extents = {GptVariant.DOWN: lambda e: -(-e // 2),
+               GptVariant.SAME: lambda e: e,
+               GptVariant.UP: lambda e: 2 * e}
+    for variant, extent in extents.items():
         layer = make_gpt_layer(np.random.default_rng(1), 2, variant)
         for h in range(1, 17):
             for w in (1, h, 16):
                 out = gpt_forward(ag.var(np.zeros((1, h, w, 2), np.float32)), layer)
-                assert out.data.shape[1:3] == output_extents(variant, h, w)
+                assert out.data.shape[1:3] == (extent(h), extent(w))
 
 
 def test_down_layer_table_channels():
     # 128x128x64 input, value channels 64 -> 64x64x64
-    layer = make_gpt_layer(np.random.default_rng(2), 64, GptVariant.DOWN,
-                           value_channels=64)
+    layer = make_gpt_layer(np.random.default_rng(2), 64, GptVariant.DOWN)
     x = ag.var(np.zeros((1, 128, 128, 64), np.float32))
     assert gpt_forward(x, layer).data.shape == (1, 64, 64, 64)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from vstain import kernels as K
 from vstain.errors import NumericError, ShapeError
+from vstain.multiscale import _reflect_indices
 
 rng = np.random.default_rng(1234)
 
@@ -239,24 +240,13 @@ def test_resize_downsample_oracle():
 
 
 # ---------------------------------------------------------------------------
-# mirror pad
+# mirror padding (reflection by index folding)
 # ---------------------------------------------------------------------------
 
-def test_mirror_pad_zero_identity():
-    x = rng.normal(size=(1, 3, 4, 2)).astype(np.float32)
-    assert np.array_equal(K.mirror_pad(x, 0, 0, 0, 0), x)
-
-
 def test_mirror_pad_reflection():
-    x = np.array([1.0, 2.0, 3.0]).reshape(1, 1, 3, 1)
-    out = K.mirror_pad(x, 0, 0, 1, 0)[0, 0, :, 0]
-    assert np.array_equal(out, [2.0, 1.0, 2.0, 3.0])
-
-
-def test_mirror_pad_too_large():
-    x = np.zeros((1, 3, 3, 1))
-    with pytest.raises(ShapeError):
-        K.mirror_pad(x, 4, 0, 0, 0)
+    # one pixel of left overhang on [1, 2, 3]: the border pixel is not repeated
+    x = np.array([1.0, 2.0, 3.0])
+    assert np.array_equal(x[_reflect_indices(-1, 4, 3)], [2.0, 1.0, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------

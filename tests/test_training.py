@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import oracle_masked_cross_entropy
 
 from vstain import autograd as ag
 from vstain import data_io as dio
@@ -30,7 +31,7 @@ def test_all_false_mask_gives_zero_loss_and_gradients():
     logits = ag.var(rng.normal(size=(1, 2, 2, 8)), requires_grad=True)
     targets = rng.integers(0, 4, size=(1, 2, 2, 2))
     loss = tr.masked_cross_entropy(logits, targets, np.zeros((1, 2), bool), 4)
-    assert float(loss.data) == 0.0
+    assert float(loss.data) == 0.0 and math.copysign(1.0, loss.data) == 1.0
     ag.zero_grad([logits])
     ag.backward(loss)
     assert np.array_equal(logits.grad, np.zeros_like(logits.data))
@@ -70,6 +71,34 @@ def test_masked_task_gradients_exactly_zero():
                 assert np.abs(block).max() > 0
             else:
                 assert np.array_equal(block, np.zeros_like(block))
+
+
+def test_loss_matches_dense_oracle_per_sample_masks():
+    # batch 4, one mask per sample: the labelled-slice loss reproduces the
+    # dense every-task formula, its gradient bit for bit
+    r = np.random.default_rng(23)
+    logits = ag.var(r.uniform(-400.0, 400.0, size=(4, 6, 6, 3 * 256)).astype(np.float32),
+                    requires_grad=True)
+    targets = r.integers(0, 256, size=(4, 6, 6, 3))
+    mask = np.array([[True, False, True], [False, False, False],
+                     [True, True, True], [False, True, False]])
+    want_loss, want_grad = oracle_masked_cross_entropy(logits.data, targets, mask, 256)
+    loss = tr.masked_cross_entropy(logits, targets, mask, 256)
+    ag.backward(loss)
+    assert math.isclose(float(loss.data), float(want_loss), rel_tol=1e-6)
+    assert logits.grad.dtype == want_grad.dtype
+    assert np.array_equal(logits.grad, want_grad)
+
+
+def test_loss_tape_keeps_only_labelled_slices():
+    logits = ag.var(rng.normal(size=(2, 4, 4, 3 * 16)).astype(np.float32),
+                    requires_grad=True)
+    targets = rng.integers(0, 16, size=(2, 4, 4, 3))
+    mask = np.array([[True, True, False], [True, True, True]])
+    loss = tr.masked_cross_entropy(logits, targets, mask, 16)
+    held = [cell.cell_contents for cell in loss._backward.__closure__
+            if isinstance(cell.cell_contents, np.ndarray)]
+    assert held and max(a.size for a in held) < logits.data.size
 
 
 def test_float32_loss_gradient_has_no_subnormals():
