@@ -3,9 +3,10 @@
 A forward pass builds an implicit tape: every op returns a `Variable`
 whose parents and backward closure record how it was produced. Calling
 :func:`backward` on a scalar result walks that record once in reverse
-topological order. Stochastic ops (dropout) draw their masks from a
-caller-supplied generator and capture them, so re-running a forward pass
-with the same seed replays the identical tape bit-for-bit.
+topological order, releasing each node as it goes. Stochastic ops
+(dropout) draw their masks from a caller-supplied generator and capture
+them, so re-running a forward pass with the same seed replays the
+identical tape bit-for-bit.
 
 A tape is single-owner while it is being recorded; completed gradients
 are plain arrays and safe to share. Gradient recording can be suspended
@@ -105,11 +106,14 @@ def _topo_order(root: Variable) -> list[Variable]:
 
 
 def backward(loss: Variable) -> None:
-    """Populate .grad on every recorded node reachable from `loss`.
+    """Populate .grad on every leaf reachable from `loss`.
 
     The gradient of the loss w.r.t. itself is 1. Each tape may be
-    consumed once; leaves that never entered the graph keep whatever
-    .grad they already hold (zero them with :func:`zero_grad` first).
+    consumed once: as soon as an interior node's closure has run, the
+    node drops its .grad, closure and parent links, so the tape shrinks
+    as the walk proceeds and afterwards only leaves hold gradients.
+    Leaves that never entered the graph keep whatever .grad they already
+    hold (zero them with :func:`zero_grad` first).
     """
     if loss.data.ndim != 0:
         raise ShapeError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
@@ -118,9 +122,13 @@ def backward(loss: Variable) -> None:
     loss._consumed = True
     order = _topo_order(loss)
     accumulate(loss, np.ones((), dtype=loss.data.dtype))
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward is None:
+            continue  # a leaf keeps its gradient
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad, node._backward, node._parents = None, None, ()
 
 
 def zero_grad(variables) -> None:

@@ -96,12 +96,6 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"--cells must be 'min,max', got {args.cells!r}") from None
     if args.samples < 1 or args.test_samples < 0:
         raise ConfigError("--samples must be >= 1 and --test-samples >= 0")
-    if not 0 <= lo <= hi:
-        raise ConfigError(f"--cells must satisfy 0 <= min <= max, got {args.cells!r}")
-    if args.noise < 0:
-        raise ConfigError(f"--noise must be >= 0, got {args.noise}")
-    if args.size < 12:  # cells keep a 6-pixel margin on each side
-        raise ConfigError(f"--size must be >= 12, got {args.size}")
     manifest_path = data_io.generate_dataset(
         args.out, n_train=args.samples, size=args.size, seed=args.seed,
         tasks=tasks, n_test=args.test_samples, cell_count=(lo, hi),
@@ -190,11 +184,8 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import data_io
-    from .errors import ConfigError
     from .evaluation import evaluate_predictions
 
-    if args.repetitions < 1:
-        raise ConfigError(f"--repetitions must be >= 1, got {args.repetitions}")
     manifest = data_io.load_manifest(args.manifest)
     report = evaluate_predictions(
         manifest, args.pred, sample_size=args.sample_size,

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import gptt
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 TASK_NAMES = ("nuclei", "viability", "type")
 
@@ -284,6 +284,18 @@ class SyntheticSceneSpec:
     seed: int = 0
     tasks: tuple[str, ...] = TASK_NAMES
 
+    def validate(self) -> None:
+        """Raise ConfigError unless 0 <= min <= max cells, noise >= 0 and
+        size >= 12 (cells keep a 6-pixel margin on each side)."""
+        lo, hi = self.cell_count
+        if not 0 <= lo <= hi:
+            raise ConfigError(f"synthetic scene: cell count {self.cell_count} must "
+                              "satisfy 0 <= min <= max")
+        if self.noise_level < 0:
+            raise ConfigError(f"synthetic scene: noise {self.noise_level} must be >= 0")
+        if self.size < 12:
+            raise ConfigError(f"synthetic scene: size {self.size} must be >= 12")
+
 
 @dataclass
 class SyntheticSample:
@@ -304,7 +316,9 @@ def _cell_distance(size: int, cell: Cell) -> np.ndarray:
 
 
 def generate_synthetic(spec: SyntheticSceneSpec) -> SyntheticSample:
-    """Render one scene. Identical specs produce identical samples."""
+    """Render one scene. Identical specs produce identical samples.
+    Raises ConfigError for a spec :meth:`SyntheticSceneSpec.validate` rejects."""
+    spec.validate()
     rng = np.random.default_rng(spec.seed)
     size = spec.size
     lo, hi = spec.cell_count
@@ -364,6 +378,9 @@ def generate_dataset(
     noise_level: float = 4.0,
 ) -> Path:
     """Write PGM images, a scene record and manifest.json; returns the manifest path."""
+    spec = SyntheticSceneSpec(size=size, cell_count=cell_count,
+                              noise_level=noise_level, tasks=tasks)
+    spec.validate()  # before anything is written
     out_dir = Path(out_dir)
     images = out_dir / "images"
     images.mkdir(parents=True, exist_ok=True)
@@ -371,10 +388,7 @@ def generate_dataset(
     scenes = {}
     for i in range(n_train + n_test):
         split = "train" if i < n_train else "test"
-        sample = generate_synthetic(SyntheticSceneSpec(
-            size=size, cell_count=cell_count, noise_level=noise_level,
-            seed=seed * 100003 + i, tasks=tasks,
-        ))
+        sample = generate_synthetic(replace(spec, seed=seed * 100003 + i))
         stem = f"s{i:03d}"
         save_pgm(images / f"{stem}_input.pgm", sample.image[:, :, 0])
         targets = {}

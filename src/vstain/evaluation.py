@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io
-from .errors import DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 
 BIN_COUNT = 10
 
@@ -229,7 +229,10 @@ def evaluate_predictions(
     For every task with ground truth in at least one test sample, the
     prediction images (named per :func:`prediction_filename`) are pooled
     with their truths; sample_size is clamped to the pooled pixel count.
+    Raises ConfigError for repetitions < 1.
     """
+    if repetitions < 1:
+        raise ConfigError(f"evaluate: repetitions must be >= 1, got {repetitions}")
     pred_dir = Path(pred_dir)
     test = manifest.split("test")
     if not test:

@@ -122,13 +122,23 @@ def run_suite(seed: int = 0) -> list[CheckRow]:
     # dropout with a pinned mask
     check("dropout", lambda v: ag.dot_sum(ag.dropout(v, 0.5, np.random.default_rng(11)), p), xb)
 
-    # masked cross entropy
+    # the head fused into the masked loss: features, head weight and bias;
+    # the head has its own generator, so no other check's inputs move
     tcount, classes = 2, 5
     targets = rng.integers(0, classes, size=(1, 3, 3, tcount))
     mask = np.array([[True, False]])
-    check("cross_entropy",
-          lambda v: masked_cross_entropy(v, targets, mask, classes),
-          rng.normal(size=(1, 3, 3, tcount * classes)))
+    xf = rng.normal(size=(1, 3, 3, 10))
+    rh = np.random.default_rng([seed, 2])
+    hw, hb = rh.normal(size=(1, 1, 10, tcount * classes)), rh.normal(size=tcount * classes)
+    check("cross_entropy/features",
+          lambda v: masked_cross_entropy(v, ag.var(hw), ag.var(hb), targets, mask, classes),
+          xf)
+    check("cross_entropy/head.w",
+          lambda v: masked_cross_entropy(ag.var(xf), v, ag.var(hb), targets, mask, classes),
+          hw)
+    check("cross_entropy/head.b",
+          lambda v: masked_cross_entropy(ag.var(xf), ag.var(hw), v, targets, mask, classes),
+          hb)
 
     # one full transformer layer per variant, input and generator weight
     for variant in GptVariant:
@@ -154,19 +164,20 @@ def run_suite(seed: int = 0) -> list[CheckRow]:
     net = build(cfg, np.random.default_rng(seed + 1), dtype=np.float64)
     params = net.named_parameters()
     xn = rng.normal(size=(1, cfg.patch_size, cfg.patch_size, 3))
-    pn = rng.normal(size=(1, cfg.patch_size, cfg.patch_size, cfg.head_channels))
+    tn = rng.integers(0, cfg.value_classes,
+                      size=(1, cfg.patch_size, cfg.patch_size, cfg.task_count))
+    mn = np.ones((1, cfg.task_count), bool)
 
-    check("network/input",
-          lambda v: ag.dot_sum(
-              forward(net, v, mode="train", rng=np.random.default_rng(5)), pn),
-          xn, END_TO_END_TOL)
+    def network_loss(v):
+        features = forward(net, v, mode="train", rng=np.random.default_rng(5))
+        return masked_cross_entropy(features, net.head_w, net.head_b, tn, mn,
+                                    cfg.value_classes)
+
+    check("network/input", network_loss, xn, END_TO_END_TOL)
 
     for pname in ("stem.w", "head.b", "enc1.db.l1.bn.gamma"):
-        check_param(
-            f"network/{pname}",
-            lambda: ag.dot_sum(
-                forward(net, ag.var(xn), mode="train", rng=np.random.default_rng(5)), pn),
-            params[pname], END_TO_END_TOL)
+        check_param(f"network/{pname}", lambda: network_loss(ag.var(xn)),
+                    params[pname], END_TO_END_TOL)
 
     return rows
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import autograd as ag
 from .errors import DataError, ShapeError
 from .multiscale import PatchSpec, extract_multiscale
-from .network import Network, forward, predict_distributions
+from .network import Network, forward, logits, predict_distributions
 
 
 def window_offsets(extent: int, patch: int, step: int) -> list[int]:
@@ -75,8 +75,8 @@ def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray
             inp = extract_multiscale(image, PatchSpec(center, patch))
             inp = inp.astype(np.float32) / 255.0
             with ag.no_grad():
-                logits = forward(net, ag.var(inp[None]), mode="eval")
-            probs = predict_distributions(logits.data, t, v)[0]
+                z = logits(net, forward(net, ag.var(inp[None]), mode="eval"))
+            probs = predict_distributions(z.data, t, v)[0]
             acc[oy : oy + patch, ox : ox + patch] += probs
 
     cnt = coverage_map(h, w, patch, step).astype(np.float32)

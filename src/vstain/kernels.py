@@ -155,7 +155,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.n
     xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
     cols = _im2col(xp, k, stride, out_h, out_w)
     y = cols.reshape(n, out_h, out_w, k * k * cin) @ w.reshape(k * k * cin, -1)
-    return y + b
+    y += b
+    return y
 
 
 def _conv2d_input_grad(

@@ -12,6 +12,9 @@ resolutions and the first dense block's output at full resolution; each
 is channel-concatenated with the matching up-transformer output before
 the decoder dense block. The head emits one value-class distribution
 per task and pixel (no activation; softmax happens downstream).
+:func:`forward` stops at the decoder features; :func:`logits` applies
+the head to every task for prediction, while training fuses the head
+into its loss and evaluates it on the labelled tasks only.
 
 Checkpoints are single "GPTC" container files: a JSON header (config,
 tensor manifest, optimizer metadata, RNG state) followed by the named
@@ -268,7 +271,8 @@ def _check_ledger(net: Network) -> None:
 
 def forward(net: Network, x: Variable, mode: str = "eval",
             rng: np.random.Generator | None = None) -> Variable:
-    """Logits (N, patch, patch, task_count * value_classes) for a patch batch."""
+    """Decoder features (N, patch, patch, decoder_channels[-1]) for a patch
+    batch: the input of the 1x1 head (:func:`logits`)."""
     cfg = net.config
     n, h, w, c = x.data.shape
     if (h, w) != (cfg.patch_size, cfg.patch_size):
@@ -298,11 +302,16 @@ def forward(net: Network, x: Variable, mode: str = "eval",
         u = gpt_forward(h_, gut)
         skip = gdt_outs[stages - 2 - i] if i < stages - 1 else skip_full
         h_ = dense_forward(ag.concat_channels([u, skip]), db, mode, rng)
+    return h_
 
-    logits = ag.conv2d(h_, net.head_w, net.head_b, stride=1)
-    if not np.all(np.isfinite(logits.data)):
-        raise NumericError("forward: non-finite logits")
-    return logits
+
+def logits(net: Network, features: Variable) -> Variable:
+    """Every task's logits (N, H, W, task_count * value_classes) from the
+    decoder features; raises NumericError if any is non-finite."""
+    out = ag.conv2d(features, net.head_w, net.head_b, stride=1)
+    if not np.all(np.isfinite(out.data)):
+        raise NumericError("head: non-finite logits")
+    return out
 
 
 def predict_distributions(logits: np.ndarray, task_count: int,
@@ -314,9 +323,10 @@ def predict_distributions(logits: np.ndarray, task_count: int,
             f"predict_distributions: {c} channels != {task_count}*{value_classes}"
         )
     z = logits.reshape(n, h, w, task_count, value_classes)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)  # the one full-size buffer
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def distributions_to_image(probs: np.ndarray, task: int,

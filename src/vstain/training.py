@@ -2,9 +2,11 @@
 
 The loss treats each pixel of each task as a 256-way classification and
 averages the cross-entropy over exactly the (pixel, task) cells whose
-task is present in the sample's mask. It is evaluated on those labelled
-(sample, task) slices only: absent tasks are never computed, get an
-exact zero gradient, and label coverage never changes the loss scale.
+task is present in the sample's mask. It takes the network's decoder
+features and includes the 1x1 head, which it evaluates on those
+labelled (sample, task) slices only: absent tasks are never computed,
+get an exact zero gradient, and label coverage never changes the loss
+scale.
 Optimisation is plain bias-corrected Adam.
 
 A run is a pure function of (manifest, configs, seed): sampling and
@@ -69,27 +71,38 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 def masked_cross_entropy(
-    logits: Variable,
+    features: Variable,
+    head_w: Variable,
+    head_b: Variable,
     targets: np.ndarray,
     mask: np.ndarray,
     value_classes: int,
 ) -> Variable:
-    """Mean 256-way cross-entropy over the active (pixel, task) cells.
+    """The 1x1 head and the mean 256-way cross-entropy over the active
+    (pixel, task) cells, as one tape node.
 
-    logits: (N, H, W, T * value_classes); targets: (N, H, W, T) integer
-    classes; mask: (N, T) booleans. Only the labelled (sample, task)
-    slices are evaluated, and only they are kept for the backward. With
-    no active cell the loss is an exact +0.0 with zero gradients.
+    features: (N, H, W, C); head_w: (1, 1, C, T * value_classes); head_b:
+    (T * value_classes,); targets: (N, H, W, T) integer classes; mask:
+    (N, T) booleans. Each labelled (sample, task) slice's logits are
+    computed as x @ w[:, task] + b[task]; the full logits are never
+    formed, and only the labelled slices are kept for the backward.
+    Raises NumericError on a non-finite labelled logit. With no active
+    cell the loss is an exact +0.0 with zero gradients.
     """
-    n, h, w, c = logits.data.shape
+    x = features.data
+    if x.ndim != 4:
+        raise ShapeError(f"cross entropy: features must be rank 4, got {x.shape}")
+    n, h, w, c = x.shape
     targets = np.asarray(targets)
     mask = np.asarray(mask, dtype=bool)
     if targets.ndim != 4 or targets.shape[:3] != (n, h, w):
-        raise ShapeError(f"cross entropy: targets {targets.shape} do not match logits")
+        raise ShapeError(f"cross entropy: targets {targets.shape} do not match features")
     t = targets.shape[3]
-    if c != t * value_classes:
+    if (head_w.data.shape != (1, 1, c, t * value_classes)
+            or head_b.data.shape != (t * value_classes,)):
         raise ShapeError(
-            f"cross entropy: {c} logit channels != {t} tasks * {value_classes} classes"
+            f"cross entropy: head {head_w.data.shape} + {head_b.data.shape} does not "
+            f"map {c} channels to {t} tasks * {value_classes} classes"
         )
     if mask.shape != (n, t):
         raise ShapeError(f"cross entropy: mask {mask.shape}, expected ({n}, {t})")
@@ -99,8 +112,16 @@ def masked_cross_entropy(
         )
 
     rows, tasks = np.nonzero(mask)
-    z = logits.data.reshape(n, h, w, t, value_classes)
-    za = z[rows, :, :, tasks]  # (labelled, H, W, V): a copy, shifted in place
+    wt = head_w.data.reshape(c, t, value_classes)
+    bt = head_b.data.reshape(t, value_classes)
+    # (labelled, H, W, V): each slice's logits, then shifted in place
+    za = np.empty((rows.size, h, w, value_classes),
+                  dtype=np.result_type(x, wt, bt))
+    for z, r, k in zip(za, rows, tasks):
+        np.matmul(x[r], wt[:, k], out=z)
+        z += bt[k]
+    if not np.all(np.isfinite(za)):
+        raise NumericError("cross entropy: non-finite logits")
     ta = targets[rows, :, :, tasks][..., None]
     za -= za.max(axis=-1, keepdims=True)
     sez = np.exp(za).sum(axis=-1, keepdims=True)
@@ -108,15 +129,23 @@ def masked_cross_entropy(
     loss = (np.log(sez) - np.take_along_axis(za, ta, axis=-1)).sum() / count
 
     def bw(g):
-        dz = np.exp(za)
+        dz = np.exp(za, out=za)  # the node runs once: za is not read again
         dz /= sez
         np.put_along_axis(dz, ta, np.take_along_axis(dz, ta, axis=-1) - 1, axis=-1)
         dz *= g / count
-        grad = np.zeros((n, h, w, t, value_classes), dtype=dz.dtype)
-        grad[rows, :, :, tasks] = kernels.flush_subnormals(dz)
-        ag.accumulate(logits, grad.reshape(n, h, w, c))
+        kernels.flush_subnormals(dz)
+        gx = np.zeros_like(x)
+        gw = np.zeros_like(wt)
+        gb = np.zeros((t, value_classes), dtype=dz.dtype)
+        for d, r, k in zip(dz, rows, tasks):
+            gx[r] += d @ wt[:, k].T
+            gw[:, k] += x[r].reshape(-1, c).T @ d.reshape(-1, value_classes)
+            gb[k] += d.sum(axis=(0, 1))
+        ag.accumulate(features, gx)
+        ag.accumulate(head_w, gw.reshape(head_w.data.shape))
+        ag.accumulate(head_b, gb.reshape(-1))
 
-    return ag.make_op(np.asarray(loss, dtype=logits.data.dtype), (logits,), bw)
+    return ag.make_op(np.asarray(loss, dtype=za.dtype), (features, head_w, head_b), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +287,9 @@ def train(
         mask = np.stack(ms)
 
         try:
-            logits = forward(net, x, mode="train", rng=loop_rng)
-            loss = masked_cross_entropy(logits, targets, mask, net_config.value_classes)
+            features = forward(net, x, mode="train", rng=loop_rng)
+            loss = masked_cross_entropy(features, net.head_w, net.head_b, targets, mask,
+                                        net_config.value_classes)
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
                 raise NumericError(f"train: non-finite loss at step {step}")

@@ -2,6 +2,7 @@
 
 import inspect
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -76,6 +77,32 @@ def test_identical_tapes_identical_gradients():
         ag.backward(out)
         grads.append(x.grad.copy())
     assert np.array_equal(grads[0], grads[1])
+
+
+def test_backward_releases_every_interior_node():
+    # a training step's tape: after backward only leaves hold gradients, and
+    # the caller's features no longer keep the trunk's activations alive
+    cfg = nw.NetworkConfig.tiny()
+    net = nw.build(cfg, np.random.default_rng(0))
+    r = np.random.default_rng(2)
+    p = cfg.patch_size
+    x = ag.var(r.random((2, p, p, 3)).astype(np.float32))
+    features = nw.forward(net, x, mode="train", rng=r)
+    targets = r.integers(0, cfg.value_classes, size=(2, p, p, cfg.task_count))
+    loss = masked_cross_entropy(features, net.head_w, net.head_b, targets,
+                                np.array([[True, False], [True, True]]), cfg.value_classes)
+    interior = [node for node in ag._topo_order(loss) if node._backward is not None]
+    activation = weakref.ref(interior[0].data)  # the stem convolution's output
+    params = net.named_parameters()
+    ag.zero_grad(params.values())
+    ag.backward(loss)
+    assert len(interior) > 50
+    assert all(node.grad is None and node._backward is None and node._parents == ()
+               for node in interior)
+    assert np.any(net.stem_w.grad) and np.any(net.head_w.grad)
+    del interior, loss
+    assert activation() is None
+    assert features.data.shape == (2, p, p, cfg.decoder_channels[-1])
 
 
 def test_dropout_replay_with_same_seed_is_bitwise():
@@ -180,9 +207,10 @@ def test_every_tape_op_is_recorded_by_a_training_step(monkeypatch):
     r = np.random.default_rng(1)
     p = cfg.patch_size
     x = ag.var(r.random((2, p, p, 3)).astype(np.float32))
-    logits = nw.forward(net, x, mode="train", rng=r)
+    features = nw.forward(net, x, mode="train", rng=r)
     targets = r.integers(0, cfg.value_classes, size=(2, p, p, cfg.task_count))
     mask = np.ones((2, cfg.task_count), bool)
-    ag.backward(masked_cross_entropy(logits, targets, mask, cfg.value_classes))
+    ag.backward(masked_cross_entropy(features, net.head_w, net.head_b, targets, mask,
+                                     cfg.value_classes))
     assert {"attention", "conv2d", "deconv2d", "dropout"} <= ops
     assert sorted(ops - recorded - {"dot_sum"}) == []

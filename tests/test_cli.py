@@ -199,6 +199,7 @@ def test_synth_bad_flag_is_usage_error(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("repetitions", ["0", "-1"])

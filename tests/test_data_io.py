@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vstain import data_io as dio
-from vstain.errors import DataError
+from vstain.errors import ConfigError, DataError
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +144,17 @@ def test_same_seed_same_sample():
     assert np.array_equal(a.image, b.image)
     for t in a.targets:
         assert np.array_equal(a.targets[t], b.targets[t])
+
+
+@pytest.mark.parametrize("spec", [
+    dict(cell_count=(8, 3)),
+    dict(cell_count=(-1, 3)),
+    dict(noise_level=-0.5),
+    dict(size=11),
+], ids=["cells-min-above-max", "cells-negative", "noise-negative", "size-below-12"])
+def test_synthetic_spec_out_of_range_is_config_error(spec):
+    with pytest.raises(ConfigError):
+        dio.generate_synthetic(dio.SyntheticSceneSpec(**{"size": 32, **spec}))
 
 
 def test_zero_cells_means_zero_targets():

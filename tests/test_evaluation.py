@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from vstain import data_io as dio
 from vstain import evaluation as ev
-from vstain.errors import DataError, NumericError, ShapeError
+from vstain.errors import ConfigError, DataError, NumericError, ShapeError
 
 rng = np.random.default_rng(55)
 
@@ -160,6 +161,19 @@ def test_out_of_range_rejected():
         ev.confusion(np.array([256.0]), np.array([0.0]))
     with pytest.raises(DataError):
         ev.confusion(np.array([0.0]), np.array([-1.0]))
+
+
+@pytest.mark.parametrize("repetitions", [0, -1])
+def test_evaluate_predictions_repetitions_below_one_is_config_error(tmp_path, repetitions):
+    # perfect predictions: each truth saved under its prediction name
+    manifest = dio.load_manifest(dio.generate_dataset(tmp_path / "d", 0, size=32, seed=2))
+    rec = manifest.split("test")[0]
+    for t, path in rec.targets.items():
+        dio.save_pgm(tmp_path / ev.prediction_filename(rec.input_path, t, "expectation"),
+                     dio.load_pgm(manifest.root / path))
+    ev.evaluate_predictions(manifest, tmp_path, sample_size=100, repetitions=1)
+    with pytest.raises(ConfigError):
+        ev.evaluate_predictions(manifest, tmp_path, sample_size=100, repetitions=repetitions)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def test_single_window_equals_direct_forward():
     dist = predict_image(net, image, step=16)
     inp = extract_multiscale(image, PatchSpec((16, 16), 32)).astype(np.float32) / 255.0
     with ag.no_grad():
-        logits = nw.forward(net, ag.var(inp[None]), "eval")
+        logits = nw.logits(net, nw.forward(net, ag.var(inp[None]), "eval"))
     direct = nw.predict_distributions(logits.data, 2, 256)[0]
     # single window: no merging, bit-identical to the direct pass
     assert dist.shape == (32, 32, 2, 256)
@@ -121,7 +121,8 @@ def test_merge_order_independent():
     for oy, ox in reversed(windows):
         inp = extract_multiscale(image, PatchSpec((ox + 16, oy + 16), patch))
         with ag.no_grad():
-            logits = nw.forward(net, ag.var(inp.astype(np.float32)[None] / 255.0), "eval")
+            features = nw.forward(net, ag.var(inp.astype(np.float32)[None] / 255.0), "eval")
+            logits = nw.logits(net, features)
         probs = nw.predict_distributions(logits.data, t, v)[0]
         acc[oy : oy + patch, ox : ox + patch] += probs
         cnt[oy : oy + patch, ox : ox + patch] += 1

@@ -30,6 +30,10 @@ def tiny_net(seed=0, **kwargs):
     return cfg, nw.build(cfg, np.random.default_rng(seed))
 
 
+def eval_logits(net, x):
+    return nw.logits(net, nw.forward(net, x, "eval"))
+
+
 def test_default_stage_ledger_matches_table():
     assert nw.stage_ledger(nw.NetworkConfig()) == TABLE_ROWS
 
@@ -73,9 +77,9 @@ def test_decoder_concat_channel_ledger():
 def test_forward_tiny_shapes_and_determinism():
     cfg, net = tiny_net()
     x = ag.var(np.random.default_rng(1).normal(size=(2, 16, 16, 3)).astype(np.float32))
-    a = nw.forward(net, x, "eval").data
+    a = eval_logits(net, x).data
     assert a.shape == (2, 16, 16, cfg.head_channels)
-    b = nw.forward(net, x, "eval").data
+    b = eval_logits(net, x).data
     assert np.array_equal(a, b)
 
 
@@ -91,7 +95,7 @@ def test_forward_rejects_non_finite_activations():
     cfg, net = tiny_net()
     net.head_b.data = np.full_like(net.head_b.data, np.nan)
     with pytest.raises(nw.NumericError):
-        nw.forward(net, ag.var(np.zeros((1, 16, 16, 3), np.float32)))
+        eval_logits(net, ag.var(np.zeros((1, 16, 16, 3), np.float32)))
 
 
 def test_forward_shape_law_other_batch_and_input_channels():
@@ -99,7 +103,7 @@ def test_forward_shape_law_other_batch_and_input_channels():
     cfg.input_channels = 2
     net = nw.build(cfg, np.random.default_rng(8))
     x = ag.var(np.random.default_rng(9).normal(size=(3, 16, 16, 6)).astype(np.float32))
-    out = nw.forward(net, x, "eval")
+    out = eval_logits(net, x)
     assert out.data.shape == (3, 16, 16, cfg.head_channels)
 
 
@@ -108,7 +112,7 @@ def test_full_size_forward_matches_table_output():
     x = ag.var(np.random.default_rng(1).normal(
         size=(1, 128, 128, 3)).astype(np.float32) * 0.3)
     with ag.no_grad():
-        out = nw.forward(net, x, "eval")
+        out = eval_logits(net, x)
     assert out.data.shape == (1, 128, 128, 2048)
 
 
@@ -171,14 +175,14 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     x = ag.var(np.random.default_rng(4).normal(size=(1, 16, 16, 3)).astype(np.float32))
     # move running stats off their defaults so state is exercised
     nw.forward(net, x, "train", np.random.default_rng(5))
-    before = nw.forward(net, x, "eval").data
+    before = eval_logits(net, x).data
     path = tmp_path / "net.gptc"
     rng_state = np.random.default_rng(2).bit_generator.state
     nw.save_checkpoint(path, net, step=11, rng_state=rng_state)
     loaded, extras = nw.load_checkpoint(path)
     assert extras["step"] == 11
     assert extras["rng_state"] == rng_state
-    after = nw.forward(loaded, ag.var(x.data), "eval").data
+    after = eval_logits(loaded, ag.var(x.data)).data
     assert np.array_equal(before, after)
 
 

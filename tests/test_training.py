@@ -8,9 +8,10 @@ from oracles import oracle_masked_cross_entropy
 
 from vstain import autograd as ag
 from vstain import data_io as dio
+from vstain import kernels
 from vstain import training as tr
-from vstain.errors import ConfigError, DataError
-from vstain.network import NetworkConfig
+from vstain.errors import ConfigError, DataError, NumericError
+from vstain.network import NetworkConfig, build, forward
 
 rng = np.random.default_rng(77)
 
@@ -19,18 +20,27 @@ rng = np.random.default_rng(77)
 # masked cross entropy
 # ---------------------------------------------------------------------------
 
+def logit_loss(logits, targets, mask, classes):
+    """The loss of given logits: an identity head passes them through the
+    fused head and loss unchanged, and its gradient back the same way."""
+    c = logits.data.shape[3]
+    eye = ag.var(np.eye(c, dtype=logits.data.dtype).reshape(1, 1, c, c))
+    zero = ag.var(np.zeros(c, dtype=logits.data.dtype))
+    return tr.masked_cross_entropy(logits, eye, zero, targets, mask, classes)
+
+
 def test_uniform_logits_loss_is_log_classes():
     logits = ag.var(np.zeros((1, 2, 2, 2 * 256)), requires_grad=True)
     targets = rng.integers(0, 256, size=(1, 2, 2, 2))
     mask = np.ones((1, 2), bool)
-    loss = tr.masked_cross_entropy(logits, targets, mask, 256)
+    loss = logit_loss(logits, targets, mask, 256)
     assert math.isclose(float(loss.data), math.log(256.0), rel_tol=1e-9)
 
 
 def test_all_false_mask_gives_zero_loss_and_gradients():
     logits = ag.var(rng.normal(size=(1, 2, 2, 8)), requires_grad=True)
     targets = rng.integers(0, 4, size=(1, 2, 2, 2))
-    loss = tr.masked_cross_entropy(logits, targets, np.zeros((1, 2), bool), 4)
+    loss = logit_loss(logits, targets, np.zeros((1, 2), bool), 4)
     assert float(loss.data) == 0.0 and math.copysign(1.0, loss.data) == 1.0
     ag.zero_grad([logits])
     ag.backward(loss)
@@ -42,8 +52,7 @@ def test_half_probability_target_gives_log_two():
     classes = 256
     z = np.full((1, 1, 1, classes), math.log(0.5 / 255.0))
     z[0, 0, 0, 42] = math.log(0.5)
-    loss = tr.masked_cross_entropy(
-        ag.var(z), np.full((1, 1, 1, 1), 42), np.ones((1, 1), bool), classes)
+    loss = logit_loss(ag.var(z), np.full((1, 1, 1, 1), 42), np.ones((1, 1), bool), classes)
     assert math.isclose(float(loss.data), math.log(2.0), rel_tol=1e-12)
 
 
@@ -51,9 +60,9 @@ def test_shift_invariance_per_cell():
     logits = rng.normal(size=(2, 3, 3, 2 * 8))
     targets = rng.integers(0, 8, size=(2, 3, 3, 2))
     mask = np.array([[True, False], [True, True]])
-    a = tr.masked_cross_entropy(ag.var(logits), targets, mask, 8)
+    a = logit_loss(ag.var(logits), targets, mask, 8)
     shift = rng.normal(size=(2, 3, 3, 2)).repeat(8, axis=-1)
-    b = tr.masked_cross_entropy(ag.var(logits + shift), targets, mask, 8)
+    b = logit_loss(ag.var(logits + shift), targets, mask, 8)
     assert math.isclose(float(a.data), float(b.data), rel_tol=1e-9)
 
 
@@ -62,7 +71,7 @@ def test_masked_task_gradients_exactly_zero():
     targets = rng.integers(0, 16, size=(2, 4, 4, 3))
     mask = np.array([[True, False, True], [False, False, True]])
     ag.zero_grad([logits])
-    ag.backward(tr.masked_cross_entropy(logits, targets, mask, 16))
+    ag.backward(logit_loss(logits, targets, mask, 16))
     grads = logits.grad.reshape(2, 4, 4, 3, 16)
     for n in range(2):
         for t in range(3):
@@ -83,22 +92,98 @@ def test_loss_matches_dense_oracle_per_sample_masks():
     mask = np.array([[True, False, True], [False, False, False],
                      [True, True, True], [False, True, False]])
     want_loss, want_grad = oracle_masked_cross_entropy(logits.data, targets, mask, 256)
-    loss = tr.masked_cross_entropy(logits, targets, mask, 256)
+    loss = logit_loss(logits, targets, mask, 256)
     ag.backward(loss)
     assert math.isclose(float(loss.data), float(want_loss), rel_tol=1e-6)
     assert logits.grad.dtype == want_grad.dtype
     assert np.array_equal(logits.grad, want_grad)
 
 
+def dense_head_loss(x, w, b, targets, mask, classes):
+    """(loss, features grad, head.w grad, head.b grad) of the unfused path:
+    every task's logits by kernels.conv2d, the dense oracle loss, and the
+    head convolution's backward."""
+    z = kernels.conv2d(x, w, b)
+    loss, dz = oracle_masked_cross_entropy(z, targets, mask, classes)
+    return (loss, *kernels.conv2d_backward(x, w, 1, dz))
+
+
+def fused_head_loss(x, w, b, targets, mask, classes):
+    xv, wv, bv = (ag.var(a, requires_grad=True) for a in (x, w, b))
+    loss = tr.masked_cross_entropy(xv, wv, bv, targets, mask, classes)
+    ag.backward(loss)
+    return loss.data, xv.grad, wv.grad, bv.grad
+
+
+def test_fused_head_loss_matches_dense_path_float64():
+    r = np.random.default_rng(29)
+    n, h, w, c, t, v = 3, 5, 4, 7, 4, 16
+    x = r.normal(size=(n, h, w, c))
+    hw, hb = r.normal(size=(1, 1, c, t * v)), r.normal(size=t * v)
+    targets = r.integers(0, v, size=(n, h, w, t))
+    mask = np.array([[True, False, True, True], [False, True, False, False],
+                     [True, False, True, False]])
+    got = fused_head_loss(x, hw, hb, targets, mask, v)
+    want = dense_head_loss(x, hw, hb, targets, mask, v)
+    for g, e in zip(got, want):
+        assert g.shape == np.shape(e)
+        assert np.abs(g - e).max() <= 1e-12 * np.abs(e).max()
+
+
+def test_fused_head_loss_float32_default_model_bitwise():
+    # the seed-0 default model's trunk and head, 3 of 8 tasks labelled: the
+    # labelled slices' logits, and so the loss, head.b and the labelled
+    # head.w columns, are the dense head's bit for bit
+    cfg = NetworkConfig()
+    net = build(cfg, np.random.default_rng(0))
+    net.head_b.data = np.random.default_rng(31).normal(
+        scale=0.1, size=cfg.head_channels).astype(np.float32)
+    r = np.random.default_rng(37)
+    x = ag.var(r.random((1, 128, 128, 3)).astype(np.float32))
+    with ag.no_grad():
+        features = forward(net, x, "eval").data
+    targets = r.integers(0, 256, size=(1, 128, 128, 8))
+    mask = np.zeros((1, 8), bool)
+    mask[0, [0, 3, 6]] = True
+    w, b = net.head_w.data, net.head_b.data
+    loss, _, gw, gb = fused_head_loss(features, w, b, targets, mask, 256)
+
+    dense = ag.var(kernels.conv2d(features, w, b))
+    dense_loss = logit_loss(dense, targets, mask, 256)
+    _, dz = oracle_masked_cross_entropy(dense.data, targets, mask, 256)
+    _, want_gw, want_gb = kernels.conv2d_backward(features, w, 1, dz)
+    assert loss.dtype == np.float32 and loss.tobytes() == dense_loss.data.tobytes()
+    assert np.array_equal(gb, want_gb)
+    gw, want_gw = gw.reshape(-1, 8, 256), want_gw.reshape(-1, 8, 256)
+    assert np.array_equal(gw[:, mask[0]], want_gw[:, mask[0]])
+    assert not gw[:, ~mask[0]].any()
+
+
 def test_loss_tape_keeps_only_labelled_slices():
-    logits = ag.var(rng.normal(size=(2, 4, 4, 3 * 16)).astype(np.float32),
-                    requires_grad=True)
-    targets = rng.integers(0, 16, size=(2, 4, 4, 3))
+    # the loss node's closure holds no array of the full logits' size
+    n, h, w, c, t, v = 2, 4, 4, 5, 3, 16
+    features = ag.var(rng.normal(size=(n, h, w, c)).astype(np.float32), requires_grad=True)
+    head_w = ag.var(rng.normal(size=(1, 1, c, t * v)).astype(np.float32), requires_grad=True)
+    head_b = ag.var(np.zeros(t * v, np.float32), requires_grad=True)
+    targets = rng.integers(0, v, size=(n, h, w, t))
     mask = np.array([[True, True, False], [True, True, True]])
-    loss = tr.masked_cross_entropy(logits, targets, mask, 16)
+    loss = tr.masked_cross_entropy(features, head_w, head_b, targets, mask, v)
     held = [cell.cell_contents for cell in loss._backward.__closure__
             if isinstance(cell.cell_contents, np.ndarray)]
-    assert held and max(a.size for a in held) < logits.data.size
+    assert held and max(a.size for a in held) < n * h * w * t * v
+
+
+def test_non_finite_labelled_logits_rejected():
+    features = ag.var(np.zeros((1, 2, 2, 3)), requires_grad=True)
+    head_w = ag.var(np.zeros((1, 1, 3, 2 * 4)), requires_grad=True)
+    head_b = np.zeros(2 * 4)
+    head_b[5] = np.inf  # task 1
+    targets = np.zeros((1, 2, 2, 2), int)
+    tr.masked_cross_entropy(features, head_w, ag.var(head_b), targets,
+                            np.array([[True, False]]), 4)
+    with pytest.raises(NumericError):
+        tr.masked_cross_entropy(features, head_w, ag.var(head_b), targets,
+                                np.array([[False, True]]), 4)
 
 
 def test_float32_loss_gradient_has_no_subnormals():
@@ -108,7 +193,7 @@ def test_float32_loss_gradient_has_no_subnormals():
     logits = ag.var(r.uniform(-400.0, 400.0, size=(2, 8, 8, 2 * 256)).astype(np.float32),
                     requires_grad=True)
     targets = r.integers(0, 256, size=(2, 8, 8, 2))
-    loss = tr.masked_cross_entropy(logits, targets, np.ones((2, 2), bool), 256)
+    loss = logit_loss(logits, targets, np.ones((2, 2), bool), 256)
     ag.backward(loss)
     g = logits.grad
     assert g.dtype == np.float32 and np.count_nonzero(g) > 0
@@ -118,18 +203,15 @@ def test_float32_loss_gradient_has_no_subnormals():
 def test_target_out_of_range_rejected():
     logits = ag.var(np.zeros((1, 1, 1, 4)))
     with pytest.raises(DataError):
-        tr.masked_cross_entropy(logits, np.full((1, 1, 1, 1), 4),
-                                np.ones((1, 1), bool), 4)
+        logit_loss(logits, np.full((1, 1, 1, 1), 4), np.ones((1, 1), bool), 4)
 
 
 def test_loss_average_invariant_to_label_coverage():
     # same active cells, extra masked-off task changes nothing
     logits = rng.normal(size=(1, 2, 2, 2 * 4))
     targets = rng.integers(0, 4, size=(1, 2, 2, 2))
-    both = tr.masked_cross_entropy(
-        ag.var(logits), targets, np.array([[True, False]]), 4)
-    only = tr.masked_cross_entropy(
-        ag.var(logits[..., :4]), targets[..., :1], np.array([[True]]), 4)
+    both = logit_loss(ag.var(logits), targets, np.array([[True, False]]), 4)
+    only = logit_loss(ag.var(logits[..., :4]), targets[..., :1], np.array([[True]]), 4)
     assert math.isclose(float(both.data), float(only.data), rel_tol=1e-12)
 
 
@@ -260,8 +342,7 @@ def test_loss_decreases_on_short_overfit(tmp_path):
 
 
 def test_non_finite_forward_dumps_offending_batch(tmp_path):
-    from vstain.errors import NumericError
-    from vstain.network import build, save_checkpoint
+    from vstain.network import save_checkpoint
 
     manifest, ncfg, tcfg = tiny_setup(tmp_path, steps=2, interval=2)
     poisoned = build(ncfg, np.random.default_rng(0))
