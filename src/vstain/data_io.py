@@ -115,7 +115,11 @@ def load_pgm(path: str | Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def load_image(path: str | Path) -> np.ndarray:
-    """Load .pgm or .gptt as (H, W, C) float32 with values in 0-255 class space."""
+    """Load .pgm or .gptt as (H, W, C) float32 with values in 0-255 class space.
+
+    A GPTT image holding NaN, an infinity or a value outside 0-255 is a
+    DataError.
+    """
     path = Path(path)
     if path.suffix == ".pgm":
         return load_pgm(path)[:, :, None]
@@ -125,6 +129,8 @@ def load_image(path: str | Path) -> np.ndarray:
             arr = arr[:, :, None]
         if arr.ndim != 3:
             raise DataError(f"{path}: expected rank 2 or 3 tensor, got rank {arr.ndim}")
+        if not np.all((arr >= 0) & (arr <= 255)):  # NaN fails both
+            raise DataError(f"{path}: values outside 0-255 or not finite")
         return arr
     raise DataError(f"{path}: unknown image extension {path.suffix!r}")
 

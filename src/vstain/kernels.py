@@ -58,6 +58,61 @@ def flush_subnormals(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# A block whose row sample has more than 1/SUBNORMAL_GATE of its shifted
+# scores where exp turns subnormal takes the cut path of col_softmax.
+SUBNORMAL_GATE = 256
+# Elements per row slab of the cut path's scratch buffer.
+SOFTMAX_SLAB = 2 ** 16
+
+
+def _subnormal_band(dtype) -> tuple[np.floating, float]:
+    """(cut, floor) for shifted scores x of `dtype`: exp(x) is subnormal
+    or zero for x < cut = log(tiny), and rounds to exactly 0 below floor."""
+    fi = np.finfo(dtype)
+    cut = np.log(fi.dtype.type(fi.tiny))
+    return cut, float(cut) - (fi.nmant + 1) * math.log(2)
+
+
+def _has_subnormal_tail(shifted: np.ndarray) -> bool:
+    """Whether a strided row sample of the shifted scores puts more than
+    1/SUBNORMAL_GATE of its entries where exp turns subnormal."""
+    cut, floor = _subnormal_band(shifted.dtype)
+    sample = shifted[..., :: max(1, shifted.shape[-2] // 64), :]
+    band = np.count_nonzero((sample >= floor) & (sample < cut))
+    return band * SUBNORMAL_GATE > sample.size
+
+
+def _cut_softmax(out: np.ndarray) -> np.ndarray:
+    """Column softmax of shifted scores, in place, computing no subnormal.
+
+    Scores below log(tiny) move below the underflow point, so exp gives
+    exactly 0 where it would give a subnormal that the flush would zero.
+    After the divide, one `>= tiny` comparison flushes (weights are
+    >= 0). Row slabs bound the scratch to SOFTMAX_SLAB elements.
+    """
+    fi = np.finfo(out.dtype)
+    cut, _ = _subnormal_band(out.dtype)
+    rows = out.shape[-2]
+    step = max(1, SOFTMAX_SLAB * rows // out.size)
+    slabs = [(..., slice(lo, lo + step), slice(None)) for lo in range(0, rows, step)]
+    scratch = np.empty_like(out[slabs[0]])
+    with np.errstate(over="ignore"):
+        for s in slabs:
+            x = out[s]
+            t = np.subtract(x, cut, out=scratch[..., : x.shape[-2], :])
+            t *= fi.max  # >= 0 where x >= cut, else far below the underflow point
+            np.minimum(x, t, out=x)
+            np.exp(x, out=x)
+    total = np.sum(out, axis=-2, keepdims=True)
+    for s in slabs:
+        x = out[s]
+        x /= total
+        keep = np.greater_equal(x, fi.tiny, out=scratch[..., : x.shape[-2], :],
+                                casting="unsafe")
+        x *= keep
+    return out
+
+
 def col_softmax(m: np.ndarray) -> np.ndarray:
     """Softmax of every column (axis -2), stabilised by column-max shift.
 
@@ -65,6 +120,19 @@ def col_softmax(m: np.ndarray) -> np.ndarray:
     column is a probability vector over key positions. Weights below the
     dtype's smallest normal number are flushed to zero
     (:func:`flush_subnormals`).
+
+    Subnormal operands cost exp and the divide about 100x each. So when a
+    row sample shows a subnormal tail (:func:`_has_subnormal_tail`), the
+    block takes :func:`_cut_softmax`, which computes none: scores below
+    log(tiny) are cut before exp, and the flush after the divide is one
+    comparison. Both paths return the same bits, so the gate decides
+    only speed. Nothing is zeroed before the divide: zeroing exps below
+    tiny * sum would differ from the flush when the sum is a power of
+    two >= 2 and an exp lies one ulp below tiny * sum (the quotient ties
+    and rounds up to tiny). The cut does drop subnormal addends from the
+    column sum; they could move its last bit only through a chain of
+    exact rounding ties that starts while the running sum is below
+    2**24 * tiny, and no such input is known.
     """
     m = np.asarray(m)
     if m.ndim < 2:
@@ -72,6 +140,8 @@ def col_softmax(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NumericError("col_softmax: non-finite input")
     out = m - np.max(m, axis=-2, keepdims=True)
+    if _has_subnormal_tail(out):
+        return _cut_softmax(out)
     np.exp(out, out=out)
     out /= np.sum(out, axis=-2, keepdims=True)
     return flush_subnormals(out)

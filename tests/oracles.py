@@ -119,3 +119,14 @@ def oracle_masked_cross_entropy(logits, targets, mask, value_classes):
     dz = (ez / sez - onehot) * active[..., None] * (g / count)
     dz[np.abs(dz) < np.finfo(dz.dtype).tiny] = 0
     return loss, dz.reshape(n, h, w, c)
+
+
+def oracle_col_softmax(m):
+    """Column softmax with no subnormal cut: shift by the column max, exp,
+    divide by the column sum, then zero every weight below the dtype's
+    smallest normal number."""
+    out = m - np.max(m, axis=-2, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=-2, keepdims=True)
+    out[np.abs(out) < np.finfo(out.dtype).tiny] = 0
+    return out

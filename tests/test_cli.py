@@ -241,6 +241,53 @@ def test_predict_image_smaller_than_patch_is_data_error(pipeline, tmp_path, caps
     assert code == 3
 
 
+BAD_PIXELS = pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf, -5.0, 300.0],
+    ids=["nan", "inf", "minus-inf", "minus-5", "300"])
+
+
+def save_gptt_image(path, value):
+    """A 48x48 GPTT image of mid grey with one pixel set to `value`."""
+    from vstain import gptt
+    image = np.full((48, 48), 128.0, dtype=np.float32)
+    image[5, 7] = value
+    gptt.save_gptt(path, image)
+    return path
+
+
+@BAD_PIXELS
+def test_predict_gptt_image_outside_0_255_is_data_error(pipeline, tmp_path, capsys,
+                                                        value):
+    image = save_gptt_image(tmp_path / "bad.gptt", value)
+    code = cli.main(["predict",
+                     "--checkpoint", str(pipeline / "run" / "checkpoint_000015.gptc"),
+                     "--image", str(image), "--out", str(tmp_path / "p"),
+                     "--step", "16"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "0-255" in err
+    assert not (tmp_path / "p").exists()
+
+
+@BAD_PIXELS
+def test_train_gptt_input_outside_0_255_is_data_error(tmp_path, capsys, value):
+    mpath = dio.generate_dataset(tmp_path / "d", 1, size=48, seed=0, n_test=0,
+                                 tasks=("nuclei", "viability"))
+    doc = json.loads(mpath.read_text())
+    doc["samples"][0]["input"] = "bad.gptt"
+    mpath.write_text(json.dumps(doc))
+    save_gptt_image(mpath.parent / "bad.gptt", value)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    code = cli.main(["train", "--manifest", str(mpath), "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "0-255" in err
+
+
 def test_eval_missing_predictions_is_data_error(pipeline, tmp_path, capsys):
     code = cli.main(["eval", "--manifest", str(pipeline / "data/manifest.json"),
                      "--pred", str(tmp_path), "--out", str(tmp_path / "rep")])

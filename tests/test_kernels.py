@@ -9,6 +9,8 @@ from vstain import kernels as K
 from vstain.errors import NumericError, ShapeError
 from vstain.multiscale import _reflect_indices
 
+from oracles import oracle_col_softmax
+
 rng = np.random.default_rng(1234)
 
 
@@ -41,6 +43,123 @@ def test_col_softmax_columns_sum_to_one_and_shift_invariant():
 def test_col_softmax_rejects_non_finite():
     with pytest.raises(NumericError):
         K.col_softmax(np.array([[np.inf], [0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_col_softmax_rejects_each_non_finite_value(bad):
+    scores = rng.normal(size=(300, 4)).astype(np.float32) * 30
+    scores[7, 2] = bad
+    with pytest.raises(NumericError):
+        K.col_softmax(scores)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def shifted(m):
+    return m - np.max(m, axis=-2, keepdims=True)
+
+
+SCORE_BLOCKS = {
+    # attention-like blocks: scale 30 puts about 16 % of the exps in the
+    # subnormal range, scale 3 none; scale 3000 makes almost every exp 0
+    "scale30": (rng.normal(size=(4096, 64)) * 30).astype(np.float32),
+    "scale3": (rng.normal(size=(4096, 64)) * 3).astype(np.float32),
+    "scale3000": (rng.normal(size=(4096, 64)) * 3000).astype(np.float32),
+    "float64-scale300": rng.normal(size=(2048, 32)) * 300,
+    "float64-scale3": rng.normal(size=(2048, 32)) * 3,
+}
+GATE_OPEN = {"scale30": True, "scale3": False, "scale3000": False,
+             "float64-scale300": True, "float64-scale3": False}
+
+
+@pytest.mark.parametrize("name", sorted(SCORE_BLOCKS))
+def test_col_softmax_matches_oracle_on_both_sides_of_the_gate(name):
+    m = SCORE_BLOCKS[name]
+    assert K._has_subnormal_tail(shifted(m)) == GATE_OPEN[name]
+    expected = oracle_col_softmax(m)
+    assert_same_bits(K.col_softmax(m), expected)
+    # the gate decides speed only: the cut path gives the same bits anywhere
+    assert_same_bits(K._cut_softmax(shifted(m)), expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_col_softmax_scores_at_log_tiny_plus_minus_one_ulp(dtype):
+    cut = np.log(np.finfo(dtype).tiny.astype(dtype))
+    edge = np.array([np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)],
+                    dtype=dtype)
+    m = np.zeros((600, 3), dtype=dtype)
+    m[1:] = np.resize(edge, 599)[:, None]
+    m[1:, 1] -= 5  # the subnormal band, so the gate opens
+    assert K._has_subnormal_tail(shifted(m))
+    assert_same_bits(K.col_softmax(m), oracle_col_softmax(m))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_col_softmax_unit_column_sum_with_entries_near_tiny(dtype):
+    # one weight of exactly 1 and the rest within a few ulps of tiny, so
+    # each quotient is its exp: the flush alone decides tiny or zero
+    cut = np.log(np.finfo(dtype).tiny.astype(dtype))
+    bits = cut.view(np.int32 if dtype == np.float32 else np.int64)
+    near = (bits + np.arange(-40, 40, dtype=bits.dtype)).view(dtype)
+    m = np.resize(near, (400, 2)).astype(dtype)
+    m[0] = 0
+    m[100::2, 1] -= 6
+    weights = np.exp(m[:, 0])
+    assert np.sum(weights) == 1.0
+    assert np.count_nonzero(weights < np.finfo(dtype).tiny) > 0
+    assert np.count_nonzero((weights >= np.finfo(dtype).tiny) & (weights < 1)) > 0
+    assert K._has_subnormal_tail(shifted(m))
+    assert_same_bits(K.col_softmax(m), oracle_col_softmax(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 300), cols=st.integers(1, 9),
+       scale=st.sampled_from([0.5, 20.0, 30.0, 60.0, 400.0]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2 ** 16))
+def test_cut_softmax_matches_oracle_on_random_scores(rows, cols, scale, dtype, seed):
+    m = (np.random.default_rng(seed).standard_normal((rows, cols)) * scale).astype(dtype)
+    expected = oracle_col_softmax(m)
+    assert_same_bits(K.col_softmax(m), expected)
+    assert_same_bits(K._cut_softmax(shifted(m)), expected)
+
+
+def test_cut_softmax_batched_and_sliced_across_slabs():
+    m = (rng.normal(size=(3, 700, 50)) * 30).astype(np.float32)
+    assert K.SOFTMAX_SLAB < m.size  # two slabs, the second one short
+    assert K._has_subnormal_tail(shifted(m))
+    assert_same_bits(K.col_softmax(m), oracle_col_softmax(m))
+
+
+def test_cut_softmax_computes_no_subnormal_and_no_full_size_temporary(monkeypatch):
+    import tracemalloc
+
+    tiny = np.finfo(np.float32).tiny
+    real_exp = np.exp
+    subnormal_exps = []
+
+    def exp(x, out=None):
+        e = real_exp(x, out=out)
+        subnormal_exps.append(np.count_nonzero((e > 0) & (e < tiny)))
+        return e
+
+    m = (rng.normal(size=(16384, 64)) * 30).astype(np.float32)
+    assert K._has_subnormal_tail(shifted(m))
+    monkeypatch.setattr(np, "exp", exp)
+    tracemalloc.start()
+    try:
+        out = K.col_softmax(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert subnormal_exps and sum(subnormal_exps) == 0
+    assert np.count_nonzero((out > 0) & (out < tiny)) == 0
+    # the output plus slab-sized scratch; a full-size float temporary
+    # would double it
+    assert peak < m.nbytes * 3 // 2
 
 
 def test_col_softmax_flushes_subnormals_forward_and_backward():
