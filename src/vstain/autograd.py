@@ -15,6 +15,9 @@ with :func:`no_grad` (used by inference to keep memory flat).
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -174,6 +177,59 @@ def relu(a: Variable) -> Variable:
 # Query blocks hold max(1, ATTENTION_BLOCK_SCORES // n_keys) positions,
 # so block boundaries depend on the key count only, never on the batch.
 ATTENTION_BLOCK_SCORES = 2 ** 22
+# Threads that run the query blocks of a layer with at least two full
+# blocks of scores: every CPU this process may run on. Each block writes
+# its own rows of the result and hands back its key and value gradient
+# parts, which the caller adds in block order, so the bits do not depend
+# on this number.
+ATTENTION_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+
+_pool: ThreadPoolExecutor | None = None
+
+
+def _attention_pool() -> ThreadPoolExecutor:
+    """The block pool, started on first use with ATTENTION_WORKERS threads."""
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(ATTENTION_WORKERS, thread_name_prefix="vstain-attention")
+    return _pool
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None  # a forked child has none of the pool's threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_blocks(block_fn, tasks: list, scratch_sets: list):
+    """Yield block_fn(task, scratch_set) for each task, in task order.
+
+    With one scratch set the tasks run on the calling thread. With more,
+    they run on the pool, task i with set i % len(scratch_sets); task i
+    starts once the caller has taken the result of the task before it
+    that used the same set, so a result may live in its set. numpy
+    releases the GIL inside BLAS and ufunc loops, so blocks run on
+    several cores at once.
+    """
+    if len(scratch_sets) == 1:
+        for task in tasks:
+            yield block_fn(task, scratch_sets[0])
+        return
+    pool = _attention_pool()
+    running: deque[Future] = deque()
+    try:
+        for i, task in enumerate(tasks):
+            if len(running) == len(scratch_sets):
+                yield running.popleft().result()
+            running.append(pool.submit(block_fn, task, scratch_sets[i % len(scratch_sets)]))
+        while running:
+            yield running.popleft().result()
+    finally:  # after an error, leave no block writing into the arrays
+        wait(running)
 
 
 def attention(q: Variable, k: Variable, v: Variable) -> Variable:
@@ -184,7 +240,9 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     sum of the value vectors at all H*W key positions of its batch
     element. Query positions are processed in blocks, and backward
     recomputes each block's weights, so no n_keys x n_queries matrix is
-    stored.
+    stored. Layers with at least two full blocks of scores run their
+    blocks on ATTENTION_WORKERS threads; the calling thread allocates one
+    set of block-sized scratch per thread for each pass.
     """
     for name, t in (("q", q), ("k", k), ("v", v)):
         if t.data.ndim != 4:
@@ -201,25 +259,56 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     qm = q.data.reshape(n, hq * wq, c)
     km = k.data.reshape(n, -1, c)
     vm = v.data.reshape(n, -1, cv)
-    step = max(1, ATTENTION_BLOCK_SCORES // km.shape[1])
-    blocks = [slice(lo, lo + step) for lo in range(0, hq * wq, step)]
-    out = np.empty((n, hq * wq, cv), dtype=np.result_type(qm, km, vm))
-    for b in range(n):
-        for s in blocks:
-            weights = kernels.col_softmax(km[b] @ qm[b, s].T)
-            np.matmul(weights.T, vm[b], out=out[b, s])
-            del weights  # before the next block's scores: two blocks live, not three
+    n_queries, n_keys = hq * wq, km.shape[1]
+    step = max(1, ATTENTION_BLOCK_SCORES // n_keys)
+    tasks = [(b, slice(lo, lo + step)) for b in range(n) for lo in range(0, n_queries, step)]
+    dtype = np.result_type(qm, km, vm)
+    pooled = n * n_queries * n_keys >= 2 * ATTENTION_BLOCK_SCORES
+    block_size = n_keys * min(step, n_queries)
+    slab_size = max(kernels.softmax_scratch_size((n_keys, width))
+                    for width in (min(step, n_queries), (n_queries - 1) % step + 1))
+
+    def scratch_sets(*shapes) -> list:
+        """Per worker, one array of each shape, allocated on this thread."""
+        count = min(ATTENTION_WORKERS, len(tasks)) if pooled else 1
+        return [tuple(np.empty(shape, dtype) for shape in shapes) for _ in range(count)]
+
+    def block_weights(b, s, scores, slab):
+        """The (n_keys, width) softmax weights of one block, in `scores`."""
+        qs = qm[b, s]
+        scores = scores[: n_keys * len(qs)].reshape(n_keys, len(qs))
+        np.matmul(km[b], qs.T, out=scores)
+        return kernels.col_softmax_inplace(scores, slab)
+
+    out = np.empty((n, n_queries, cv), dtype=dtype)
+
+    def forward_block(task, scratch):
+        b, s = task
+        np.matmul(block_weights(b, s, *scratch).T, vm[b], out=out[b, s])
+
+    for _ in _run_blocks(forward_block, tasks, scratch_sets(block_size, slab_size)):
+        pass
 
     def bw(g):
-        gm = g.reshape(n, hq * wq, cv)
+        gm = g.reshape(n, n_queries, cv)
         gq, gk, gv = np.empty_like(qm), np.zeros_like(km), np.zeros_like(vm)
-        for b in range(n):
-            for s in blocks:
-                weights = kernels.col_softmax(km[b] @ qm[b, s].T)
-                gv[b] += weights @ gm[b, s]
-                gs = kernels.col_softmax_backward(weights, vm[b] @ gm[b, s].T)
-                np.matmul(gs.T, km[b], out=gq[b, s])
-                gk[b] += gs @ qm[b, s]
+
+        def backward_block(task, scratch):
+            b, s = task
+            scores, grads, slab, part_v, part_k = scratch
+            weights = block_weights(b, s, scores, slab)
+            gs = grads[: weights.size].reshape(weights.shape)
+            np.matmul(vm[b], gm[b, s].T, out=gs)
+            kernels.col_softmax_backward_inplace(weights, gs, slab)
+            np.matmul(gs.T, km[b], out=gq[b, s])
+            np.matmul(weights, gm[b, s], out=part_v)
+            np.matmul(gs, qm[b, s], out=part_k)
+            return part_v, part_k
+
+        sets = scratch_sets(block_size, block_size, slab_size, (n_keys, cv), (n_keys, c))
+        for (b, _), (part_v, part_k) in zip(tasks, _run_blocks(backward_block, tasks, sets)):
+            gv[b] += part_v
+            gk[b] += part_k
         accumulate(q, gq.reshape(q.data.shape))
         accumulate(k, gk.reshape(k.data.shape))
         accumulate(v, gv.reshape(v.data.shape))

@@ -21,7 +21,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Virtual staining with global pixel transformer layers.",
     )
     parser.add_argument("--threads", type=int, default=1,
-                        help="BLAS/OpenMP thread count (default 1, deterministic)")
+                        help="BLAS/OpenMP threads per matrix product, also inside each "
+                             "attention block (default 1, deterministic); attention "
+                             "runs its query blocks on every CPU either way")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset + manifest")

@@ -61,7 +61,7 @@ def flush_subnormals(a: np.ndarray) -> np.ndarray:
 # A block whose row sample has more than 1/SUBNORMAL_GATE of its shifted
 # scores where exp turns subnormal takes the cut path of col_softmax.
 SUBNORMAL_GATE = 256
-# Elements per row slab of the cut path's scratch buffer.
+# Elements per row slab of the softmax passes' scratch buffer.
 SOFTMAX_SLAB = 2 ** 16
 
 
@@ -82,35 +82,79 @@ def _has_subnormal_tail(shifted: np.ndarray) -> bool:
     return band * SUBNORMAL_GATE > sample.size
 
 
-def _cut_softmax(out: np.ndarray) -> np.ndarray:
-    """Column softmax of shifted scores, in place, computing no subnormal.
+def _slab_rows(shape: tuple[int, ...]) -> int:
+    """Rows per slab of an (..., rows, cols) array, about SOFTMAX_SLAB
+    elements. A one-column array is one slab: numpy sums a single column
+    pairwise, but several columns row by row, which is what lets
+    :func:`col_softmax_backward_inplace` carry a column sum across slabs."""
+    rows, cols = shape[-2], shape[-1]
+    if cols == 1:
+        return rows
+    return max(1, SOFTMAX_SLAB * rows // math.prod(shape))
 
-    Scores below log(tiny) move below the underflow point, so exp gives
-    exactly 0 where it would give a subnormal that the flush would zero.
-    After the divide, one `>= tiny` comparison flushes (weights are
-    >= 0). Row slabs bound the scratch to SOFTMAX_SLAB elements.
+
+def _row_slabs(shape: tuple[int, ...]) -> list[tuple]:
+    step = _slab_rows(shape)
+    return [(..., slice(lo, lo + step), slice(None)) for lo in range(0, shape[-2], step)]
+
+
+def softmax_scratch_size(shape: tuple[int, ...]) -> int:
+    """Elements of the scratch buffer the in-place softmax passes need on
+    an array of `shape`: one row slab plus one row."""
+    return (_slab_rows(shape) + 1) * math.prod(shape) // shape[-2]
+
+
+def _scratch_like(scratch: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return scratch[: math.prod(shape)].reshape(shape)
+
+
+def _softmax_shifted(x: np.ndarray, cut_tail: bool, scratch: np.ndarray) -> np.ndarray:
+    """Column softmax of shifted scores x, in place, slab by slab.
+
+    With `cut_tail`, scores below log(tiny) first move below the
+    underflow point, so exp gives exactly 0 where it would give a
+    subnormal that the flush would zero. After the divide, one `>= tiny`
+    comparison into float scratch, multiplied in, flushes: weights are
+    >= 0, so this zeroes exactly what :func:`flush_subnormals` would.
     """
-    fi = np.finfo(out.dtype)
-    cut, _ = _subnormal_band(out.dtype)
-    rows = out.shape[-2]
-    step = max(1, SOFTMAX_SLAB * rows // out.size)
-    slabs = [(..., slice(lo, lo + step), slice(None)) for lo in range(0, rows, step)]
-    scratch = np.empty_like(out[slabs[0]])
+    fi = np.finfo(x.dtype)
+    cut, _ = _subnormal_band(x.dtype)
+    slabs = _row_slabs(x.shape)
     with np.errstate(over="ignore"):
         for s in slabs:
-            x = out[s]
-            t = np.subtract(x, cut, out=scratch[..., : x.shape[-2], :])
-            t *= fi.max  # >= 0 where x >= cut, else far below the underflow point
-            np.minimum(x, t, out=x)
-            np.exp(x, out=x)
-    total = np.sum(out, axis=-2, keepdims=True)
+            xs = x[s]
+            if cut_tail:
+                t = np.subtract(xs, cut, out=_scratch_like(scratch, xs.shape))
+                t *= fi.max  # >= 0 where xs >= cut, else far below the underflow point
+                np.minimum(xs, t, out=xs)
+            np.exp(xs, out=xs)
+    total = np.sum(x, axis=-2, keepdims=True)
     for s in slabs:
-        x = out[s]
-        x /= total
-        keep = np.greater_equal(x, fi.tiny, out=scratch[..., : x.shape[-2], :],
-                                casting="unsafe")
-        x *= keep
-    return out
+        xs = x[s]
+        xs /= total
+        xs *= np.greater_equal(xs, fi.tiny, out=_scratch_like(scratch, xs.shape),
+                               casting="unsafe")
+    return x
+
+
+def _cut_softmax(out: np.ndarray) -> np.ndarray:
+    """Column softmax of shifted scores, in place, computing no subnormal."""
+    return _softmax_shifted(out, True, np.empty(softmax_scratch_size(out.shape), out.dtype))
+
+
+def col_softmax_inplace(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """:func:`col_softmax` of a float array, written over it; returns x.
+
+    `scratch` is a flat buffer of x's dtype with at least
+    softmax_scratch_size(x.shape) elements. Besides it, only the column
+    statistics and the gate's row sample take memory.
+    """
+    colmax = np.max(x, axis=-2, keepdims=True)
+    # a NaN or an infinity shows in its column's max or min
+    if not (np.isfinite(colmax).all() and np.isfinite(np.min(x, axis=-2)).all()):
+        raise NumericError("col_softmax: non-finite input")
+    x -= colmax
+    return _softmax_shifted(x, _has_subnormal_tail(x), scratch)
 
 
 def col_softmax(m: np.ndarray) -> np.ndarray:
@@ -118,33 +162,56 @@ def col_softmax(m: np.ndarray) -> np.ndarray:
 
     For a key/query score matrix of shape (n_keys, n_queries) each output
     column is a probability vector over key positions. Weights below the
-    dtype's smallest normal number are flushed to zero
-    (:func:`flush_subnormals`).
+    dtype's smallest normal number are flushed to zero, as
+    :func:`flush_subnormals` would.
 
     Subnormal operands cost exp and the divide about 100x each. So when a
     row sample shows a subnormal tail (:func:`_has_subnormal_tail`), the
-    block takes :func:`_cut_softmax`, which computes none: scores below
-    log(tiny) are cut before exp, and the flush after the divide is one
-    comparison. Both paths return the same bits, so the gate decides
-    only speed. Nothing is zeroed before the divide: zeroing exps below
-    tiny * sum would differ from the flush when the sum is a power of
-    two >= 2 and an exp lies one ulp below tiny * sum (the quotient ties
-    and rounds up to tiny). The cut does drop subnormal addends from the
-    column sum; they could move its last bit only through a chain of
+    block takes the cut path, which computes none: scores below log(tiny)
+    are cut before exp. Both paths return the same bits, so the gate
+    decides only speed. Nothing is zeroed before the divide: zeroing exps
+    below tiny * sum would differ from the flush when the sum is a power
+    of two >= 2 and an exp lies one ulp below tiny * sum (the quotient
+    ties and rounds up to tiny). The cut does drop subnormal addends from
+    the column sum; they could move its last bit only through a chain of
     exact rounding ties that starts while the running sum is below
     2**24 * tiny, and no such input is known.
     """
     m = np.asarray(m)
     if m.ndim < 2:
         raise ShapeError(f"col_softmax: expected a matrix, got rank {m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise NumericError("col_softmax: non-finite input")
-    out = m - np.max(m, axis=-2, keepdims=True)
-    if _has_subnormal_tail(out):
-        return _cut_softmax(out)
-    np.exp(out, out=out)
-    out /= np.sum(out, axis=-2, keepdims=True)
-    return flush_subnormals(out)
+    out = np.copy(m)
+    return col_softmax_inplace(out, np.empty(softmax_scratch_size(out.shape), out.dtype))
+
+
+def col_softmax_backward_inplace(out: np.ndarray, grad: np.ndarray,
+                                 scratch: np.ndarray) -> np.ndarray:
+    """:func:`col_softmax_backward` written over `grad`; returns grad.
+
+    `grad` has out's shape and dtype; `scratch` is as for
+    :func:`col_softmax_inplace`. The column sum of grad * out is built
+    slab by slab: numpy sums axis -2 row by row, so summing each slab's
+    products below the running sum, kept in the slab scratch's first
+    row, adds the same numbers in the same order as one sum over all
+    rows.
+    """
+    slabs = _row_slabs(out.shape)
+    inner = None
+    for s in slabs:
+        w = out[s]
+        acc = _scratch_like(scratch, w.shape[:-2] + (w.shape[-2] + 1, w.shape[-1]))
+        np.multiply(grad[s], w, out=acc[..., 1:, :])
+        if inner is None:
+            inner = np.sum(acc[..., 1:, :], axis=-2, keepdims=True)
+        else:
+            acc[..., :1, :] = inner
+            np.sum(acc, axis=-2, keepdims=True, out=inner)
+    for s in slabs:
+        gs = grad[s]
+        gs -= inner
+        gs *= out[s]
+        flush_subnormals(gs)  # keeps +0.0 for negative subnormals
+    return grad
 
 
 def col_softmax_backward(out: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -153,8 +220,9 @@ def col_softmax_backward(out: np.ndarray, grad: np.ndarray) -> np.ndarray:
     Results with magnitude below the dtype's smallest normal number are
     flushed to zero, as in the forward.
     """
-    inner = np.sum(grad * out, axis=-2, keepdims=True)
-    return flush_subnormals(out * (grad - inner))
+    grad = np.array(grad, dtype=np.result_type(out, grad))
+    return col_softmax_backward_inplace(
+        out, grad, np.empty(softmax_scratch_size(out.shape), grad.dtype))
 
 
 # ---------------------------------------------------------------------------

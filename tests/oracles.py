@@ -130,3 +130,14 @@ def oracle_col_softmax(m):
     out /= np.sum(out, axis=-2, keepdims=True)
     out[np.abs(out) < np.finfo(out.dtype).tiny] = 0
     return out
+
+
+def oracle_col_softmax_backward(out, grad):
+    """Column softmax backward in one pass over the whole block: the
+    column sum of grad * out, then out * (grad - sum), then every result
+    smaller in magnitude than the dtype's smallest normal number set to
+    +0.0."""
+    inner = np.sum(grad * out, axis=-2, keepdims=True)
+    result = out * (grad - inner)
+    result[np.abs(result) < np.finfo(result.dtype).tiny] = 0
+    return result

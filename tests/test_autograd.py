@@ -1,15 +1,20 @@
 """Tape semantics, backward contracts, and the finite-difference oracle."""
 
 import inspect
+import os
+import signal
 import sys
+import time
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from vstain import autograd as ag
+from vstain import kernels as K
 from vstain import network as nw
-from vstain.errors import ShapeError, VstainError
+from vstain.errors import NumericError, ShapeError, VstainError
 from vstain.training import masked_cross_entropy
 
 rng = np.random.default_rng(99)
@@ -171,6 +176,127 @@ def test_attention_blocks_agree_with_one_block(monkeypatch):
     for a, b, c in zip(single, chunked, again):
         assert np.allclose(a, b, rtol=0, atol=1e-12)
         assert np.array_equal(b, c)
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No attention pool at the start; the test's pool is shut down after."""
+    monkeypatch.setattr(ag, "_pool", None)
+    yield
+    if ag._pool is not None:
+        ag._pool.shutdown()
+
+
+def attention_case(seed, n=1, queries=(10, 10), keys=(8, 8), c=4, cv=3,
+                   scale=1.0, dtype=np.float64):
+    r = np.random.default_rng(seed)
+    q = (r.normal(size=(n, *queries, c)) * scale).astype(dtype)
+    k = (r.normal(size=(n, *keys, c)) * scale).astype(dtype)
+    v = r.normal(size=(n, *keys, cv)).astype(dtype)
+    return q, k, v, r.normal(size=(n, *queries, cv)).astype(dtype)
+
+
+def with_workers(monkeypatch, workers, case):
+    monkeypatch.setattr(ag, "ATTENTION_WORKERS", workers)
+    return _attention_with_grads(*case)
+
+
+# 64 keys: blocks of 16 queries, so every case's 100 queries make six
+# full blocks and a ragged one of 4
+SMALL_BLOCK = 64 * 16
+
+
+@pytest.mark.parametrize("name, case", [
+    ("batch 2, float64", dict(n=2)),
+    ("float32", dict(dtype=np.float32)),
+    ("cut path", dict(scale=8.0, dtype=np.float32)),
+])
+def test_pooled_attention_bits_do_not_depend_on_worker_count(monkeypatch, fresh_pool,
+                                                            name, case):
+    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", SMALL_BLOCK)
+    case = attention_case(3, **case)
+    if name == "cut path":
+        scores = case[1].reshape(-1, 4) @ case[0].reshape(-1, 4)[:16].T  # first block
+        assert K._has_subnormal_tail(scores - scores.max(axis=0))
+    serial = with_workers(monkeypatch, 1, case)
+    assert ag._pool is None
+    pooled = with_workers(monkeypatch, 2, case)
+    assert ag._pool is not None
+    for a, b in zip(serial, pooled):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_layer_under_two_blocks_of_scores_runs_inline(monkeypatch, fresh_pool):
+    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", SMALL_BLOCK)
+    case = attention_case(4, queries=(4, 7))  # 28 x 64 scores: under two blocks
+    serial = with_workers(monkeypatch, 1, case)
+    inline = with_workers(monkeypatch, 2, case)
+    assert ag._pool is None
+    for a, b in zip(serial, inline):
+        assert np.array_equal(a, b)
+
+
+def test_numeric_error_in_a_worker_reaches_the_caller(monkeypatch, fresh_pool):
+    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", SMALL_BLOCK)
+    monkeypatch.setattr(ag, "ATTENTION_WORKERS", 2)
+    q, k, v, probe = attention_case(5)
+    bad = q.copy()
+    bad[0, 9, 9, 0] = np.nan  # the last query: the ragged block's scores
+    with pytest.raises(NumericError):
+        ag.attention(ag.var(bad), ag.var(k), ag.var(v))
+    assert ag._pool is not None
+    after = _attention_with_grads(q, k, v, probe)
+    serial = with_workers(monkeypatch, 1, (q, k, v, probe))
+    for a, b in zip(serial, after):
+        assert np.array_equal(a, b)
+
+
+def test_forked_child_runs_pooled_attention(monkeypatch, fresh_pool):
+    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", SMALL_BLOCK)
+    monkeypatch.setattr(ag, "ATTENTION_WORKERS", 2)
+    case = attention_case(6)
+    expected = _attention_with_grads(*case)
+    assert ag._pool is not None
+    pid = os.fork()
+    if pid == 0:  # child: never return into the test runner
+        code = 1
+        try:
+            got = _attention_with_grads(*case)
+            code = 0 if all(np.array_equal(a, b) for a, b in zip(expected, got)) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            assert os.waitstatus_to_exitcode(status) == 0
+            return
+        time.sleep(0.05)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail("forked child hung in pooled attention")
+
+
+def test_pooled_attention_backward_keeps_two_score_blocks_per_worker(monkeypatch,
+                                                                     fresh_pool):
+    # 4096 keys and queries with 4 channels: each 256-query block of
+    # scores is 4 MB, and everything else is small
+    workers, block_scores = 2, 2 ** 20
+    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", block_scores)
+    monkeypatch.setattr(ag, "ATTENTION_WORKERS", workers)
+    q, k, v, probe = attention_case(7, queries=(64, 64), keys=(64, 64),
+                                    dtype=np.float32)
+    qv, kv, vv = (ag.var(a, requires_grad=True) for a in (q, k, v))
+    loss = ag.dot_sum(ag.attention(qv, kv, vv), probe)
+    tracemalloc.start()
+    try:
+        ag.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_bytes = block_scores * np.dtype(np.float32).itemsize
+    assert peak <= (workers * 2 + 1) * block_bytes
 
 
 def test_attention_shape_checks():

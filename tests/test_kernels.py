@@ -9,7 +9,7 @@ from vstain import kernels as K
 from vstain.errors import NumericError, ShapeError
 from vstain.multiscale import _reflect_indices
 
-from oracles import oracle_col_softmax
+from oracles import oracle_col_softmax, oracle_col_softmax_backward
 
 rng = np.random.default_rng(1234)
 
@@ -83,6 +83,9 @@ def test_col_softmax_matches_oracle_on_both_sides_of_the_gate(name):
     assert_same_bits(K.col_softmax(m), expected)
     # the gate decides speed only: the cut path gives the same bits anywhere
     assert_same_bits(K._cut_softmax(shifted(m)), expected)
+    x = m.copy()
+    assert K.col_softmax_inplace(x, np.empty(K.softmax_scratch_size(x.shape), x.dtype)) is x
+    assert_same_bits(x, expected)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -184,6 +187,49 @@ def test_col_softmax_flushes_subnormals_forward_and_backward():
 
     assert subnormal(out * (grad - (grad * out).sum(axis=0))) > 0
     assert subnormal(K.col_softmax_backward(out, grad)) == 0
+
+
+def softmax_backward_case(shape, dtype, seed):
+    r = np.random.default_rng(seed)
+    out = K.col_softmax((r.normal(size=shape) * 3).astype(dtype))
+    return out, r.normal(size=shape).astype(dtype)
+
+
+@pytest.mark.parametrize("shape, dtype", [
+    ((4096, 64), np.float32),     # four full slabs
+    ((70001, 3), np.float32),     # four slabs, the last one short
+    ((3, 900, 50), np.float32),   # batched, slabs cut across the batch
+    ((3000, 40), np.float64),
+    ((70001, 1), np.float32),     # one column: numpy sums it pairwise, in one slab
+])
+def test_col_softmax_backward_inplace_matches_oracle_across_slabs(shape, dtype):
+    out, grad = softmax_backward_case(shape, dtype, seed=sum(shape))
+    assert K.softmax_scratch_size(shape) < out.size or shape[-1] == 1
+    expected = oracle_col_softmax_backward(out, grad)
+    assert_same_bits(K.col_softmax_backward(out, grad), expected)
+    scratch = np.empty(K.softmax_scratch_size(shape), dtype)
+    result = K.col_softmax_backward_inplace(out, grad, scratch)
+    assert result is grad
+    assert_same_bits(result, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_col_softmax_backward_flushes_negative_subnormals_to_plus_zero(dtype):
+    tiny = np.finfo(dtype).tiny
+    out, grad = softmax_backward_case((5000, 8), dtype, seed=5)
+    # weights just above tiny against gradients of +-0.25: their results
+    # are subnormal, half of them negative
+    out[::3] = tiny * 1.5
+    grad[:] = 0
+    grad[::3] = np.where(np.arange(8) % 2, 0.25, -0.25).astype(dtype)
+    expected = oracle_col_softmax_backward(out, grad)
+    raw = out * (grad - np.sum(grad * out, axis=0))
+    assert np.count_nonzero((raw < 0) & (raw > -tiny)) > 0
+    assert np.count_nonzero((raw > 0) & (raw < tiny)) > 0
+    result = K.col_softmax_backward_inplace(
+        out, grad, np.empty(K.softmax_scratch_size(out.shape), dtype))
+    assert_same_bits(result, expected)
+    assert not np.signbit(result[(raw < 0) & (raw > -tiny)]).any()
 
 
 # ---------------------------------------------------------------------------
