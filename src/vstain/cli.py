@@ -167,9 +167,9 @@ def cmd_predict(args) -> int:
             f"{args.image}: {image.shape[1]}x{image.shape[0]} smaller than "
             f"patch size {net.config.patch_size}"
         )
+    dist = predict_image(net, image, step=args.step)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dist = predict_image(net, image, step=args.step)
     stem = Path(args.image).stem
     gptt.save_gptt(out_dir / f"{stem}_dist.gptt", dist)
     written = [out_dir / f"{stem}_dist.gptt"]

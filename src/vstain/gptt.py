@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 import struct
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -27,17 +28,30 @@ MAGIC = b"GPTT"
 VERSION = 1
 
 
-def write_gptt_bytes(t: np.ndarray) -> bytes:
-    t = np.asarray(t)
+def _check_shape(t: np.ndarray) -> None:
     if t.ndim < 1 or t.ndim > 255:
         raise DataError(f"gptt: unsupported rank {t.ndim}")
     if any(d > 0xFFFFFFFF or d < 1 for d in t.shape):
         raise DataError(f"gptt: extent out of u32 range in {t.shape}")
+
+
+def write_gptt(f: BinaryIO, t: np.ndarray) -> None:
+    """Write `t` as one blob to the open binary file `f`.
+
+    The payload is written from the array's own buffer when `t` is
+    already C-ordered little-endian float32, else from one converted
+    copy; the header is checked before anything is written.
+    """
+    t = np.asarray(t)
+    _check_shape(t)
+    payload = np.ascontiguousarray(t, dtype="<f4")
+    f.write(MAGIC + struct.pack(f"<BB{t.ndim}I", VERSION, t.ndim, *t.shape))
+    f.write(payload)
+
+
+def write_gptt_bytes(t: np.ndarray) -> bytes:
     out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(struct.pack("<BB", VERSION, t.ndim))
-    out.write(struct.pack(f"<{t.ndim}I", *t.shape))
-    out.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
+    write_gptt(out, t)
     return out.getvalue()
 
 
@@ -86,7 +100,10 @@ def read_gptt_bytes(raw: bytes, source: str = "<bytes>") -> np.ndarray:
 
 
 def save_gptt(path: str | Path, t: np.ndarray) -> None:
-    Path(path).write_bytes(write_gptt_bytes(t))
+    t = np.asarray(t)
+    _check_shape(t)  # a bad shape neither creates nor truncates the file
+    with open(path, "wb") as f:
+        write_gptt(f, t)
 
 
 def load_gptt(path: str | Path) -> np.ndarray:

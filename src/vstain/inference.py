@@ -15,9 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import autograd as ag
-from .errors import DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .multiscale import PatchSpec, extract_multiscale
-from .network import Network, forward, logits, predict_distributions
+# predict_distributions stays importable from here: benchmarks/tracer.py
+# patches inference.predict_distributions by name.
+from .network import (Network, forward, logits, predict_distributions,  # noqa: F401
+                      predict_distributions_inplace)
 
 
 def window_offsets(extent: int, patch: int, step: int) -> list[int]:
@@ -45,6 +48,19 @@ def coverage_map(image_h: int, image_w: int, patch: int, step: int) -> np.ndarra
     return np.outer(counts_y, counts_x)
 
 
+def _window_distributions(net: Network, image: np.ndarray, oy: int,
+                          ox: int) -> np.ndarray:
+    """(patch, patch, T, V) distributions of the window at (oy, ox),
+    computed over the window's logits buffer."""
+    cfg = net.config
+    patch = cfg.patch_size
+    inp = extract_multiscale(image, PatchSpec((ox + patch // 2, oy + patch // 2), patch))
+    inp = inp.astype(np.float32) / 255.0
+    with ag.no_grad():
+        z = logits(net, forward(net, ag.var(inp[None]), mode="eval"))
+    return predict_distributions_inplace(z.data, cfg.task_count, cfg.value_classes)[0]
+
+
 def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray:
     """Merged per-task distributions (H_img, W_img, T, value_classes).
 
@@ -63,6 +79,9 @@ def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray
             f"checkpoint expects {cfg.input_channels}"
         )
     patch = cfg.patch_size
+    if not 1 <= step <= patch:
+        raise ConfigError(f"predict_image: step must be in 1..{patch} (the patch "
+                          f"size), got {step}")
     h, w = image.shape[:2]
     offsets_y = window_offsets(h, patch, step)
     offsets_x = window_offsets(w, patch, step)
@@ -71,13 +90,9 @@ def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray
     acc = np.zeros((h, w, t, v), dtype=np.float32)
     for oy in offsets_y:
         for ox in offsets_x:
-            center = (ox + patch // 2, oy + patch // 2)
-            inp = extract_multiscale(image, PatchSpec(center, patch))
-            inp = inp.astype(np.float32) / 255.0
-            with ag.no_grad():
-                z = logits(net, forward(net, ag.var(inp[None]), mode="eval"))
-            probs = predict_distributions(z.data, t, v)[0]
-            acc[oy : oy + patch, ox : ox + patch] += probs
+            # the window's distributions are freed before the next forward
+            acc[oy : oy + patch, ox : ox + patch] += _window_distributions(
+                net, image, oy, ox)
 
     cnt = coverage_map(h, w, patch, step).astype(np.float32)
     if cnt.max() == 1.0:

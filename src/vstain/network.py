@@ -24,7 +24,6 @@ save -> load -> forward is bit-identical.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from dataclasses import asdict, dataclass
@@ -309,24 +308,32 @@ def logits(net: Network, features: Variable) -> Variable:
     """Every task's logits (N, H, W, task_count * value_classes) from the
     decoder features; raises NumericError if any is non-finite."""
     out = ag.conv2d(features, net.head_w, net.head_b, stride=1)
-    if not np.all(np.isfinite(out.data)):
+    # a NaN or an infinity shows in the max or the min
+    if not (np.isfinite(out.data.max()) and np.isfinite(out.data.min())):
         raise NumericError("head: non-finite logits")
     return out
 
 
-def predict_distributions(logits: np.ndarray, task_count: int,
-                          value_classes: int) -> np.ndarray:
-    """Softmax over the value-class axis: (N,H,W,T*V) -> (N,H,W,T,V)."""
+def predict_distributions_inplace(logits: np.ndarray, task_count: int,
+                                  value_classes: int) -> np.ndarray:
+    """:func:`predict_distributions` written over the C-contiguous float
+    array `logits`; returns the (N,H,W,T,V) view of it."""
     n, h, w, c = logits.shape
     if c != task_count * value_classes:
         raise ShapeError(
             f"predict_distributions: {c} channels != {task_count}*{value_classes}"
         )
-    z = logits.reshape(n, h, w, task_count, value_classes)
-    e = z - z.max(axis=-1, keepdims=True)  # the one full-size buffer
+    e = logits.reshape(n, h, w, task_count, value_classes)
+    e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
+
+
+def predict_distributions(logits: np.ndarray, task_count: int,
+                          value_classes: int) -> np.ndarray:
+    """Softmax over the value-class axis: (N,H,W,T*V) -> (N,H,W,T,V)."""
+    return predict_distributions_inplace(np.array(logits), task_count, value_classes)
 
 
 def distributions_to_image(probs: np.ndarray, task: int,
@@ -343,7 +350,12 @@ def distributions_to_image(probs: np.ndarray, task: int,
         img = p.argmax(axis=-1)
     elif reduction == "expectation":
         classes = np.arange(p.shape[-1], dtype=np.float64)
-        img = np.floor((p.astype(np.float64) * classes).sum(axis=-1) + 0.5)
+        img = np.empty(p.shape[:3], dtype=np.float64)
+        for r in range(p.shape[1]):  # one row at a time: no full-size float64
+            row = p[:, r].astype(np.float64)
+            row *= classes
+            row.sum(axis=-1, out=img[:, r])
+        img = np.floor(img + 0.5)
     else:
         raise ShapeError(f"distributions_to_image: unknown reduction {reduction!r}")
     return np.clip(img, 0, 255).astype(np.uint8)
@@ -395,13 +407,12 @@ def save_checkpoint(
         "tensors": [name for name, _ in entries],
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(hbytes)))
-    buf.write(hbytes)
-    for _, arr in entries:
-        buf.write(gptt.write_gptt_bytes(arr))
-    Path(path).write_bytes(buf.getvalue())
+    with open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(hbytes)))
+        f.write(hbytes)
+        for _, arr in entries:
+            gptt.write_gptt(f, arr)
 
 
 def load_checkpoint(path: str | Path) -> tuple[Network, dict]:

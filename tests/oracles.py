@@ -5,6 +5,8 @@ plain numpy and never calls the production kernels, so agreement is
 meaningful.
 """
 
+import struct
+
 import numpy as np
 
 from vstain.gpt_layer import GptVariant
@@ -141,3 +143,21 @@ def oracle_col_softmax_backward(out, grad):
     result = out * (grad - inner)
     result[np.abs(result) < np.finfo(result.dtype).tiny] = 0
     return result
+
+
+def oracle_expectation(probs, task):
+    """The "expectation" render in one pass over the whole image: the
+    float64 product with the class indices, summed over the last axis,
+    rounded half-up and clamped to 0-255."""
+    p = probs[:, :, :, task, :]
+    classes = np.arange(p.shape[-1], dtype=np.float64)
+    img = np.floor((p.astype(np.float64) * classes).sum(axis=-1) + 0.5)
+    return np.clip(img, 0, 255).astype(np.uint8)
+
+
+def oracle_gptt_bytes(t):
+    """One GPTT blob assembled in memory: magic, version, rank and the
+    extents, then the little-endian float32 payload as one bytes copy."""
+    t = np.asarray(t)
+    return (b"GPTT" + struct.pack("<BB", 1, t.ndim) + struct.pack(f"<{t.ndim}I", *t.shape)
+            + np.ascontiguousarray(t, dtype="<f4").tobytes())

@@ -241,6 +241,19 @@ def test_predict_image_smaller_than_patch_is_data_error(pipeline, tmp_path, caps
     assert code == 3
 
 
+@pytest.mark.parametrize("step", ["0", "-3", "33"])  # the pipeline's patch is 32
+def test_predict_bad_step_is_usage_error_and_writes_nothing(pipeline, tmp_path, capsys,
+                                                            step):
+    code = cli.main(["predict",
+                     "--checkpoint", str(pipeline / "run" / "checkpoint_000015.gptc"),
+                     "--image", str(pipeline / "data/images/s003_input.pgm"),
+                     "--out", str(tmp_path / "p"), "--step", step])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "step" in err
+    assert not (tmp_path / "p").exists()
+
+
 BAD_PIXELS = pytest.mark.parametrize(
     "value", [np.nan, np.inf, -np.inf, -5.0, 300.0],
     ids=["nan", "inf", "minus-inf", "minus-5", "300"])

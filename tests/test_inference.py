@@ -1,11 +1,13 @@
 """Tiling geometry and overlap merging."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vstain import autograd as ag
 from vstain import network as nw
-from vstain.errors import DataError, ShapeError
+from vstain.errors import ConfigError, DataError, ShapeError
 from vstain.inference import coverage_map, predict_image, window_offsets
 from vstain.multiscale import PatchSpec, extract_multiscale
 
@@ -135,3 +137,31 @@ def test_channel_mismatch_rejected():
     net = small_net()
     with pytest.raises(DataError):
         predict_image(net, np.zeros((48, 48, 2), np.float32), step=16)
+
+
+@pytest.mark.parametrize("step", [0, -3, 17])
+def test_bad_step_is_config_error_before_any_window(monkeypatch, step):
+    net = nw.build(nw.NetworkConfig.tiny(patch_size=16), np.random.default_rng(0))
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a window ran")
+
+    monkeypatch.setattr("vstain.inference.forward", no_forward)
+    with pytest.raises(ConfigError, match="step"):
+        predict_image(net, np.zeros((32, 32), np.float32), step=step)
+
+
+def test_predict_holds_one_output_and_one_window():
+    cfg = nw.NetworkConfig.tiny(patch_size=16, value_classes=256)
+    net = nw.build(cfg, np.random.default_rng(0))
+    image = (rng.random((64, 64)) * 255).astype(np.float32)
+    predict_image(net, image, step=8)  # first call: lazy imports and caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dist = predict_image(net, image, step=8)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    window_logits = cfg.patch_size ** 2 * cfg.head_channels * 4
+    assert peak <= dist.nbytes + 1.25 * window_logits

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ import pytest
 from vstain import autograd as ag
 from vstain import cli, gptt
 from vstain import network as nw
-from vstain.errors import ConfigError, DataError, ShapeError
+from vstain.errors import ConfigError, DataError, NumericError, ShapeError
+
+from oracles import oracle_expectation
 
 TABLE_ROWS = [
     ("stem", 128, 32),
@@ -142,6 +145,70 @@ def test_predict_distributions_shift_invariance_and_argmax():
     assert np.allclose(probs, nw.predict_distributions(shifted, 2, 4), atol=1e-6)
     assert np.array_equal(probs.argmax(-1),
                           logits.reshape(1, 3, 3, 2, 4).argmax(-1))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("at", [(0, 0, 0, 0), (0, 15, 15, 7), (0, 3, 9, 4)])
+def test_logits_single_non_finite_is_numeric_error(monkeypatch, value, at):
+    _, net = tiny_net()
+    z = np.random.default_rng(1).normal(size=(1, 16, 16, 8)).astype(np.float32)
+    z[at] = value
+    monkeypatch.setattr(ag, "conv2d", lambda *args, **kwargs: ag.var(z))
+    with pytest.raises(NumericError, match="non-finite logits"):
+        nw.logits(net, ag.var(np.zeros((1, 16, 16, 6), np.float32)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_predict_distributions_inplace_writes_over_its_input(dtype):
+    logits = np.random.default_rng(2).normal(size=(2, 3, 4, 2 * 8)).astype(dtype) * 9
+    keep = logits.copy()
+    probs = nw.predict_distributions(logits, 2, 8)
+    assert np.array_equal(logits, keep)  # the copying form leaves its input alone
+    out = nw.predict_distributions_inplace(logits, 2, 8)
+    assert np.shares_memory(out, logits)
+    assert out.dtype == dtype
+    assert np.array_equal(out, probs)
+
+
+def _distributions_with_half_boundaries(shape, v=256):
+    """float32 distributions (N, H, W, T, V): random ones, plus pixels whose
+    expectation is exactly k + 0.5, a few float64 ulps below it, or
+    within float32 rounding of it."""
+    r = np.random.default_rng(9)
+    probs = r.random(shape + (v,)).astype(np.float32) ** 8
+    probs /= probs.sum(axis=-1, keepdims=True)
+    flat = probs.reshape(-1, v)
+    for i, k in enumerate(r.integers(1, v - 6, size=flat.shape[0] // 2)):
+        px = flat[2 * i]
+        px[:] = 0
+        if i % 3 == 0:
+            px[k:k + 2] = 0.5                       # exactly k + 0.5
+        elif i % 3 == 1:
+            d = np.float32(2.0 ** -25 * (1 + i % 4))
+            px[k:k + 2] = 0.5 + d, 0.5 - d          # k + 0.5 - d: rounds down
+        else:
+            px[k:k + 6] = np.float32(1 / 6)         # k + 2.5 up to rounding
+    return probs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_expectation_render_matches_one_shot_oracle(dtype):
+    probs = _distributions_with_half_boundaries((2, 9, 7, 3)).astype(dtype)
+    for t in range(3):
+        got = nw.distributions_to_image(probs, t, "expectation")
+        assert np.array_equal(got, oracle_expectation(probs, t))
+
+
+def test_expectation_render_holds_no_full_size_float64():
+    probs = np.full((1, 64, 64, 1, 256), 1 / 256, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        nw.distributions_to_image(probs, 0, "expectation")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < probs.size * 8 / 4  # a quarter of one (H, W, 256) float64
 
 
 def test_render_one_hot():
@@ -340,6 +407,20 @@ def test_default_checkpoint_tensor_names_pinned():
     assert len(names) == 586
     digest = hashlib.sha256(json.dumps(names).encode()).hexdigest()
     assert digest == "ce547058eaebaf3dc207a479264e78cc44ce6f1546403e4def5bacc9636b92f1"
+
+
+def test_save_checkpoint_writes_from_the_arrays(tmp_path):
+    net = nw.build(nw.NetworkConfig(), np.random.default_rng(0))
+    params = {k: v.data for k, v in net.named_parameters().items()}
+    optimizer = {"t": 1, "m": params, "v": params}
+    largest = max(a.nbytes for _, a in nw.checkpoint_tensors(net, optimizer))
+    tracemalloc.start()
+    try:
+        nw.save_checkpoint(tmp_path / "net.gptc", net, optimizer=optimizer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < largest
 
 
 def _arange_like(a, scale, shift):
