@@ -118,7 +118,7 @@ def _load_configs(path: str | None):
             doc = json.loads(Path(path).read_text())
         except OSError as exc:
             raise DataError(f"{path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
             raise DataError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config must be a JSON object")

@@ -179,7 +179,7 @@ def load_manifest(path: str | Path) -> Manifest:
         doc = json.loads(path.read_text())
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise DataError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("samples"), list):
         raise DataError(f"{path}: manifest must be an object with a 'samples' list")

@@ -16,6 +16,7 @@ checkpoints and prediction outputs.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from pathlib import Path
 from typing import BinaryIO
@@ -49,54 +50,40 @@ def write_gptt(f: BinaryIO, t: np.ndarray) -> None:
     f.write(payload)
 
 
-def write_gptt_bytes(t: np.ndarray) -> bytes:
-    out = io.BytesIO()
-    write_gptt(out, t)
-    return out.getvalue()
+def read_gptt(f: BinaryIO, source: str = "<bytes>") -> np.ndarray:
+    """Read the blob at the position of the open binary file `f`.
 
-
-def read_gptt_at(raw: bytes, offset: int = 0,
-                 source: str = "<bytes>") -> tuple[np.ndarray, int]:
-    """Read the blob that starts at byte `offset` of `raw`.
-
-    Returns (array, end): a read-only view into `raw` and the offset of
-    the first byte after the blob. Every read stays inside `raw`.
+    The header is checked against the file's size before the payload's
+    array is allocated; the payload is read straight into that array,
+    and `f` is left at the first byte after the blob.
     """
-    if len(raw) < offset + 6:
-        raise DataError(f"{source}: truncated gptt header at byte {len(raw)}")
-    if raw[offset:offset + 4] != MAGIC:
-        raise DataError(f"{source}: bad magic {raw[offset:offset + 4]!r} at byte {offset}")
-    version, rank = struct.unpack_from("<BB", raw, offset + 4)
+    offset = f.tell()
+    size = f.seek(0, io.SEEK_END)
+    f.seek(offset)
+    head = f.read(6)
+    if len(head) < 6:
+        raise DataError(f"{source}: truncated gptt header at byte {size}")
+    if head[:4] != MAGIC:
+        raise DataError(f"{source}: bad magic {head[:4]!r} at byte {offset}")
+    version, rank = struct.unpack_from("<BB", head, 4)
     if version != VERSION:
         raise DataError(f"{source}: unsupported gptt version {version} at byte {offset + 4}")
     header_end = offset + 6 + 4 * rank
-    if len(raw) < header_end:
-        raise DataError(f"{source}: truncated extents at byte {len(raw)} (need {header_end})")
-    dims = struct.unpack_from(f"<{rank}I", raw, offset + 6)
-    count = 1
-    for d in dims:
-        if d < 1:
-            raise DataError(f"{source}: zero extent in header at byte {offset + 6}")
-        count *= d
-    end = header_end + 4 * count
-    if len(raw) < end:
+    if size < header_end:
+        raise DataError(f"{source}: truncated extents at byte {size} (need {header_end})")
+    dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
+    if 0 in dims:
+        raise DataError(f"{source}: zero extent in header at byte {offset + 6}")
+    end = header_end + 4 * math.prod(dims)
+    if size < end:
         raise DataError(
             f"{source}: truncated payload at byte {header_end}: "
-            f"{len(raw)} bytes, blob needs {end}"
+            f"{size} bytes, blob needs {end}"
         )
-    data = np.frombuffer(raw, dtype="<f4", count=count, offset=header_end)
-    return data.reshape(dims), end
-
-
-def read_gptt_bytes(raw: bytes, source: str = "<bytes>") -> np.ndarray:
-    """Read `raw` as exactly one blob; returns a writable copy."""
-    data, end = read_gptt_at(raw, 0, source)
-    if end != len(raw):
-        raise DataError(
-            f"{source}: payload length mismatch at byte {end}: "
-            f"file has {len(raw)} bytes, expected {end}"
-        )
-    return data.copy()
+    data = np.empty(dims, dtype="<f4")
+    if f.readinto(data) != data.nbytes:  # the file shrank after its size was taken
+        raise DataError(f"{source}: truncated payload at byte {header_end}")
+    return data
 
 
 def save_gptt(path: str | Path, t: np.ndarray) -> None:
@@ -107,9 +94,17 @@ def save_gptt(path: str | Path, t: np.ndarray) -> None:
 
 
 def load_gptt(path: str | Path) -> np.ndarray:
+    """Read the file at `path` as exactly one blob."""
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as f:
+            data = read_gptt(f, source=str(path))
+            end, size = f.tell(), f.seek(0, io.SEEK_END)
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    return read_gptt_bytes(raw, source=str(path))
+    if end != size:
+        raise DataError(
+            f"{path}: payload length mismatch at byte {end}: "
+            f"file has {size} bytes, expected {end}"
+        )
+    return data

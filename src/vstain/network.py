@@ -24,6 +24,7 @@ save -> load -> forward is bit-identical.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 from dataclasses import asdict, dataclass
@@ -110,6 +111,9 @@ class NetworkConfig:
             )
         if self.qk_channels is not None and self.qk_channels < 1:
             raise ConfigError("config: qk_channels must be >= 1 when set")
+        # He init draws float64, so every tensor must fit an 8-byte array
+        if 8 * checkpoint_elements(self) > np.iinfo(np.intp).max:
+            raise ConfigError("config: its tensors are too large to be arrays")
 
     @classmethod
     def tiny(cls, patch_size: int = 16, task_count: int = 2,
@@ -384,6 +388,46 @@ def checkpoint_tensors(net: Network, optimizer: dict | None = None
     return out
 
 
+def checkpoint_elements(config: NetworkConfig, optimizer: bool = False) -> int:
+    """Float32 values in a checkpoint of a network built from `config`.
+
+    Counts, from the config alone, what :func:`checkpoint_tensors` holds:
+    every parameter and batch-norm statistic, plus both Adam moments of
+    every parameter when `optimizer` is set. The stage lists must have
+    equal lengths.
+    """
+    k, n = config.growth_rate, config.stages
+
+    def conv(c_in, c_out, taps=1):  # weight and bias
+        return (taps * c_in + 1) * c_out
+
+    def dense(c, depth, target):  # layer l sees c + l*k channels
+        return (depth * (conv(c, k, 9) + 2 * k) + 9 * k * k * depth * (depth - 1) // 2
+                + conv(c + depth * k, target))
+
+    def gpt(c, variant):
+        qk = config.qk_channels if config.qk_channels is not None else max(c // 2, 1)
+        return conv(c, qk, 9) + conv(c, qk) + conv(c, default_value_channels(variant, c))
+
+    params = conv(3 * config.input_channels, config.stem_channels)
+    c = config.stem_channels
+    for depth, target in zip(config.encoder_depths, config.encoder_channels):
+        params += dense(c, depth, target) + gpt(target, GptVariant.DOWN)
+        c = target
+    params += (dense(c, config.bottom_depth, config.bottom_channels)
+               + gpt(config.bottom_channels, GptVariant.SAME))
+    c = config.bottom_channels
+    for i, (depth, target) in enumerate(zip(config.decoder_depths, config.decoder_channels)):
+        skip_c = config.encoder_channels[n - 2 - i if i < n - 1 else 0]
+        params += gpt(c, GptVariant.UP) + dense(
+            default_value_channels(GptVariant.UP, c) + skip_c, depth, target)
+        c = target
+    params += conv(c, config.head_channels)
+    state = 2 * k * (sum(config.encoder_depths) + config.bottom_depth
+                     + sum(config.decoder_depths))
+    return params * (3 if optimizer else 1) + state
+
+
 def save_checkpoint(
     path: str | Path,
     net: Network,
@@ -420,70 +464,83 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
 
     The header must list exactly the tensors :func:`checkpoint_tensors`
     names for its config, in that order, and every tensor must have the
-    shape the config gives it. extras holds "step", "rng_state" and,
-    when saved, "optimizer" with fully materialised moment tensors.
+    shape the config gives it. A file too small for the tensors its
+    config needs is rejected before the network is built, and each
+    tensor is read from the open file, never the whole file at once.
+    extras holds "step", "rng_state" and, when saved, "optimizer" with
+    fully materialised moment tensors.
     """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        f = open(path, "rb")
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
-        raise DataError(f"{path}: not a GPTC checkpoint (bad magic at byte 0)")
-    version, hlen = struct.unpack_from("<IQ", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    if len(raw) < 16 + hlen:
-        raise DataError(f"{path}: truncated header at byte {len(raw)}")
-    try:
-        header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: header is not UTF-8 ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: header is not JSON ({exc})") from exc
-    if not isinstance(header, dict):
-        raise DataError(f"{path}: header is not a JSON object")
-    if not isinstance(header.get("config"), dict):
-        raise DataError(f"{path}: header has no 'config' object")
-    if not isinstance(header.get("tensors"), list):
-        raise DataError(f"{path}: header has no 'tensors' list")
-    opt_meta = header.get("optimizer")
-    if opt_meta is not None and not (isinstance(opt_meta, dict)
-                                     and type(opt_meta.get("t")) is int):
-        raise DataError(f"{path}: header 'optimizer' is neither null nor "
-                        "an object with an integer 't'")
-    step = header.get("step", 0)
-    if type(step) is not int or step < 0:
-        raise DataError(f"{path}: header 'step' is not an integer >= 0")
-    rng_state = header.get("rng_state")
-    if rng_state is not None:
+    with f:
+        size = f.seek(0, io.SEEK_END)
+        f.seek(0)
+        head = f.read(16)
+        if len(head) < 16 or head[:4] != CHECKPOINT_MAGIC:
+            raise DataError(f"{path}: not a GPTC checkpoint (bad magic at byte 0)")
+        version, hlen = struct.unpack_from("<IQ", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise DataError(f"{path}: unsupported checkpoint version {version}")
+        if size < 16 + hlen:
+            raise DataError(f"{path}: truncated header at byte {size}")
         try:
-            np.random.PCG64(0).state = rng_state
-        except (TypeError, ValueError, KeyError, OverflowError) as exc:
-            raise DataError(f"{path}: header 'rng_state' is not a PCG64 "
-                            f"state ({exc!r})") from exc
-    try:
-        net = build(NetworkConfig.from_dict(header["config"]), np.random.default_rng(0))
-    except ConfigError as exc:
-        raise DataError(f"{path}: header config is invalid ({exc})") from exc
+            header = json.loads(f.read(hlen).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: header is not UTF-8 ({exc})") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+            raise DataError(f"{path}: header is not JSON ({exc})") from exc
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: header is not a JSON object")
+        if not isinstance(header.get("config"), dict):
+            raise DataError(f"{path}: header has no 'config' object")
+        if not isinstance(header.get("tensors"), list):
+            raise DataError(f"{path}: header has no 'tensors' list")
+        opt_meta = header.get("optimizer")
+        if opt_meta is not None and not (isinstance(opt_meta, dict)
+                                         and type(opt_meta.get("t")) is int):
+            raise DataError(f"{path}: header 'optimizer' is neither null nor "
+                            "an object with an integer 't'")
+        step = header.get("step", 0)
+        if type(step) is not int or step < 0:
+            raise DataError(f"{path}: header 'step' is not an integer >= 0")
+        rng_state = header.get("rng_state")
+        if rng_state is not None:
+            try:
+                np.random.PCG64(0).state = rng_state
+            except (TypeError, ValueError, KeyError, OverflowError) as exc:
+                raise DataError(f"{path}: header 'rng_state' is not a PCG64 "
+                                f"state ({exc!r})") from exc
+        try:
+            config = NetworkConfig.from_dict(header["config"])
+            config.validate()
+        except ConfigError as exc:
+            raise DataError(f"{path}: header config is invalid ({exc})") from exc
+        need, held = 4 * checkpoint_elements(config, opt_meta is not None), size - 16 - hlen
+        if need > held:  # checked before build allocates what the header describes
+            raise DataError(f"{path}: header config needs {need} bytes of tensors, "
+                            f"the file holds {held} after the header")
+        net = build(config, np.random.default_rng(0))
 
-    moments = None
-    if opt_meta is not None:
-        moments = {m: {k: np.zeros_like(v.data) for k, v in net.named_parameters().items()}
-                   for m in ("m", "v")}
-    entries = checkpoint_tensors(net, moments)
-    if header["tensors"] != [name for name, _ in entries]:
-        raise DataError(f"{path}: header tensor list differs from the "
-                        f"{len(entries)} tensors its config and optimizer need")
-    offset = 16 + hlen
-    for name, slot in entries:
-        arr, offset = gptt.read_gptt_at(raw, offset, source=f"{path}:{name}")
-        if arr.shape != slot.shape:
-            raise DataError(f"{path}: tensor {name!r} has shape {arr.shape}, "
-                            f"expected {slot.shape}")
-        slot[...] = arr
-    if offset != len(raw):
-        raise DataError(f"{path}: {len(raw) - offset} trailing bytes at {offset}")
+        moments = None
+        if opt_meta is not None:
+            moments = {m: {k: np.zeros_like(v.data) for k, v in net.named_parameters().items()}
+                       for m in ("m", "v")}
+        entries = checkpoint_tensors(net, moments)
+        if header["tensors"] != [name for name, _ in entries]:
+            raise DataError(f"{path}: header tensor list differs from the "
+                            f"{len(entries)} tensors its config and optimizer need")
+        for name, slot in entries:
+            arr = gptt.read_gptt(f, source=f"{path}:{name}")
+            if arr.shape != slot.shape:
+                raise DataError(f"{path}: tensor {name!r} has shape {arr.shape}, "
+                                f"expected {slot.shape}")
+            slot[...] = arr
+        offset = f.tell()
+        if offset != size:
+            raise DataError(f"{path}: {size - offset} trailing bytes at {offset}")
 
     extras: dict = {"step": step, "rng_state": rng_state}
     if moments is not None:

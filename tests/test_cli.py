@@ -135,6 +135,17 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("raw", [b"\xff{}", b"[" * 100_000], ids=["not-utf8", "nested"])
+def test_unreadable_config_is_data_error(tmp_path, capsys, raw):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(raw)
+    code = cli.main(["train", "--manifest", str(tmp_path / "none.json"),
+                     "--config", str(cfg), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.fixture(scope="module")
 def one_sample_manifest(tmp_path_factory):
     root = tmp_path_factory.mktemp("one")
@@ -161,6 +172,18 @@ def test_config_value_of_wrong_type_is_usage_error(one_sample_manifest, tmp_path
                                                    capsys, doc):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
+    code = cli.main(["train", "--manifest", str(one_sample_manifest),
+                     "--config", str(cfg), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["growth_rate", "stem_channels", "qk_channels"])
+def test_config_value_too_large_for_arrays_is_usage_error(one_sample_manifest, tmp_path,
+                                                          capsys, field):
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"network": {field: 2**64}}))
     code = cli.main(["train", "--manifest", str(one_sample_manifest),
                      "--config", str(cfg), "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err

@@ -1,19 +1,22 @@
 """Network assembly: shape ledger, determinism, rendering, checkpoints."""
 
 import hashlib
+import io
 import json
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vstain import autograd as ag
 from vstain import cli, gptt
 from vstain import network as nw
 from vstain.errors import ConfigError, DataError, NumericError, ShapeError
 
-from oracles import oracle_expectation
+from oracles import oracle_expectation, oracle_gptt_bytes
 
 TABLE_ROWS = [
     ("stem", 128, 32),
@@ -128,6 +131,41 @@ def test_config_validation():
         nw.NetworkConfig(task_count=0).validate()
     with pytest.raises(ConfigError):
         nw.NetworkConfig.from_dict({"bogus_field": 1})
+
+
+@pytest.mark.parametrize("fields", [
+    {"growth_rate": 2**64},
+    {"encoder_channels": (8, 2**62, 8)},
+    {"qk_channels": 2**64},
+    {"task_count": 2**61},
+], ids=["growth", "channels", "qk", "tasks"])
+def test_config_too_large_for_arrays_is_config_error(fields):
+    with pytest.raises(ConfigError, match="too large"):
+        nw.NetworkConfig(**fields).validate()
+
+
+@st.composite
+def small_configs(draw):
+    n = draw(st.integers(1, 3))
+    counts = lambda lo, hi: st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+    return nw.NetworkConfig(
+        input_channels=draw(st.integers(1, 2)), task_count=draw(st.integers(1, 3)),
+        value_classes=draw(st.integers(1, 4)), patch_size=1 << n,
+        growth_rate=draw(st.integers(1, 4)), stem_channels=draw(st.integers(1, 6)),
+        encoder_depths=tuple(draw(counts(0, 3))), encoder_channels=tuple(draw(counts(1, 9))),
+        bottom_depth=draw(st.integers(0, 3)), bottom_channels=draw(st.integers(1, 9)),
+        decoder_depths=tuple(draw(counts(0, 3))), decoder_channels=tuple(draw(counts(1, 9))),
+        qk_channels=draw(st.none() | st.integers(1, 5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=small_configs())
+def test_checkpoint_elements_counts_what_build_allocates(cfg):
+    net = nw.build(cfg, np.random.default_rng(0))
+    params = {k: v.data for k, v in net.named_parameters().items()}
+    for optimizer in (None, {"m": params, "v": params}):
+        held = sum(a.size for _, a in nw.checkpoint_tensors(net, optimizer))
+        assert nw.checkpoint_elements(cfg, optimizer is not None) == held
 
 
 def test_predict_distributions_uniform_for_zero_logits():
@@ -292,11 +330,12 @@ def _rewrite(path, edit):
     raw = path.read_bytes()
     (hlen,) = struct.unpack_from("<Q", raw, 8)
     hbytes = raw[16:16 + hlen]
-    offset, blobs = 16 + hlen, []
+    f, blobs = io.BytesIO(raw), []
+    f.seek(16 + hlen)
     for name in json.loads(hbytes)["tensors"]:
-        _, end = gptt.read_gptt_at(raw, offset)
-        blobs.append((name, raw[offset:end]))
-        offset = end
+        start = f.tell()
+        gptt.read_gptt(f)
+        blobs.append((name, raw[start:f.tell()]))
     hbytes, blobs = edit(hbytes, blobs)
     bad = path.with_name("bad.gptc")
     bad.write_bytes(nw.CHECKPOINT_MAGIC
@@ -342,7 +381,7 @@ def _with_blob(prefix, make):
     def edit(hbytes, blobs):
         i = next(i for i, (name, _) in enumerate(blobs) if name.startswith(prefix))
         name, blob = blobs[i]
-        blobs[i] = (name, gptt.write_gptt_bytes(make(gptt.read_gptt_bytes(blob))))
+        blobs[i] = (name, oracle_gptt_bytes(make(gptt.read_gptt(io.BytesIO(blob)))))
         return hbytes, blobs
     return edit
 
@@ -365,6 +404,7 @@ def _last_blob_overruns(hbytes, blobs):
     _flip_first_header_byte,
     lambda h, b: (b"not json", b),
     lambda h, b: (b"[1, 2]", b),
+    lambda h, b: (b"[" * 100_000, b),
     _without_key("config"),
     _without_key("tensors"),
     _without_tensor("param/"),
@@ -378,15 +418,16 @@ def _last_blob_overruns(hbytes, blobs):
     _last_blob_overruns,
     _with_header(patch_size="16"),
     _with_header(patch_size=12),
+    _with_header(growth_rate=2**64),
     _with_header(step="1"),
     _with_header(rng_state={"bit_generator": "PCG64", "state": {"state": "1", "inc": 3},
                             "has_uint32": 0, "uinteger": 0}),
 ], ids=["header-not-utf8", "header-not-json", "header-not-object",
-        "no-config", "no-tensors", "no-param-tensor", "no-state-tensor",
-        "no-adam-m-tensor", "no-adam-v-tensor", "state-wrong-shape",
+        "header-nested-too-deep", "no-config", "no-tensors", "no-param-tensor",
+        "no-state-tensor", "no-adam-m-tensor", "no-adam-v-tensor", "state-wrong-shape",
         "adam-m-wrong-shape", "extra-tensor-name", "optimizer-without-t",
         "blob-overruns-file", "config-value-wrong-type", "config-invalid",
-        "step-not-int", "rng-state-not-pcg64"])
+        "config-too-large-for-arrays", "step-not-int", "rng-state-not-pcg64"])
 def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, edit):
     path = _saved_with_optimizer(tmp_path)
     assert "optimizer" in nw.load_checkpoint(path)[1]
@@ -396,6 +437,22 @@ def test_corrupt_checkpoint_is_data_error(tmp_path, capsys, edit):
     assert cli.main(["inspect", "--checkpoint", str(bad)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_load_checkpoint_reads_straight_into_the_tensors(tmp_path):
+    net = nw.build(nw.NetworkConfig(), np.random.default_rng(0))
+    params = {k: v.data for k, v in net.named_parameters().items()}
+    path = tmp_path / "net.gptc"
+    nw.save_checkpoint(path, net, optimizer={"t": 1, "m": params, "v": params})
+    del net, params
+    tracemalloc.start()
+    try:
+        loaded, extras = nw.load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert extras["optimizer"]["t"] == 1
+    assert peak <= path.stat().st_size + (4 << 20)
 
 
 def test_default_checkpoint_tensor_names_pinned():
