@@ -177,22 +177,33 @@ def relu(a: Variable) -> Variable:
 # Query blocks hold max(1, ATTENTION_BLOCK_SCORES // n_keys) positions,
 # so block boundaries depend on the key count only, never on the batch.
 ATTENTION_BLOCK_SCORES = 2 ** 22
-# Threads that run the query blocks of a layer with at least two full
-# blocks of scores: every CPU this process may run on. Each block writes
-# its own rows of the result and hands back its key and value gradient
-# parts, which the caller adds in block order, so the bits do not depend
-# on this number.
+# Threads of the one worker pool that runs large products and row passes
+# (attention's query blocks first among them): every CPU this process may
+# run on. Every piece writes its own rows or columns of the result, and
+# parts that must be added are added by the caller in piece order, so the
+# bits do not depend on this number.
 ATTENTION_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
+# Multiply-adds below which split_rows runs its work as one piece on the
+# calling thread: the pool's hand-offs would cost more than a second core
+# saves.
+POOL_MIN_WORK = 2 ** 26
+# Multiply-adds that one element of a pass over an array counts as, in
+# the work of a row pass. On one core of a 2-vCPU Xeon (SkylakeX kernels,
+# OpenBLAS 0.3.31), a float32 add or exp pass took 0.45-1.0 ns per
+# element and the model's BLAS products 0.036-0.064 ns per multiply-add.
+PASS_WORK = 16
+# Work of one piece when split_rows cuts small pieces.
+PIECE_WORK = POOL_MIN_WORK // 4
 
 _pool: ThreadPoolExecutor | None = None
 
 
-def _attention_pool() -> ThreadPoolExecutor:
-    """The block pool, started on first use with ATTENTION_WORKERS threads."""
+def _worker_pool() -> ThreadPoolExecutor:
+    """The pool, started on first use with ATTENTION_WORKERS threads."""
     global _pool
     if _pool is None:
-        _pool = ThreadPoolExecutor(ATTENTION_WORKERS, thread_name_prefix="vstain-attention")
+        _pool = ThreadPoolExecutor(ATTENTION_WORKERS, thread_name_prefix="vstain-pool")
     return _pool
 
 
@@ -219,7 +230,7 @@ def _run_blocks(block_fn, tasks: list, scratch_sets: list):
         for task in tasks:
             yield block_fn(task, scratch_sets[0])
         return
-    pool = _attention_pool()
+    pool = _worker_pool()
     running: deque[Future] = deque()
     try:
         for i, task in enumerate(tasks):
@@ -232,6 +243,49 @@ def _run_blocks(block_fn, tasks: list, scratch_sets: list):
         wait(running)
 
 
+def _pieces(rows: int, work: int, small: bool) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) that split_rows cuts [0, rows) into.
+
+    Small pieces hold about PIECE_WORK each, otherwise there is one per
+    worker; either way the rows are cut evenly, so no piece holds less
+    than half of PIECE_WORK unless it is the only one.
+    """
+    count = min(rows, max(1, work // PIECE_WORK))
+    if not small:
+        count = min(count, ATTENTION_WORKERS)
+    return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
+
+
+def split_rows(piece_fn, rows: int, work: int, scratch=lambda rows: (),
+               small: bool = False) -> None:
+    """Run piece_fn(lo, hi, *scratch) over consecutive ranges covering [0, rows).
+
+    Each piece must write only its own rows (or columns) of the result,
+    so that the result does not depend on how the rows are cut, and must
+    not split work of its own: a piece waiting on the pool could hold
+    the last free worker. `work`
+    counts the multiply-adds of all rows, a pass over an array PASS_WORK
+    per element. Below POOL_MIN_WORK, [0, rows) is one piece on the
+    calling thread. Otherwise the pieces of :func:`_pieces` run on the
+    pool: small ones when each worker needs scratch in proportion to its
+    rows, one per worker otherwise. scratch(n) returns a tuple of arrays
+    for a piece of up to n rows; the calling thread calls it once per
+    worker, so no worker allocates a large temporary.
+
+    A split product's pieces each hold at least PIECE_WORK / 2
+    multiply-adds, which keeps them on OpenBLAS's blocked path, the one
+    whose bits a cut of output rows or columns does not change.
+    """
+    if work < POOL_MIN_WORK:
+        piece_fn(0, rows, *scratch(rows))
+        return
+    pieces = _pieces(rows, work, small)
+    largest = max(hi - lo for lo, hi in pieces)
+    sets = [scratch(largest) for _ in range(min(ATTENTION_WORKERS, len(pieces)))]
+    for _ in _run_blocks(lambda piece, s: piece_fn(*piece, *s), pieces, sets):
+        pass
+
+
 def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     """Global attention V col_softmax(K^T Q) as one tape node.
 
@@ -241,8 +295,9 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     element. Query positions are processed in blocks, and backward
     recomputes each block's weights, so no n_keys x n_queries matrix is
     stored. Layers with at least two full blocks of scores run their
-    blocks on ATTENTION_WORKERS threads; the calling thread allocates one
-    set of block-sized scratch per thread for each pass.
+    blocks on the ATTENTION_WORKERS threads of the pool; the calling
+    thread allocates one set of block-sized scratch per thread for each
+    pass.
     """
     for name, t in (("q", q), ("k", k), ("v", v)):
         if t.data.ndim != 4:

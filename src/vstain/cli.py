@@ -20,10 +20,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="vstain",
         description="Virtual staining with global pixel transformer layers.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="BLAS/OpenMP threads per matrix product, also inside each "
-                             "attention block (default 1, deterministic); attention "
-                             "runs its query blocks on every CPU either way")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset + manifest")
@@ -231,10 +227,12 @@ def cmd_inspect(args) -> int:
 
 
 def main(argv=None) -> int:
+    # One BLAS thread per product, set before numpy loads: vstain splits
+    # large products over its own worker pool, whose results do not
+    # depend on the core count, while BLAS threads would change the bits.
+    for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[key] = "1"
     args = _build_parser().parse_args(argv)
-    if args.threads >= 1:
-        for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[key] = str(args.threads)
 
     from .errors import (ConfigError, DataError, NumericError, ShapeError,
                          VstainError)

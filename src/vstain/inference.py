@@ -15,11 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import autograd as ag
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .multiscale import PatchSpec, extract_multiscale
 # predict_distributions stays importable from here: benchmarks/tracer.py
 # patches inference.predict_distributions by name.
-from .network import (Network, forward, logits, predict_distributions,  # noqa: F401
+from .network import (Network, forward, predict_distributions,  # noqa: F401
                       predict_distributions_inplace)
 
 
@@ -48,17 +48,36 @@ def coverage_map(image_h: int, image_w: int, patch: int, step: int) -> np.ndarra
     return np.outer(counts_y, counts_x)
 
 
-def _window_distributions(net: Network, image: np.ndarray, oy: int,
-                          ox: int) -> np.ndarray:
-    """(patch, patch, T, V) distributions of the window at (oy, ox),
-    computed over the window's logits buffer."""
+def _add_window(net: Network, image: np.ndarray, oy: int, ox: int,
+                acc: np.ndarray) -> None:
+    """Add the (patch, patch, T, V) distributions of the window at (oy, ox)
+    into acc's pixels under it.
+
+    The head, the softmax and the add run in slabs of window rows, each
+    over its own scratch, so the window's logits are never held at once.
+    """
     cfg = net.config
-    patch = cfg.patch_size
+    patch, t, v = cfg.patch_size, cfg.task_count, cfg.value_classes
     inp = extract_multiscale(image, PatchSpec((ox + patch // 2, oy + patch // 2), patch))
     inp = inp.astype(np.float32) / 255.0
     with ag.no_grad():
-        z = logits(net, forward(net, ag.var(inp[None]), mode="eval"))
-    return predict_distributions_inplace(z.data, cfg.task_count, cfg.value_classes)[0]
+        features = forward(net, ag.var(inp[None]), mode="eval").data[0]
+    w = net.head_w.data.reshape(features.shape[-1], t * v)
+    out = acc[oy : oy + patch, ox : ox + patch]
+
+    def slab(lo, hi, scratch):
+        z = scratch[: (hi - lo) * patch * t * v].reshape(1, hi - lo, patch, t * v)
+        np.matmul(features[lo:hi], w, out=z[0])  # the 1x1 head, one row at a time
+        z += net.head_b.data
+        # a NaN or an infinity shows in the max or the min
+        if not (np.isfinite(z.max()) and np.isfinite(z.min())):
+            raise NumericError("head: non-finite logits")
+        out[lo:hi] += predict_distributions_inplace(z, t, v)[0]
+
+    work = patch * patch * w.size
+    ag.split_rows(slab, patch, work,
+                  lambda rows: (np.empty(rows * patch * t * v, np.result_type(features, w)),),
+                  small=True)
 
 
 def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray:
@@ -90,15 +109,19 @@ def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray
     acc = np.zeros((h, w, t, v), dtype=np.float32)
     for oy in offsets_y:
         for ox in offsets_x:
-            # the window's distributions are freed before the next forward
-            acc[oy : oy + patch, ox : ox + patch] += _window_distributions(
-                net, image, oy, ox)
+            _add_window(net, image, oy, ox, acc)
 
     cnt = coverage_map(h, w, patch, step).astype(np.float32)
     if cnt.max() == 1.0:
         # no overlap anywhere: each pixel is one softmax output already
         return acc
-    # merged in place: mean over windows, then renormalised in float64
-    acc /= cnt[:, :, None, None]
-    np.divide(acc, acc.sum(axis=-1, keepdims=True, dtype=np.float64), out=acc)
+
+    def merge(lo, hi, sums):
+        """Mean over windows, then renormalised in float64, in place."""
+        a = acc[lo:hi]
+        a /= cnt[lo:hi, :, None, None]
+        s = sums[: a.size // v].reshape(a.shape[:-1] + (1,))
+        np.divide(a, np.sum(a, axis=-1, keepdims=True, dtype=np.float64, out=s), out=a)
+
+    ag.split_rows(merge, h, acc.size * ag.PASS_WORK, lambda rows: (np.empty(rows * w * t),))
     return acc

@@ -27,6 +27,9 @@ import math
 
 import numpy as np
 
+# autograd owns the worker pool; it imports this module too, and calls
+# into it only after both have loaded
+from . import autograd
 from .errors import NumericError, ShapeError
 
 
@@ -240,26 +243,54 @@ def same_pad_amounts(extent: int, kernel: int, stride: int) -> tuple[int, int, i
     return out, before, total - before
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
-    """Gather kxk patches of a padded (N, Hp, Wp, C) tensor.
+def _same_pad(x: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, int, int]:
+    """(x zero-padded for a "same" kxk convolution, out_h, out_w); x itself
+    when the convolution needs no padding."""
+    out_h, pt, pb = same_pad_amounts(x.shape[1], k, stride)
+    out_w, pl, pr = same_pad_amounts(x.shape[2], k, stride)
+    if pt == pb == pl == pr == 0:
+        return x, out_h, out_w
+    return np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0))), out_h, out_w
 
-    Returns (N, out_h, out_w, k, k, C) views stacked contiguously.
+
+def _im2col(xp: np.ndarray, k: int, stride: int, lo: int, hi: int, out_w: int,
+            out: np.ndarray) -> np.ndarray:
+    """Gather the kxk patches of output rows [lo, hi) of a padded
+    (N, Hp, Wp, C) tensor into the flat buffer `out`.
+
+    Returns them as an (N, hi - lo, out_w, k, k, C) view of `out`.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    # windows: (N, Hp-k+1, Wp-k+1, C, k, k)
-    sub = windows[:, : (out_h - 1) * stride + 1 : stride,
-                  : (out_w - 1) * stride + 1 : stride]
-    return np.ascontiguousarray(sub.transpose(0, 1, 2, 4, 5, 3))
+    band = xp[:, lo * stride : (hi - 1) * stride + k]
+    windows = np.lib.stride_tricks.sliding_window_view(band, (k, k), axis=(1, 2))
+    # windows: (N, rows, Wp-k+1, C, k, k)
+    sub = windows[:, ::stride, : (out_w - 1) * stride + 1 : stride]
+    n, c = xp.shape[0], xp.shape[3]
+    cols = out[: n * (hi - lo) * out_w * k * k * c].reshape(n, hi - lo, out_w, k, k, c)
+    np.copyto(cols, sub.transpose(0, 1, 2, 4, 5, 3))
+    return cols
 
 
 def _col2im(cols: np.ndarray, padded_shape: tuple[int, ...], k: int, stride: int) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: scatter-add patches back onto the padded grid."""
+    """Adjoint of :func:`_im2col`: scatter-add patches back onto the padded grid.
+
+    Pieces of padded rows each add their taps in (i, j) order, so every
+    element receives its addends in the same order however the rows are cut.
+    """
     n, out_h, out_w = cols.shape[:3]
     xg = np.zeros(padded_shape, dtype=cols.dtype)
-    for i in range(k):
-        for j in range(k):
-            xg[:, i : i + (out_h - 1) * stride + 1 : stride,
-               j : j + (out_w - 1) * stride + 1 : stride, :] += cols[:, :, :, i, j, :]
+
+    def piece(lo, hi):
+        for i in range(k):
+            # output rows oy whose tap i lands in [lo, hi): lo <= i + oy*stride < hi
+            first, last = max(0, -((i - lo) // stride)), min(out_h, -((i - hi) // stride))
+            if first >= last:
+                continue
+            rows = slice(i + first * stride, i + (last - 1) * stride + 1, stride)
+            for j in range(k):
+                xg[:, rows, j : j + (out_w - 1) * stride + 1 : stride, :] += \
+                    cols[:, first:last, :, i, j, :]
+
+    autograd.split_rows(piece, padded_shape[1], cols.size * autograd.PASS_WORK)
     return xg
 
 
@@ -280,20 +311,28 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.n
     """2-D convolution with "same" zero padding.
 
     x: (N, H, W, Cin), w: (k, k, Cin, Cout), b: (Cout,).
-    Output: (N, ceil(H/stride), ceil(W/stride), Cout).
+    Output: (N, ceil(H/stride), ceil(W/stride), Cout). Pieces of output
+    rows gather their own patches and run their own per-row products.
     """
     x = check_tensor4(x, "conv2d input")
     w = np.asarray(w)
     b = np.asarray(b)
     _check_conv_args(x, w, b, stride)
     k = w.shape[0]
-    n, h, ww, cin = x.shape
-    out_h, pt, pb = same_pad_amounts(h, k, stride)
-    out_w, pl, pr = same_pad_amounts(ww, k, stride)
-    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    cols = _im2col(xp, k, stride, out_h, out_w)
-    y = cols.reshape(n, out_h, out_w, k * k * cin) @ w.reshape(k * k * cin, -1)
-    y += b
+    n, cin = x.shape[0], x.shape[3]
+    xp, out_h, out_w = _same_pad(x, k, stride)
+    w2 = w.reshape(k * k * cin, -1)
+    y = np.empty((n, out_h, out_w, w2.shape[1]), dtype=np.result_type(x, w2))
+    row = n * out_w * k * k * cin  # patch elements per output row
+
+    def piece(lo, hi, cols):
+        patches = _im2col(xp, k, stride, lo, hi, out_w, cols)
+        np.matmul(patches.reshape(n, hi - lo, out_w, -1), w2, out=y[:, lo:hi])
+        y[:, lo:hi] += b
+
+    work = out_h * row * w2.shape[1]
+    autograd.split_rows(piece, out_h, work, lambda rows: (np.empty(rows * row, xp.dtype),),
+                        small=True)
     return y
 
 
@@ -307,7 +346,11 @@ def _conv2d_input_grad(
     _, pt, pb = same_pad_amounts(in_h, k, stride)
     _, pl, pr = same_pad_amounts(in_w, k, stride)
     padded = (n, in_h + pt + pb, in_w + pl + pr, cin)
-    gcols = grad.reshape(n * out_h * out_w, cout) @ w.reshape(k * k * cin, cout).T
+    m, kkc = n * out_h * out_w, k * k * cin
+    g2, wt = grad.reshape(m, cout), w.reshape(kkc, cout).T
+    gcols = np.empty((m, kkc), dtype=np.result_type(grad, w))
+    autograd.split_rows(lambda lo, hi: np.matmul(g2[lo:hi], wt, out=gcols[lo:hi]),
+                        m, m * kkc * cout)
     gxp = _col2im(gcols.reshape(n, out_h, out_w, k, k, cin), padded, k, stride)
     return gxp[:, pt : pt + in_h, pl : pl + in_w, :]
 
@@ -317,13 +360,17 @@ def _conv2d_weight_grad(
 ) -> np.ndarray:
     """Gradient w.r.t. the (k, k, Cin, Cout) weights of a conv2d of `x`,
     given upstream grad (N, out_h, out_w, Cout) on its output."""
-    n, h, ww, cin = x.shape
-    out_h, pt, pb = same_pad_amounts(h, k, stride)
-    out_w, pl, pr = same_pad_amounts(ww, k, stride)
-    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    cols = _im2col(xp, k, stride, out_h, out_w).reshape(n * out_h * out_w, k * k * cin)
-    cout = grad.shape[3]
-    return (cols.T @ grad.reshape(n * out_h * out_w, cout)).reshape(k, k, cin, cout)
+    n, cin = x.shape[0], x.shape[3]
+    xp, out_h, out_w = _same_pad(x, k, stride)
+    m, kkc = n * out_h * out_w, k * k * cin
+    cols = _im2col(xp, k, stride, 0, out_h, out_w, np.empty(m * kkc, xp.dtype))
+    cols = cols.reshape(m, kkc)
+    g2 = grad.reshape(m, -1)
+    gw = np.empty((kkc, g2.shape[1]), dtype=np.result_type(cols, g2))
+    # each piece holds some rows of cols.T @ g2; the reduction over m stays whole
+    autograd.split_rows(lambda lo, hi: np.matmul(cols[:, lo:hi].T, g2, out=gw[lo:hi]),
+                        kkc, m * kkc * g2.shape[1])
+    return gw.reshape(k, k, cin, -1)
 
 
 def conv2d_backward(

@@ -13,8 +13,9 @@ is channel-concatenated with the matching up-transformer output before
 the decoder dense block. The head emits one value-class distribution
 per task and pixel (no activation; softmax happens downstream).
 :func:`forward` stops at the decoder features; :func:`logits` applies
-the head to every task for prediction, while training fuses the head
-into its loss and evaluates it on the labelled tasks only.
+the head to every task. Prediction fuses the head with the softmax in
+slabs of window rows, and training fuses it into its loss and evaluates
+it on the labelled tasks only.
 
 Checkpoints are single "GPTC" container files: a JSON header (config,
 tensor manifest, optimizer metadata, RNG state) followed by the named
@@ -210,8 +211,21 @@ class Network:
 def build(config: NetworkConfig, rng: np.random.Generator,
           dtype=np.float32) -> Network:
     """Allocate all parameters: He init for conv weights, zero biases,
-    batch-norm scale 1 / shift 0."""
+    batch-norm scale 1 / shift 0.
+
+    A config whose tensors this process cannot allocate is a ConfigError
+    that names the bytes they need.
+    """
     config.validate()
+    try:
+        return _allocate(config, rng, dtype)
+    except MemoryError as exc:
+        need = checkpoint_elements(config) * np.dtype(dtype).itemsize
+        raise ConfigError(f"config: its tensors need {need} bytes, more than this "
+                          "process could allocate") from exc
+
+
+def _allocate(config: NetworkConfig, rng: np.random.Generator, dtype) -> Network:
     k = config.growth_rate
     qk = config.qk_channels
     drop = config.dropout_rate
@@ -350,15 +364,24 @@ def distributions_to_image(probs: np.ndarray, task: int,
     if not 0 <= task < probs.shape[3]:
         raise ShapeError(f"distributions_to_image: task {task} out of range")
     p = probs[:, :, :, task, :]
+    n, h, w, v = p.shape
     if reduction == "argmax":
-        img = p.argmax(axis=-1)
+        img = np.empty((n, h, w), dtype=np.intp)
+
+        def piece(lo, hi):
+            np.argmax(p[:, lo:hi], axis=-1, out=img[:, lo:hi])
+
+        ag.split_rows(piece, h, p.size * ag.PASS_WORK)
     elif reduction == "expectation":
-        classes = np.arange(p.shape[-1], dtype=np.float64)
-        img = np.empty(p.shape[:3], dtype=np.float64)
-        for r in range(p.shape[1]):  # one row at a time: no full-size float64
-            row = p[:, r].astype(np.float64)
-            row *= classes
-            row.sum(axis=-1, out=img[:, r])
+        classes = np.arange(v, dtype=np.float64)
+        img = np.empty((n, h, w), dtype=np.float64)
+
+        def piece(lo, hi, row):  # one row at a time: no full-size float64
+            for r in range(lo, hi):
+                np.multiply(p[:, r], classes, out=row)
+                row.sum(axis=-1, out=img[:, r])
+
+        ag.split_rows(piece, h, p.size * ag.PASS_WORK, lambda _: (np.empty((n, w, v)),))
         img = np.floor(img + 0.5)
     else:
         raise ShapeError(f"distributions_to_image: unknown reduction {reduction!r}")
@@ -522,7 +545,10 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
         if need > held:  # checked before build allocates what the header describes
             raise DataError(f"{path}: header config needs {need} bytes of tensors, "
                             f"the file holds {held} after the header")
-        net = build(config, np.random.default_rng(0))
+        try:
+            net = build(config, np.random.default_rng(0))
+        except ConfigError as exc:
+            raise DataError(f"{path}: header config is invalid ({exc})") from exc
 
         moments = None
         if opt_meta is not None:

@@ -112,35 +112,73 @@ def masked_cross_entropy(
         )
 
     rows, tasks = np.nonzero(mask)
-    wt = head_w.data.reshape(c, t, value_classes)
-    bt = head_b.data.reshape(t, value_classes)
+    labelled, v = rows.size, value_classes
+    wt = head_w.data.reshape(c, t, v)
+    bt = head_b.data.reshape(t, v)
     # (labelled, H, W, V): each slice's logits, then shifted in place
-    za = np.empty((rows.size, h, w, value_classes),
-                  dtype=np.result_type(x, wt, bt))
-    for z, r, k in zip(za, rows, tasks):
-        np.matmul(x[r], wt[:, k], out=z)
-        z += bt[k]
-    if not np.all(np.isfinite(za)):
-        raise NumericError("cross entropy: non-finite logits")
+    za = np.empty((labelled, h, w, v), dtype=np.result_type(x, wt, bt))
+    sez = np.empty((labelled, h, w, 1), dtype=za.dtype)
     ta = targets[rows, :, :, tasks][..., None]
-    za -= za.max(axis=-1, keepdims=True)
-    sez = np.exp(za).sum(axis=-1, keepdims=True)
+    work = labelled * h * w * c * v  # multiply-adds of the head, and of each backward product
+
+    def slice_rows(lo, hi, first_row):
+        """(slice, row range) pairs of the flat rows [lo, hi) of the slices
+        that start at flat rows first_row(i), in slice order."""
+        for i in range(labelled):
+            y0, y1 = max(lo - first_row(i), 0), min(hi - first_row(i), h)
+            if y0 < y1:
+                yield i, slice(y0, y1)
+
+    def forward_piece(lo, hi, scratch):  # flat rows of za as (labelled * H, W, V)
+        for i, ys in slice_rows(lo, hi, lambda i: i * h):
+            z = za[i, ys]
+            np.matmul(x[rows[i], ys], wt[:, tasks[i]], out=z)
+            z += bt[tasks[i]]
+            zmax = z.max(axis=-1, keepdims=True)
+            # a NaN or an infinity shows in the max or the min
+            if not (np.isfinite(zmax).all() and np.isfinite(z.min())):
+                raise NumericError("cross entropy: non-finite logits")
+            z -= zmax
+            e = np.exp(z, out=scratch[: z.size].reshape(z.shape))
+            np.sum(e, axis=-1, keepdims=True, out=sez[i, ys])
+
+    ag.split_rows(forward_piece, labelled * h, work,
+                  lambda n_rows: (np.empty(n_rows * w * v, za.dtype),), small=True)
     count = max(ta.size, 1)
     loss = (np.log(sez) - np.take_along_axis(za, ta, axis=-1)).sum() / count
 
     def bw(g):
-        dz = np.exp(za, out=za)  # the node runs once: za is not read again
-        dz /= sez
-        np.put_along_axis(dz, ta, np.take_along_axis(dz, ta, axis=-1) - 1, axis=-1)
-        dz *= g / count
-        kernels.flush_subnormals(dz)
+        scale = g / count
         gx = np.zeros_like(x)
         gw = np.zeros_like(wt)
-        gb = np.zeros((t, value_classes), dtype=dz.dtype)
-        for d, r, k in zip(dz, rows, tasks):
-            gx[r] += d @ wt[:, k].T
-            gw[:, k] += x[r].reshape(-1, c).T @ d.reshape(-1, value_classes)
-            gb[k] += d.sum(axis=(0, 1))
+        gb = np.zeros((t, v), dtype=za.dtype)
+
+        def input_piece(lo, hi, buf):  # flat rows of gx as (N * H, W, C)
+            for i, ys in slice_rows(lo, hi, lambda i: rows[i] * h):
+                # the slice's logit gradient, over its shifted logits: the
+                # node runs once, so za is not read again as logits
+                dz = za[i, ys]
+                np.exp(dz, out=dz)
+                dz /= sez[i, ys]
+                tz = ta[i, ys]
+                np.put_along_axis(dz, tz, np.take_along_axis(dz, tz, axis=-1) - 1, axis=-1)
+                dz *= scale
+                kernels.flush_subnormals(dz)
+                part = buf[: dz.shape[0] * w * c].reshape(dz.shape[0], w, c)
+                gx[rows[i], ys] += np.matmul(dz, wt[:, tasks[i]].T, out=part)
+
+        ag.split_rows(input_piece, n * h, work,
+                      lambda n_rows: (np.empty(n_rows * w * c, za.dtype),), small=True)
+
+        def weight_piece(lo, hi, buf):  # columns [lo, hi) of every slice's V
+            part = buf[: c * (hi - lo)].reshape(c, hi - lo)
+            for d, r, k in zip(za, rows, tasks):
+                d = d[..., lo:hi]
+                gw[:, k, lo:hi] += np.matmul(x[r].reshape(-1, c).T,
+                                             d.reshape(-1, hi - lo), out=part)
+                gb[k, lo:hi] += d.sum(axis=(0, 1))
+
+        ag.split_rows(weight_piece, v, work, lambda cols: (np.empty(c * cols, za.dtype),))
         ag.accumulate(features, gx)
         ag.accumulate(head_w, gw.reshape(head_w.data.shape))
         ag.accumulate(head_b, gb.reshape(-1))
@@ -214,15 +252,16 @@ def train(
 ) -> TrainResult:
     """Run the loop: sample patches, forward, masked loss, backward, Adam.
 
-    Writes loss.csv plus periodic and final checkpoints under out_dir.
-    A non-finite loss aborts with a diagnostic dump of the offending
+    Writes loss.csv plus periodic and final checkpoints under out_dir,
+    which is created only once the inputs and any resumed checkpoint have
+    been checked; a checkpoint past max_steps is a ConfigError. A
+    non-finite loss aborts with a diagnostic dump of the offending
     batch. Fully reproducible from (manifest, configs, seed); resuming
     from a checkpoint continues the identical stream.
     """
     train_config.validate()
     net_config.validate()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     records = manifest.split("train")
     if not records:
@@ -260,6 +299,10 @@ def train(
         if extras.get("rng_state"):
             loop_rng.bit_generator.state = extras["rng_state"]
         start_step = extras["step"]
+        if start_step > train_config.max_steps:
+            raise ConfigError(f"resume: checkpoint is at step {start_step}, past "
+                              f"max_steps {train_config.max_steps}")
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     patch = net_config.patch_size
     tasks = net_config.task_count

@@ -353,16 +353,15 @@ print("absent")
 """
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_threads_flag_sets_openblas_thread_count(threads, tmp_path):
+def test_vstain_pins_one_openblas_thread_whatever_the_environment(tmp_path):
     if not Path("/proc/self/maps").exists():
         pytest.skip("needs /proc/self/maps to find the loaded OpenBLAS")
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               MKL_NUM_THREADS="2")
     src = str(Path(vstain.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", OPENBLAS_PROBE, "--threads", str(threads), "synth",
+        [sys.executable, "-c", OPENBLAS_PROBE, "synth",
          "--out", str(tmp_path / "data"), "--samples", "1", "--test-samples", "0",
          "--size", "16"],
         env=env, capture_output=True, text=True, timeout=120)
@@ -370,4 +369,97 @@ def test_threads_flag_sets_openblas_thread_count(threads, tmp_path):
     reported = proc.stdout.split()[-1]
     if reported == "absent":
         pytest.skip("no openblas_get_num_threads symbol in the loaded BLAS")
-    assert int(reported) == min(threads, len(os.sched_getaffinity(0)))
+    assert int(reported) == 1
+
+
+def test_threads_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--threads", "2", "synth", "--out", str(tmp_path / "data")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "data").exists()
+
+
+def _resume_run(root):
+    """A tiny-config run of 4 steps, checkpointed at step 4."""
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg["train"].update(max_steps=4, checkpoint_interval=4)
+    cfg_path = root / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    manifest = dio.generate_dataset(root / "data", 2, size=32, seed=1, n_test=0,
+                                    tasks=("nuclei", "viability"))
+    assert cli.main(["train", "--manifest", str(manifest), "--config", str(cfg_path),
+                     "--out", str(root / "run")]) == 0
+    return ["train", "--manifest", str(manifest), "--config", str(cfg_path),
+            "--resume", str(root / "run" / "checkpoint_000004.gptc")]
+
+
+def test_resume_past_max_steps_is_usage_error_and_writes_nothing(tmp_path, capsys):
+    args = _resume_run(tmp_path)
+    capsys.readouterr()
+    code = cli.main(args + ["--steps", "2", "--out", str(tmp_path / "again")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "step 4" in err
+    assert not (tmp_path / "again").exists()
+
+
+def test_resume_at_max_steps_runs_no_step(tmp_path, capsys):
+    args = _resume_run(tmp_path)
+    assert cli.main(args + ["--steps", "4", "--out", str(tmp_path / "again")]) == 0
+    assert "no steps to run" in capsys.readouterr().out
+    assert ((tmp_path / "again" / "checkpoint_000004.gptc").read_bytes()
+            == (tmp_path / "run" / "checkpoint_000004.gptc").read_bytes())
+    assert (tmp_path / "again" / "loss.csv").read_text().splitlines() == ["step,loss,seconds"]
+
+
+# Runs one CLI command in a child whose address space is capped at 1 GiB,
+# and prints its exit code.
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from vstain import cli
+print(cli.main(sys.argv[1:]))
+"""
+
+
+def _capped_cli(args):
+    env = dict(os.environ)
+    src = str(Path(vstain.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", CAPPED_CLI, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    return proc.stdout.split()[-1] if proc.stdout else proc.returncode, proc.stderr
+
+
+def test_config_too_large_for_memory_is_usage_error(one_sample_manifest, tmp_path):
+    from vstain.network import NetworkConfig, checkpoint_elements
+
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"network": {"growth_rate": 1000000}}))
+    code, err = _capped_cli(["train", "--manifest", str(one_sample_manifest),
+                             "--config", str(cfg), "--out", str(tmp_path / "run")])
+    need = 4 * checkpoint_elements(NetworkConfig(growth_rate=1000000))
+    assert code == "2", err[-4000:]
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{need} bytes" in err
+
+
+def test_checkpoint_config_too_large_for_memory_is_data_error(tmp_path):
+    from vstain.network import NetworkConfig, checkpoint_elements
+
+    # a sparse file as large as the header's config needs, so the loader's
+    # size check passes and build meets the 1 GiB cap
+    config = NetworkConfig(qk_channels=30000)
+    header = json.dumps({"format": "gptc", "version": 1, "config": config.to_dict(),
+                         "step": 0, "optimizer": None, "rng_state": None,
+                         "tensors": []}).encode()
+    path = tmp_path / "big.gptc"
+    with path.open("wb") as f:
+        f.write(b"GPTC" + (1).to_bytes(4, "little") + len(header).to_bytes(8, "little"))
+        f.write(header)
+        f.truncate(16 + len(header) + 4 * checkpoint_elements(config))
+    code, err = _capped_cli(["inspect", "--checkpoint", str(path)])
+    assert code == "3", err[-4000:]
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "bytes" in err

@@ -1,0 +1,231 @@
+"""The worker pool that splits large products and row passes.
+
+Every routed product and pass must give the bits of the unsplit one,
+whatever the worker count, on the shapes the default model runs. The
+unsplit reference is the same code with POOL_MIN_WORK out of reach: then
+each call is one piece on the calling thread.
+"""
+
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from vstain import autograd as ag
+from vstain import inference
+from vstain import kernels as K
+from vstain import network as nw
+from vstain.training import masked_cross_entropy
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No pool at the start; the test's pool is shut down after."""
+    monkeypatch.setattr(ag, "_pool", None)
+    yield
+    if ag._pool is not None:
+        ag._pool.shutdown()
+
+
+def outputs(monkeypatch, workers, fn):
+    """fn()'s arrays with `workers` pool threads; workers=None runs unsplit."""
+    if workers is None:
+        monkeypatch.setattr(ag, "POOL_MIN_WORK", 2 ** 62)
+    else:
+        monkeypatch.setattr(ag, "POOL_MIN_WORK", 2 ** 26)
+        monkeypatch.setattr(ag, "ATTENTION_WORKERS", workers)
+    return [np.asarray(a) for a in fn()]
+
+
+def assert_same_bits(monkeypatch, fn, workers=(1, 2, 3, 7)):
+    whole = outputs(monkeypatch, None, fn)
+    for count in workers:
+        for a, b in zip(whole, outputs(monkeypatch, count, fn)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b), f"{count} workers"
+            assert np.array_equal(np.signbit(a), np.signbit(b)), f"{count} workers"
+
+
+def case(seed, *shapes):
+    r = np.random.default_rng(seed)
+    return [r.normal(size=s).astype(np.float32) for s in shapes]
+
+
+# (x, w, stride) of convolutions the default model splits: an enc1 dense
+# layer, the enc1 query generator (stride 2), the dec3 dense block's 1x1
+# output and an enc1 value convolution, whose work is exactly POOL_MIN_WORK
+CONVS = {
+    "enc1-dense-3x3": ((1, 128, 128, 48), (3, 3, 48, 16), 1),
+    "enc1-query-3x3-s2": ((1, 128, 128, 64), (3, 3, 64, 32), 2),
+    "dec3-out-1x1": ((1, 128, 128, 163), (1, 1, 163, 90), 1),
+    "enc1-value-1x1": ((1, 128, 128, 64), (1, 1, 64, 64), 1),
+}
+
+
+@pytest.mark.parametrize("name", CONVS)
+def test_conv_forward_and_backward_bits_do_not_depend_on_the_split(monkeypatch, fresh_pool,
+                                                                   name):
+    xs, ws, stride = CONVS[name]
+    x, w, b = case(1, xs, ws, (ws[3],))
+    n, h, wd = xs[:3]
+    (g,) = case(2, (n, -(-h // stride), -(-wd // stride), ws[3]))
+    work = g.size * ws[0] * ws[1] * ws[2]
+    assert work >= 2 ** 26  # split at the default threshold
+    assert_same_bits(monkeypatch, lambda: [K.conv2d(x, w, b, stride),
+                                           *K.conv2d_backward(x, w, stride, g)])
+    assert ag._pool is not None
+
+
+def test_deconv_forward_and_backward_bits_do_not_depend_on_the_split(monkeypatch, fresh_pool):
+    # dec3's up transformer: 64x64 x 165 channels to a 128x128 query of 82
+    x, w, b, g = case(3, (1, 64, 64, 165), (3, 3, 165, 82), (82,), (1, 128, 128, 82))
+    assert_same_bits(monkeypatch, lambda: [K.deconv2d(x, w, b),
+                                           *K.deconv2d_backward(x, w, g)])
+
+
+def test_masked_loss_bits_do_not_depend_on_the_split(monkeypatch, fresh_pool):
+    # the default head (90 channels to 8 x 256) with 3 of 8 tasks labelled
+    feats, head_w, head_b = case(4, (1, 128, 128, 90), (1, 1, 90, 2048), (2048,))
+    targets = np.random.default_rng(5).integers(0, 256, size=(1, 128, 128, 8))
+    mask = np.zeros((1, 8), bool)
+    mask[0, [0, 3, 6]] = True
+
+    def loss_and_grads():
+        params = [ag.var(a, requires_grad=True) for a in (feats, head_w, head_b)]
+        loss = masked_cross_entropy(*params, targets, mask, 256)
+        ag.backward(loss)
+        return [loss.data] + [p.grad for p in params]
+
+    assert_same_bits(monkeypatch, loss_and_grads)
+
+
+def head_heavy_net():
+    """A narrow model with the default head: 90 decoder channels to 8 x 256."""
+    cfg = nw.NetworkConfig.tiny(patch_size=128, task_count=8, value_classes=256)
+    cfg.decoder_channels = (10, 8, 90)
+    return nw.build(cfg, np.random.default_rng(6))
+
+
+def test_predict_bits_do_not_depend_on_the_split(monkeypatch, fresh_pool):
+    # 128 x 192 at step 64: two windows, so the merge runs too
+    net = head_heavy_net()
+    image = np.random.default_rng(7).uniform(0, 255, size=(128, 192))
+    assert_same_bits(monkeypatch, lambda: [inference.predict_image(net, image, step=64)],
+                     workers=(1, 2))
+
+
+@pytest.mark.parametrize("render", ["argmax", "expectation"])
+def test_render_bits_do_not_depend_on_the_split(monkeypatch, fresh_pool, render):
+    probs = np.random.default_rng(8).random((1, 64, 48, 2, 256)).astype(np.float32)
+    probs /= probs.sum(-1, keepdims=True)
+    whole = outputs(monkeypatch, None, lambda: [nw.distributions_to_image(probs, 1, render)])
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(ag, "ATTENTION_WORKERS", workers)
+        monkeypatch.setattr(ag, "POOL_MIN_WORK", 2 ** 16)  # split this small image
+        assert np.array_equal(whole[0], nw.distributions_to_image(probs, 1, render))
+
+
+def test_split_rows_covers_every_row_once_in_pieces(monkeypatch, fresh_pool):
+    monkeypatch.setattr(ag, "ATTENTION_WORKERS", 3)
+    for small, count, largest in ((False, 3, 34), (True, 5, 20)):
+        seen = np.zeros(100, int)
+        pieces = []
+
+        def piece(lo, hi, buf):
+            assert buf.shape == (largest,) and hi - lo in (largest - 1, largest)
+            seen[lo:hi] += 1
+            pieces.append((lo, hi))
+
+        work = 5 * ag.PIECE_WORK + 7
+        ag.split_rows(piece, 100, work, lambda rows: (np.empty(rows),), small)
+        assert np.all(seen == 1) and len(pieces) == count
+    assert ag._pool is not None
+
+
+def test_tiny_config_forward_leaves_the_pool_unstarted(fresh_pool):
+    cfg = nw.NetworkConfig.tiny()
+    net = nw.build(cfg, np.random.default_rng(0))
+    x = ag.var(np.random.default_rng(1).random((2, 16, 16, 3)).astype(np.float32))
+    with ag.no_grad():
+        nw.logits(net, nw.forward(net, x, mode="eval"))
+    assert ag._pool is None
+
+
+def test_predict_holds_no_window_logits(monkeypatch):
+    """After the window's forward, predict_image holds the output, the
+    window's features and one slab of scratch per worker, never the
+    window's (patch^2, T*V) logits."""
+    net = nw.build(nw.NetworkConfig(), np.random.default_rng(0))
+    cfg = net.config
+    image = np.random.default_rng(9).uniform(0, 255, size=(128, 128))
+    forward = inference.forward
+
+    def forward_then_reset_peak(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        tracemalloc.reset_peak()  # bound what follows the window's forward
+        return out
+
+    monkeypatch.setattr(inference, "forward", forward_then_reset_peak)
+    tracemalloc.start()
+    try:
+        dist = inference.predict_image(net, image, step=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    p, tv = cfg.patch_size, cfg.task_count * cfg.value_classes
+    features = p * p * cfg.decoder_channels[-1] * 4
+    rows = max(hi - lo for lo, hi in
+               ag._pieces(p, p * p * cfg.decoder_channels[-1] * tv, small=True))
+    slab = rows * p * tv * 4
+    workers = min(ag.ATTENTION_WORKERS, p)
+    assert peak <= dist.nbytes + features + workers * slab + (1 << 20)
+
+
+# Runs in a child: pins itself to one CPU when asked, then predicts a
+# 128 x 192 image (two windows and their merge) and takes one training
+# step with the default model, printing one digest of all results.
+DIGEST_CHILD = """
+import hashlib, os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from vstain import autograd as ag, inference, network as nw
+from vstain.training import masked_cross_entropy
+cfg = nw.NetworkConfig()
+net = nw.build(cfg, np.random.default_rng(0))
+r = np.random.default_rng(1)
+h = hashlib.sha256(inference.predict_image(net, r.uniform(0, 255, (128, 192)), 64).tobytes())
+x = ag.var(r.random((1, 128, 128, 3)).astype(np.float32))
+targets = r.integers(0, 256, size=(1, 128, 128, 8))
+mask = np.zeros((1, 8), bool)
+mask[0, [1, 4, 7]] = True
+feats = nw.forward(net, x, mode="train", rng=np.random.default_rng(2))
+loss = masked_cross_entropy(feats, net.head_w, net.head_b, targets, mask, 256)
+ag.backward(loss)
+h.update(loss.data.tobytes())
+for v in net.named_parameters().values():
+    h.update(v.grad.tobytes())
+print(ag.ATTENTION_WORKERS, h.hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_default_model_digests_equal_on_one_cpu_and_on_all():
+    src = str(Path(nw.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = {}
+    for cpus in ("one", "all"):
+        proc = subprocess.run([sys.executable, "-c", DIGEST_CHILD, cpus], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        workers, digest = proc.stdout.split()
+        runs[cpus] = int(workers), digest
+    assert runs["one"][0] == 1 and runs["all"][0] == len(os.sched_getaffinity(0))
+    assert runs["one"][1] == runs["all"][1]

@@ -186,6 +186,23 @@ def test_non_finite_labelled_logits_rejected():
                                 np.array([[False, True]]), 4)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_each_kind_of_non_finite_labelled_logit_rejected(value):
+    # one class of task 1 at every pixel; -inf shows only in a minimum
+    r = np.random.default_rng(23)
+    features = ag.var(r.normal(size=(2, 4, 4, 3)).astype(np.float32))
+    head_w = ag.var(r.normal(size=(1, 1, 3, 2 * 4)).astype(np.float32))
+    head_b = np.zeros(2 * 4, np.float32)
+    head_b[6] = value
+    targets = np.zeros((2, 4, 4, 2), int)
+    loss = tr.masked_cross_entropy(features, head_w, ag.var(head_b), targets,
+                                   np.array([[True, False], [True, False]]), 4)
+    assert np.isfinite(loss.data)
+    with pytest.raises(NumericError, match="non-finite logits"):
+        tr.masked_cross_entropy(features, head_w, ag.var(head_b), targets,
+                                np.array([[True, False], [False, True]]), 4)
+
+
 def test_float32_loss_gradient_has_no_subnormals():
     # logits spanning about +-400: unflushed, exp(z - zmax) / sez and the
     # mean's 1/count put part of the gradient below finfo(float32).tiny
