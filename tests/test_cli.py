@@ -353,11 +353,16 @@ print("absent")
 """
 
 
-def test_vstain_pins_one_openblas_thread_whatever_the_environment(tmp_path):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_threads_flag_sets_openblas_thread_count(threads, tmp_path):
+    """No flag or environment variable sets vstain's BLAS thread count: it is always 1.
+
+    ``threads`` is the count asked for through OPENBLAS/OMP/MKL_NUM_THREADS.
+    """
     if not Path("/proc/self/maps").exists():
         pytest.skip("needs /proc/self/maps to find the loaded OpenBLAS")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
-               MKL_NUM_THREADS="2")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
     src = str(Path(vstain.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
