@@ -143,7 +143,7 @@ def masked_cross_entropy(
             np.sum(e, axis=-1, keepdims=True, out=sez[i, ys])
 
     ag.split_rows(forward_piece, labelled * h, work,
-                  lambda n_rows: (np.empty(n_rows * w * v, za.dtype),), small=True)
+                  lambda n_rows: (np.empty(min(n_rows, h) * w * v, za.dtype),), small=True)
     count = max(ta.size, 1)
     loss = (np.log(sez) - np.take_along_axis(za, ta, axis=-1)).sum() / count
 
@@ -168,7 +168,8 @@ def masked_cross_entropy(
                 gx[rows[i], ys] += np.matmul(dz, wt[:, tasks[i]].T, out=part)
 
         ag.split_rows(input_piece, n * h, work,
-                      lambda n_rows: (np.empty(n_rows * w * c, za.dtype),), small=True)
+                      lambda n_rows: (np.empty(min(n_rows, h) * w * c, za.dtype),),
+                      small=True)
 
         def weight_piece(lo, hi, buf):  # columns [lo, hi) of every slice's V
             part = buf[: c * (hi - lo)].reshape(c, hi - lo)

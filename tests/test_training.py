@@ -1,6 +1,7 @@
 """Masked loss semantics, Adam arithmetic, loop determinism and resume."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,27 @@ def test_loss_tape_keeps_only_labelled_slices():
     held = [cell.cell_contents for cell in loss._backward.__closure__
             if isinstance(cell.cell_contents, np.ndarray)]
     assert held and max(a.size for a in held) < n * h * w * t * v
+
+
+def test_unsplit_loss_forward_keeps_one_slice_of_exp_scratch():
+    # configs/tiny.json's head at batch 4 stays under the pool's threshold,
+    # so the forward runs as one piece; its exp scratch holds one (H, W, V)
+    # slice, not one per labelled slice beside the kept logits
+    n, h, w, c, t, v = 4, 32, 32, 8, 2, 256
+    r = np.random.default_rng(5)
+    features = ag.var(r.normal(size=(n, h, w, c)).astype(np.float32))
+    head_w = ag.var((0.1 * r.normal(size=(1, 1, c, t * v))).astype(np.float32))
+    head_b = ag.var(np.zeros(t * v, np.float32))
+    targets = r.integers(0, v, size=(n, h, w, t))
+    assert n * h * w * c * t * v < ag.POOL_MIN_WORK
+    tracemalloc.start()
+    try:
+        tr.masked_cross_entropy(features, head_w, head_b, targets, np.ones((n, t), bool), v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept_logits, one_slice = n * t * h * w * v * 4, h * w * v * 4
+    assert peak < kept_logits + one_slice + (1 << 20)
 
 
 def test_non_finite_labelled_logits_rejected():
