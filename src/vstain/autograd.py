@@ -248,9 +248,10 @@ def _pieces(rows: int, work: int, small: bool) -> list[tuple[int, int]]:
 
     Small pieces hold about PIECE_WORK each, otherwise there is one per
     worker; either way the rows are cut evenly, so no piece holds less
-    than half of PIECE_WORK unless it is the only one.
+    than half of PIECE_WORK, or fewer than two rows, unless it is the
+    only one.
     """
-    count = min(rows, max(1, work // PIECE_WORK))
+    count = min(max(1, rows // 2), max(1, work // PIECE_WORK))
     if not small:
         count = min(count, ATTENTION_WORKERS)
     return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
@@ -273,8 +274,10 @@ def split_rows(piece_fn, rows: int, work: int, scratch=lambda rows: (),
     worker, so no worker allocates a large temporary.
 
     A split product's pieces each hold at least PIECE_WORK / 2
-    multiply-adds, which keeps them on OpenBLAS's blocked path, the one
-    whose bits a cut of output rows or columns does not change.
+    multiply-adds and at least two rows, which keeps them on OpenBLAS's
+    blocked path, the one whose bits a cut of output rows or columns
+    does not change. A one-row product goes to GEMV instead, whose bits
+    differ from the same row of a larger product.
     """
     if work < POOL_MIN_WORK:
         piece_fn(0, rows, *scratch(rows))
@@ -470,20 +473,23 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable, state: BnState,
 def dropout(x: Variable, rate: float, rng: np.random.Generator) -> Variable:
     """Inverted dropout: zero with probability `rate`, scale the rest by 1/(1-rate).
 
-    The mask is drawn once and captured, so the recorded tape replays
-    deterministically. rate == 0 is the identity.
+    The mask is drawn once and its booleans captured, so the recorded
+    tape replays deterministically. rate == 0 is the identity.
     """
     if not 0.0 <= rate < 1.0:
         raise ShapeError(f"dropout: rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
     keep = (rng.random(x.data.shape) >= rate)
-    mask = keep.astype(x.data.dtype) / (1.0 - rate)
+    dtype = x.data.dtype
+
+    def scaled_mask():  # rebuilt in backward: the tape keeps only the booleans
+        return keep.astype(dtype) / (1.0 - rate)
 
     def bw(g):
-        accumulate(x, g * mask)
+        accumulate(x, g * scaled_mask())
 
-    return make_op(x.data * mask, (x,), bw)
+    return make_op(x.data * scaled_mask(), (x,), bw)
 
 
 # ---------------------------------------------------------------------------

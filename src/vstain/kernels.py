@@ -270,30 +270,6 @@ def _im2col(xp: np.ndarray, k: int, stride: int, lo: int, hi: int, out_w: int,
     return cols
 
 
-def _col2im(cols: np.ndarray, padded_shape: tuple[int, ...], k: int, stride: int) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: scatter-add patches back onto the padded grid.
-
-    Pieces of padded rows each add their taps in (i, j) order, so every
-    element receives its addends in the same order however the rows are cut.
-    """
-    n, out_h, out_w = cols.shape[:3]
-    xg = np.zeros(padded_shape, dtype=cols.dtype)
-
-    def piece(lo, hi):
-        for i in range(k):
-            # output rows oy whose tap i lands in [lo, hi): lo <= i + oy*stride < hi
-            first, last = max(0, -((i - lo) // stride)), min(out_h, -((i - hi) // stride))
-            if first >= last:
-                continue
-            rows = slice(i + first * stride, i + (last - 1) * stride + 1, stride)
-            for j in range(k):
-                xg[:, rows, j : j + (out_w - 1) * stride + 1 : stride, :] += \
-                    cols[:, first:last, :, i, j, :]
-
-    autograd.split_rows(piece, padded_shape[1], cols.size * autograd.PASS_WORK)
-    return xg
-
-
 def _check_conv_args(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> None:
     if w.ndim != 4 or w.shape[0] != w.shape[1]:
         raise ShapeError(f"conv2d: weights must be (k,k,Cin,Cout), got {w.shape}")
@@ -339,37 +315,75 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.n
 def _conv2d_input_grad(
     in_h: int, in_w: int, w: np.ndarray, stride: int, grad: np.ndarray
 ) -> np.ndarray:
-    """Adjoint of conv2d in its input: scatter `grad` back onto an (in_h, in_w) grid."""
+    """Adjoint of conv2d in its input: scatter `grad` back onto an (in_h, in_w) grid.
+
+    Pieces of padded rows each compute the column-gradient rows
+    (grad @ w.T, one row per output position) of the output rows whose
+    taps land in them, and add those taps in (i, j) order, so every
+    element receives its addends in the same order however the rows are
+    cut. Neighbouring pieces compute the rows they share once each.
+    """
     k = w.shape[0]
     cin, cout = w.shape[2], w.shape[3]
     n, out_h, out_w = grad.shape[:3]
     _, pt, pb = same_pad_amounts(in_h, k, stride)
     _, pl, pr = same_pad_amounts(in_w, k, stride)
-    padded = (n, in_h + pt + pb, in_w + pl + pr, cin)
-    m, kkc = n * out_h * out_w, k * k * cin
-    g2, wt = grad.reshape(m, cout), w.reshape(kkc, cout).T
-    gcols = np.empty((m, kkc), dtype=np.result_type(grad, w))
-    autograd.split_rows(lambda lo, hi: np.matmul(g2[lo:hi], wt, out=gcols[lo:hi]),
-                        m, m * kkc * cout)
-    gxp = _col2im(gcols.reshape(n, out_h, out_w, k, k, cin), padded, k, stride)
-    return gxp[:, pt : pt + in_h, pl : pl + in_w, :]
+    kkc = k * k * cin
+    xg = np.zeros((n, in_h + pt + pb, in_w + pl + pr, cin), dtype=np.result_type(grad, w))
+    wt = w.reshape(kkc, cout).T
+    row = n * out_w * kkc  # column-gradient elements per output row
+
+    def piece(lo, hi, buf):
+        # output rows oy with a tap in [lo, hi): lo <= i + oy*stride < hi for some i < k
+        f, l = max(0, -((k - 1 - lo) // stride)), min(out_h, -(-hi // stride))
+        gcols = buf[: (l - f) * row].reshape(n, l - f, out_w, k, k, cin)
+        # one product over every batch element: a copy of grad's rows when n > 1
+        np.matmul(grad[:, f:l].reshape(-1, cout), wt, out=gcols.reshape(-1, kkc))
+        for i in range(k):
+            # output rows oy whose tap i lands in [lo, hi): lo <= i + oy*stride < hi
+            first, last = max(f, -((i - lo) // stride)), min(l, -((i - hi) // stride))
+            if first >= last:
+                continue
+            rows = slice(i + first * stride, i + (last - 1) * stride + 1, stride)
+            for j in range(k):
+                xg[:, rows, j : j + (out_w - 1) * stride + 1 : stride, :] += \
+                    gcols[:, first - f : last - f, :, i, j, :]
+
+    autograd.split_rows(piece, xg.shape[1], n * out_h * out_w * kkc * cout,
+                        lambda rows: (np.empty(min(out_h, (rows + k + stride - 2) // stride)
+                                               * row, xg.dtype),), small=True)
+    return xg[:, pt : pt + in_h, pl : pl + in_w, :]
 
 
 def _conv2d_weight_grad(
     x: np.ndarray, k: int, stride: int, grad: np.ndarray
 ) -> np.ndarray:
     """Gradient w.r.t. the (k, k, Cin, Cout) weights of a conv2d of `x`,
-    given upstream grad (N, out_h, out_w, Cout) on its output."""
+    given upstream grad (N, out_h, out_w, Cout) on its output.
+
+    The gradient is cols.T @ grad, cols being the (N*out_h*out_w,
+    k*k*Cin) im2col of x. Pieces of its rows each gather their own
+    (i, j, channel) columns of cols into scratch; the reduction over
+    output positions stays whole.
+    """
     n, cin = x.shape[0], x.shape[3]
     xp, out_h, out_w = _same_pad(x, k, stride)
     m, kkc = n * out_h * out_w, k * k * cin
-    cols = _im2col(xp, k, stride, 0, out_h, out_w, np.empty(m * kkc, xp.dtype))
-    cols = cols.reshape(m, kkc)
     g2 = grad.reshape(m, -1)
-    gw = np.empty((kkc, g2.shape[1]), dtype=np.result_type(cols, g2))
-    # each piece holds some rows of cols.T @ g2; the reduction over m stays whole
-    autograd.split_rows(lambda lo, hi: np.matmul(cols[:, lo:hi].T, g2, out=gw[lo:hi]),
-                        kkc, m * kkc * g2.shape[1])
+    gw = np.empty((kkc, g2.shape[1]), dtype=np.result_type(xp, g2))
+
+    def piece(lo, hi, buf):
+        cols = buf[: m * (hi - lo)].reshape(n, out_h, out_w, hi - lo)
+        for tap in range(lo // cin, -(-hi // cin)):
+            i, j = divmod(tap, k)
+            c0, c1 = max(lo - tap * cin, 0), min(hi - tap * cin, cin)
+            np.copyto(cols[..., tap * cin + c0 - lo : tap * cin + c1 - lo],
+                      xp[:, i : i + (out_h - 1) * stride + 1 : stride,
+                         j : j + (out_w - 1) * stride + 1 : stride, c0:c1])
+        np.matmul(cols.reshape(m, hi - lo).T, g2, out=gw[lo:hi])
+
+    autograd.split_rows(piece, kkc, m * kkc * g2.shape[1],
+                        lambda rows: (np.empty(m * rows, xp.dtype),), small=True)
     return gw.reshape(k, k, cin, -1)
 
 

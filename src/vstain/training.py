@@ -17,6 +17,7 @@ from any checkpoint replays the remaining steps bit-for-bit.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,8 +51,16 @@ class TrainConfig:
                       reals=("learning_rate", "beta1", "beta2", "eps"))
         if self.batch_size < 1:
             raise ConfigError(f"train config: batch_size {self.batch_size} < 1")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"train config: learning_rate {self.learning_rate} <= 0")
+        # written so that NaN fails each test
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"train config: learning_rate {self.learning_rate} is not "
+                              "a finite number > 0")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"train config: {name} {getattr(self, name)} is not "
+                                  "in [0, 1)")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError(f"train config: eps {self.eps} is not a finite number > 0")
         if self.max_steps < 1 or self.checkpoint_interval < 1:
             raise ConfigError("train config: steps and interval must be >= 1")
 
@@ -85,7 +94,10 @@ def masked_cross_entropy(
     (T * value_classes,); targets: (N, H, W, T) integer classes; mask:
     (N, T) booleans. Each labelled (sample, task) slice's logits are
     computed as x @ w[:, task] + b[task]; the full logits are never
-    formed, and only the labelled slices are kept for the backward.
+    formed. The forward keeps each labelled pixel's max logit, exp-sum
+    and shifted target logit; the backward computes one slice's logits
+    again at a time, by the forward's per-row products, and adds its
+    gradients slice by slice, in slice order.
     Raises NumericError on a non-finite labelled logit. With no active
     cell the loss is an exact +0.0 with zero gradients.
     """
@@ -113,78 +125,86 @@ def masked_cross_entropy(
 
     rows, tasks = np.nonzero(mask)
     labelled, v = rows.size, value_classes
-    wt = head_w.data.reshape(c, t, v)
-    bt = head_b.data.reshape(t, v)
-    # (labelled, H, W, V): each slice's logits, then shifted in place
-    za = np.empty((labelled, h, w, v), dtype=np.result_type(x, wt, bt))
-    sez = np.empty((labelled, h, w, 1), dtype=za.dtype)
-    ta = targets[rows, :, :, tasks][..., None]
+    w_all, b_all = head_w.data, head_b.data  # (1, 1, C, T * V) and (T * V,)
+    dtype = np.result_type(x, w_all, b_all)
+    # per labelled pixel: the max logit, the sum of exps of the shifted
+    # logits, and the shifted target logit; the logits are not kept
+    zmax, sez, zt = (np.empty((labelled, h, w, 1), dtype) for _ in range(3))
     work = labelled * h * w * c * v  # multiply-adds of the head, and of each backward product
 
-    def slice_rows(lo, hi, first_row):
-        """(slice, row range) pairs of the flat rows [lo, hi) of the slices
-        that start at flat rows first_row(i), in slice order."""
+    def slice_rows(lo, hi):
+        """(slice, row range) pairs of the flat rows [lo, hi) of the
+        labelled slices' (labelled * H) image rows, in slice order."""
         for i in range(labelled):
-            y0, y1 = max(lo - first_row(i), 0), min(hi - first_row(i), h)
+            y0, y1 = max(lo - i * h, 0), min(hi - i * h, h)
             if y0 < y1:
                 yield i, slice(y0, y1)
 
-    def forward_piece(lo, hi, scratch):  # flat rows of za as (labelled * H, W, V)
-        for i, ys in slice_rows(lo, hi, lambda i: i * h):
-            z = za[i, ys]
-            np.matmul(x[rows[i], ys], wt[:, tasks[i]], out=z)
-            z += bt[tasks[i]]
-            zmax = z.max(axis=-1, keepdims=True)
+    def target(i, ys):
+        """Slice i's target classes on its image rows ys, as (rows, W, 1)."""
+        return targets[rows[i], ys, :, tasks[i], None]
+
+    def head(i, ys, z):
+        """Slice i's logits on its image rows ys, into z, by per-row products."""
+        np.matmul(x[rows[i], ys], w_all.reshape(c, t, v)[:, tasks[i]], out=z)
+        z += b_all.reshape(t, v)[tasks[i]]
+        return z
+
+    def forward_piece(lo, hi, scratch):
+        for i, ys in slice_rows(lo, hi):
+            z = head(i, ys, scratch[: (ys.stop - ys.start) * w * v].reshape(-1, w, v))
+            np.max(z, axis=-1, keepdims=True, out=zmax[i, ys])
             # a NaN or an infinity shows in the max or the min
-            if not (np.isfinite(zmax).all() and np.isfinite(z.min())):
+            if not (np.isfinite(zmax[i, ys]).all() and np.isfinite(z.min())):
                 raise NumericError("cross entropy: non-finite logits")
-            z -= zmax
-            e = np.exp(z, out=scratch[: z.size].reshape(z.shape))
-            np.sum(e, axis=-1, keepdims=True, out=sez[i, ys])
+            z -= zmax[i, ys]
+            zt[i, ys] = np.take_along_axis(z, target(i, ys), axis=-1)
+            np.sum(np.exp(z, out=z), axis=-1, keepdims=True, out=sez[i, ys])
 
     ag.split_rows(forward_piece, labelled * h, work,
-                  lambda n_rows: (np.empty(min(n_rows, h) * w * v, za.dtype),), small=True)
-    count = max(ta.size, 1)
-    loss = (np.log(sez) - np.take_along_axis(za, ta, axis=-1)).sum() / count
+                  lambda n_rows: (np.empty(min(n_rows, h) * w * v, dtype),), small=True)
+    count = max(zt.size, 1)
+    loss = (np.log(sez) - zt).sum() / count
 
     def bw(g):
         scale = g / count
         gx = np.zeros_like(x)
-        gw = np.zeros_like(wt)
-        gb = np.zeros((t, v), dtype=za.dtype)
+        gw = np.zeros((c, t, v), w_all.dtype)
+        gb = np.zeros((t, v), dtype)
+        dz = np.empty((h, w, v), dtype)  # one slice's logit gradient at a time
+        slice_work = h * w * c * v
+        for i, (r, k) in enumerate(zip(rows, tasks)):
 
-        def input_piece(lo, hi, buf):  # flat rows of gx as (N * H, W, C)
-            for i, ys in slice_rows(lo, hi, lambda i: rows[i] * h):
-                # the slice's logit gradient, over its shifted logits: the
-                # node runs once, so za is not read again as logits
-                dz = za[i, ys]
-                np.exp(dz, out=dz)
-                dz /= sez[i, ys]
-                tz = ta[i, ys]
-                np.put_along_axis(dz, tz, np.take_along_axis(dz, tz, axis=-1) - 1, axis=-1)
-                dz *= scale
-                kernels.flush_subnormals(dz)
-                part = buf[: dz.shape[0] * w * c].reshape(dz.shape[0], w, c)
-                gx[rows[i], ys] += np.matmul(dz, wt[:, tasks[i]].T, out=part)
+            def input_piece(lo, hi, buf):  # image rows of the slice and of gx[r]
+                # the forward's logits and shift again, then their gradient
+                d = head(i, slice(lo, hi), dz[lo:hi])
+                d -= zmax[i, lo:hi]
+                np.exp(d, out=d)
+                d /= sez[i, lo:hi]
+                tz = target(i, slice(lo, hi))
+                np.put_along_axis(d, tz, np.take_along_axis(d, tz, axis=-1) - 1, axis=-1)
+                d *= scale
+                kernels.flush_subnormals(d)
+                part = buf[: (hi - lo) * w * c].reshape(hi - lo, w, c)
+                gx[r, lo:hi] += np.matmul(d, w_all.reshape(c, t, v)[:, k].T, out=part)
 
-        ag.split_rows(input_piece, n * h, work,
-                      lambda n_rows: (np.empty(min(n_rows, h) * w * c, za.dtype),),
-                      small=True)
+            ag.split_rows(input_piece, h, slice_work,
+                          lambda n_rows: (np.empty(n_rows * w * c, dtype),), small=True)
 
-        def weight_piece(lo, hi, buf):  # columns [lo, hi) of every slice's V
-            part = buf[: c * (hi - lo)].reshape(c, hi - lo)
-            for d, r, k in zip(za, rows, tasks):
-                d = d[..., lo:hi]
-                gw[:, k, lo:hi] += np.matmul(x[r].reshape(-1, c).T,
-                                             d.reshape(-1, hi - lo), out=part)
+            def weight_piece(lo, hi, buf):  # columns [lo, hi) of the slice's V
+                d = dz[..., lo:hi]
+                gw[:, k, lo:hi] += np.matmul(x[r].reshape(-1, c).T, d.reshape(-1, hi - lo),
+                                             out=buf[: c * (hi - lo)].reshape(c, hi - lo))
                 gb[k, lo:hi] += d.sum(axis=(0, 1))
 
-        ag.split_rows(weight_piece, v, work, lambda cols: (np.empty(c * cols, za.dtype),))
+            ag.split_rows(weight_piece, v, slice_work,
+                          lambda cols: (np.empty(c * cols, dtype),))
+        del dz  # before accumulate allocates the features' gradient
         ag.accumulate(features, gx)
-        ag.accumulate(head_w, gw.reshape(head_w.data.shape))
+        ag.accumulate(head_w, gw.reshape(w_all.shape))
         ag.accumulate(head_b, gb.reshape(-1))
 
-    return ag.make_op(np.asarray(loss, dtype=za.dtype), (features, head_w, head_b), bw)
+    return ag.make_op(np.asarray(loss, dtype=dtype), (features, head_w, head_b), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Everything here is deliberately written with plain python loops or
 plain numpy and never calls the production kernels, so agreement is
-meaningful.
+meaningful. `closure_arrays` lists what a tape node's backward keeps.
 """
 
 import struct
+import types
 
 import numpy as np
 
@@ -161,3 +162,21 @@ def oracle_gptt_bytes(t):
     t = np.asarray(t)
     return (b"GPTT" + struct.pack("<BB", 1, t.ndim) + struct.pack(f"<{t.ndim}I", *t.shape)
             + np.ascontiguousarray(t, dtype="<f4").tobytes())
+
+
+def closure_arrays(fn):
+    """The arrays a function's closure holds, and those of the functions
+    it holds, recursively (a Variable's .data is not followed)."""
+    found, stack, seen = [], [fn], set()
+    while stack:
+        f = stack.pop()
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        for cell in f.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, np.ndarray):
+                found.append(value)
+            elif isinstance(value, types.FunctionType):
+                stack.append(value)
+    return found

@@ -10,6 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
+from oracles import closure_arrays
 
 from vstain import autograd as ag
 from vstain import kernels as K
@@ -115,6 +116,21 @@ def test_dropout_replay_with_same_seed_is_bitwise():
     a = ag.dropout(x, 0.5, np.random.default_rng(3)).data
     b = ag.dropout(x, 0.5, np.random.default_rng(3)).data
     assert np.array_equal(a, b)
+
+
+def test_dropout_tape_keeps_boolean_mask():
+    # the closure holds the keep-mask as booleans, no float array of x's size
+    shape = (2, 8, 8, 4)
+    x = ag.var(np.random.default_rng(3).normal(size=shape).astype(np.float32),
+               requires_grad=True)
+    y = ag.dropout(x, 0.3, np.random.default_rng(4))
+    held = closure_arrays(y._backward)
+    assert any(a.dtype == bool and a.shape == shape for a in held)
+    assert not any(a.dtype.kind == "f" and a.size >= x.data.size for a in held)
+    # backward rebuilds the forward's scaled mask bit for bit
+    mask = (np.random.default_rng(4).random(shape) >= 0.3).astype(np.float32) / (1.0 - 0.3)
+    ag.backward(ag.dot_sum(y, np.ones(shape, np.float32)))
+    assert np.array_equal(y.data, x.data * mask) and np.array_equal(x.grad, mask)
 
 
 def test_dropout_eval_scale():

@@ -179,6 +179,25 @@ def test_config_value_of_wrong_type_is_usage_error(one_sample_manifest, tmp_path
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("train", [
+    {"beta1": 1.0}, {"beta1": -0.5}, {"beta2": 1.5}, {"learning_rate": float("nan")},
+    {"learning_rate": float("inf")}, {"eps": 0.0}, {"eps": -1.0}, {"eps": float("nan")},
+], ids=["beta1-one", "beta1-negative", "beta2-above-one", "lr-nan", "lr-inf", "eps-zero",
+        "eps-negative", "eps-nan"])
+def test_adam_setting_out_of_range_is_usage_error_and_writes_nothing(one_sample_manifest,
+                                                                     tmp_path, capsys, train):
+    # json writes and reads NaN and Infinity as bare literals
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"network": TINY_CONFIG["network"], "train": train}))
+    code = cli.main(["train", "--manifest", str(one_sample_manifest), "--config", str(cfg),
+                     "--steps", "1", "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert next(iter(train)) in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("field", ["growth_rate", "stem_channels", "qk_channels"])
 def test_config_value_too_large_for_arrays_is_usage_error(one_sample_manifest, tmp_path,
                                                           capsys, field):

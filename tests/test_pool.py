@@ -57,12 +57,16 @@ def case(seed, *shapes):
 
 # (x, w, stride) of convolutions the default model splits: an enc1 dense
 # layer, the enc1 query generator (stride 2), the dec3 dense block's 1x1
-# output and an enc1 value convolution, whose work is exactly POOL_MIN_WORK
+# output, an enc1 value convolution, whose work is exactly POOL_MIN_WORK,
+# and dec3's widest dense layer; and the head's shape, whose weight
+# gradient has rows that each hold more than PIECE_WORK
 CONVS = {
     "enc1-dense-3x3": ((1, 128, 128, 48), (3, 3, 48, 16), 1),
     "enc1-query-3x3-s2": ((1, 128, 128, 64), (3, 3, 64, 32), 2),
     "dec3-out-1x1": ((1, 128, 128, 163), (1, 1, 163, 90), 1),
     "enc1-value-1x1": ((1, 128, 128, 64), (1, 1, 64, 64), 1),
+    "dec3-dense-3x3": ((1, 128, 128, 147), (3, 3, 147, 16), 1),
+    "head-1x1": ((1, 128, 128, 90), (1, 1, 90, 2048), 1),
 }
 
 
@@ -144,6 +148,46 @@ def test_split_rows_covers_every_row_once_in_pieces(monkeypatch, fresh_pool):
         ag.split_rows(piece, 100, work, lambda rows: (np.empty(rows),), small)
         assert np.all(seen == 1) and len(pieces) == count
     assert ag._pool is not None
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 90, 1323])
+@pytest.mark.parametrize("small", [False, True])
+def test_pieces_hold_two_rows_or_more_unless_there_is_one(monkeypatch, rows, small):
+    # a one-row product runs as GEMV, whose bits differ from the blocked
+    # path's; rows of the head's weight gradient each hold 2^25 work
+    monkeypatch.setattr(ag, "ATTENTION_WORKERS", 7)
+    for work in (ag.POOL_MIN_WORK, 128 * 128 * 2048 * rows, 2 ** 40):
+        pieces = ag._pieces(rows, work, small)
+        assert [lo for lo, _ in pieces] == [0] + [hi for _, hi in pieces[:-1]]
+        assert pieces[-1][1] == rows
+        assert len(pieces) == 1 or min(hi - lo for lo, hi in pieces) >= 2
+
+
+def test_conv_backward_holds_no_full_size_im2col():
+    """dec3.db's widest 3x3 convolution: the backward holds its outputs,
+    the padded input and per-worker scratch, never a (N*H*W, 9*Cin)
+    im2col or column gradient."""
+    x, w, g = case(10, (1, 128, 128, 147), (3, 3, 147, 16), (1, 128, 128, 16))
+    n, h, wd, cin = x.shape
+    k, cout = w.shape[0], w.shape[3]
+    m, kkc, work = n * h * wd, k * k * cin, n * h * wd * k * k * cin * cout
+    padded = n * (h + k - 1) * (wd + k - 1) * cin * 4
+    # per piece: the column-gradient rows of its padded rows' taps, and
+    # its own im2col columns
+    grid = ag._pieces(h + k - 1, work, small=True)
+    cols = ag._pieces(kkc, work, small=True)
+    scratch = 4 * max(
+        min(ag.ATTENTION_WORKERS, len(grid)) * (max(hi - lo for lo, hi in grid) + k - 1)
+        * n * wd * kkc,
+        min(ag.ATTENTION_WORKERS, len(cols)) * max(hi - lo for lo, hi in cols) * m)
+    tracemalloc.start()
+    try:
+        grad_x, grad_w, _ = K.conv2d_backward(x, w, 1, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scratch < m * kkc * 4
+    assert peak < grad_x.nbytes + grad_w.nbytes + padded + scratch + (1 << 20)
 
 
 def test_tiny_config_forward_leaves_the_pool_unstarted(fresh_pool):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import oracle_masked_cross_entropy
+from oracles import closure_arrays, oracle_masked_cross_entropy
 
 from vstain import autograd as ag
 from vstain import data_io as dio
@@ -172,6 +172,33 @@ def test_loss_tape_keeps_only_labelled_slices():
     held = [cell.cell_contents for cell in loss._backward.__closure__
             if isinstance(cell.cell_contents, np.ndarray)]
     assert held and max(a.size for a in held) < n * h * w * t * v
+
+
+def test_loss_recomputes_one_slice_of_logits_at_a_time():
+    # 3 labelled 128^2 slices of the default head's width: the tape keeps
+    # per-pixel statistics only, and the backward one slice's logits
+    n, h, w, c, t, v = 1, 128, 128, 90, 3, 256
+    r = np.random.default_rng(41)
+    features = ag.var(r.normal(size=(n, h, w, c)).astype(np.float32), requires_grad=True)
+    head_w = ag.var((0.1 * r.normal(size=(1, 1, c, t * v))).astype(np.float32),
+                    requires_grad=True)
+    head_b = ag.var(np.zeros(t * v, np.float32), requires_grad=True)
+    targets = r.integers(0, v, size=(n, h, w, t))
+    forward = ag._pieces(t * h, t * h * w * c * v, small=True)
+    rows = max(hi - lo for lo, hi in forward)
+    scratch = min(ag.ATTENTION_WORKERS, len(forward)) * rows * w * v * 4
+    tracemalloc.start()
+    try:
+        loss = tr.masked_cross_entropy(features, head_w, head_b, targets,
+                                       np.ones((n, t), bool), v)
+        held = closure_arrays(loss._backward)
+        ag.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held and not any(a.shape[-1] == v for a in held)
+    gx, one_slice = features.data.nbytes, h * w * v * 4
+    assert peak < gx + one_slice + scratch + (1 << 20)
 
 
 def test_unsplit_loss_forward_keeps_one_slice_of_exp_scratch():
