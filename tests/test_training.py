@@ -184,6 +184,7 @@ def test_loss_recomputes_one_slice_of_logits_at_a_time():
                     requires_grad=True)
     head_b = ag.var(np.zeros(t * v, np.float32), requires_grad=True)
     targets = r.integers(0, v, size=(n, h, w, t))
+    # the forward's rows of logits are the largest per-worker scratch
     forward = ag._pieces(t * h, t * h * w * c * v, small=True)
     rows = max(hi - lo for lo, hi in forward)
     scratch = min(ag.ATTENTION_WORKERS, len(forward)) * rows * w * v * 4
