@@ -10,12 +10,15 @@ identical tape bit-for-bit.
 
 A tape is single-owner while it is being recorded; completed gradients
 are plain arrays and safe to share. Gradient recording can be suspended
-with :func:`no_grad` (used by inference to keep memory flat).
+on the calling thread with :func:`no_grad` (used by inference to keep
+memory flat); the switch is per thread, so windows predicted on several
+threads at once leave every other thread's tape recording.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
@@ -27,19 +30,23 @@ from . import kernels
 from .errors import ShapeError, VstainError
 
 
-_grad_enabled = True
+class _ThreadState(threading.local):
+    grad_enabled = True   # tape recording; no_grad switches it off
+    on_pool = False       # set once on each of the pool's worker threads
+
+
+_thread = _ThreadState()
 
 
 @contextmanager
 def no_grad():
-    """Suspend tape recording inside the context."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Suspend tape recording on the calling thread inside the context."""
+    prev = _thread.grad_enabled
+    _thread.grad_enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _thread.grad_enabled = prev
 
 
 class Variable:
@@ -72,7 +79,7 @@ def make_op(data: np.ndarray, parents: tuple[Variable, ...], backward_fn) -> Var
 
     `backward_fn(grad)` must accumulate into each parent via :func:`accumulate`.
     """
-    track = _grad_enabled and any(p.requires_grad for p in parents)
+    track = _thread.grad_enabled and any(p.requires_grad for p in parents)
     out = Variable(data, requires_grad=track)
     if track:
         out._parents = parents
@@ -199,12 +206,24 @@ PIECE_WORK = POOL_MIN_WORK // 4
 _pool: ThreadPoolExecutor | None = None
 
 
+def _mark_pool_thread() -> None:
+    _thread.on_pool = True
+
+
 def _worker_pool() -> ThreadPoolExecutor:
     """The pool, started on first use with ATTENTION_WORKERS threads."""
     global _pool
     if _pool is None:
-        _pool = ThreadPoolExecutor(ATTENTION_WORKERS, thread_name_prefix="vstain-pool")
+        _pool = ThreadPoolExecutor(ATTENTION_WORKERS, thread_name_prefix="vstain-pool",
+                                   initializer=_mark_pool_thread)
     return _pool
+
+
+def _workers() -> int:
+    """Threads that work started here may use: ATTENTION_WORKERS, or one
+    on a pool thread, which runs the pieces of its own work in turn and
+    never waits on the pool, where it could hold the last free worker."""
+    return 1 if _thread.on_pool else ATTENTION_WORKERS
 
 
 def _forget_pool() -> None:
@@ -262,16 +281,16 @@ def split_rows(piece_fn, rows: int, work: int, scratch=lambda rows: (),
     """Run piece_fn(lo, hi, *scratch) over consecutive ranges covering [0, rows).
 
     Each piece must write only its own rows (or columns) of the result,
-    so that the result does not depend on how the rows are cut, and must
-    not split work of its own: a piece waiting on the pool could hold
-    the last free worker. `work`
+    so that the result does not depend on how the rows are cut. `work`
     counts the multiply-adds of all rows, a pass over an array PASS_WORK
     per element. Below POOL_MIN_WORK, [0, rows) is one piece on the
     calling thread. Otherwise the pieces of :func:`_pieces` run on the
     pool: small ones when each worker needs scratch in proportion to its
     rows, one per worker otherwise. scratch(n) returns a tuple of arrays
     for a piece of up to n rows; the calling thread calls it once per
-    worker, so no worker allocates a large temporary.
+    worker, so no worker allocates a large temporary. Called on a pool
+    thread (from a piece, or a window of predict), the same pieces run
+    in turn on that thread with one set of scratch.
 
     A split product's pieces each hold at least PIECE_WORK / 2
     multiply-adds and at least two rows, which keeps them on OpenBLAS's
@@ -284,7 +303,7 @@ def split_rows(piece_fn, rows: int, work: int, scratch=lambda rows: (),
         return
     pieces = _pieces(rows, work, small)
     largest = max(hi - lo for lo, hi in pieces)
-    sets = [scratch(largest) for _ in range(min(ATTENTION_WORKERS, len(pieces)))]
+    sets = [scratch(largest) for _ in range(min(_workers(), len(pieces)))]
     for _ in _run_blocks(lambda piece, s: piece_fn(*piece, *s), pieces, sets):
         pass
 
@@ -298,9 +317,9 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     element. Query positions are processed in blocks, and backward
     recomputes each block's weights, so no n_keys x n_queries matrix is
     stored. Layers with at least two full blocks of scores run their
-    blocks on the ATTENTION_WORKERS threads of the pool; the calling
-    thread allocates one set of block-sized scratch per thread for each
-    pass.
+    blocks on the ATTENTION_WORKERS threads of the pool, unless called on
+    a pool thread; the calling thread allocates one set of block-sized
+    scratch per thread for each pass.
     """
     for name, t in (("q", q), ("k", k), ("v", v)):
         if t.data.ndim != 4:
@@ -328,7 +347,7 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
 
     def scratch_sets(*shapes) -> list:
         """Per worker, one array of each shape, allocated on this thread."""
-        count = min(ATTENTION_WORKERS, len(tasks)) if pooled else 1
+        count = min(_workers(), len(tasks)) if pooled else 1
         return [tuple(np.empty(shape, dtype) for shape in shapes) for _ in range(count)]
 
     def block_weights(b, s, scores, slab):

@@ -8,9 +8,16 @@ on the window, eval-mode forward, per-pixel softmax) and overlapping
 distributions are merged by arithmetic mean, then renormalised. Edge
 windows never invent pixels: only the multi-scale context crops use
 reflection padding.
+
+Models whose windows are large enough run the window forwards one per
+worker of the pool; each window's distributions are added into the
+output on the calling thread, in window order, so the float32 overlap
+sums get their addends in the same order on any number of workers.
 """
 
 from __future__ import annotations
+
+from contextlib import closing
 
 import numpy as np
 
@@ -48,20 +55,34 @@ def coverage_map(image_h: int, image_w: int, patch: int, step: int) -> np.ndarra
     return np.outer(counts_y, counts_x)
 
 
-def _add_window(net: Network, image: np.ndarray, oy: int, ox: int,
+def _window_features(net: Network, image: np.ndarray, oy: int, ox: int) -> np.ndarray:
+    """The eval-mode decoder features (patch, patch, C) of the window at (oy, ox)."""
+    patch = net.config.patch_size
+    inp = extract_multiscale(image, PatchSpec((ox + patch // 2, oy + patch // 2), patch))
+    inp = inp.astype(np.float32) / 255.0
+    with ag.no_grad():
+        return forward(net, ag.var(inp[None]), mode="eval").data[0]
+
+
+def _windows_per_worker(cfg) -> bool:
+    """Whether predict runs its window forwards one per pool worker: when
+    a window's largest attention layer (patch^2 keys by ceil(patch/2)^2
+    queries) holds at least two full blocks of scores, the rule by which
+    attention runs its blocks on the pool."""
+    p = cfg.patch_size
+    return p * p * (-(-p // 2)) ** 2 >= 2 * ag.ATTENTION_BLOCK_SCORES
+
+
+def _add_window(net: Network, features: np.ndarray, oy: int, ox: int,
                 acc: np.ndarray) -> None:
-    """Add the (patch, patch, T, V) distributions of the window at (oy, ox)
-    into acc's pixels under it.
+    """Add the (patch, patch, T, V) distributions of the window at (oy, ox),
+    from its decoder features, into acc's pixels under it.
 
     The head, the softmax and the add run in slabs of window rows, each
     over its own scratch, so the window's logits are never held at once.
     """
     cfg = net.config
     patch, t, v = cfg.patch_size, cfg.task_count, cfg.value_classes
-    inp = extract_multiscale(image, PatchSpec((ox + patch // 2, oy + patch // 2), patch))
-    inp = inp.astype(np.float32) / 255.0
-    with ag.no_grad():
-        features = forward(net, ag.var(inp[None]), mode="eval").data[0]
     w = net.head_w.data.reshape(features.shape[-1], t * v)
     out = acc[oy : oy + patch, ox : ox + patch]
 
@@ -107,9 +128,14 @@ def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray
 
     t, v = cfg.task_count, cfg.value_classes
     acc = np.zeros((h, w, t, v), dtype=np.float32)
-    for oy in offsets_y:
-        for ox in offsets_x:
-            _add_window(net, image, oy, ox, acc)
+    windows = [(oy, ox) for oy in offsets_y for ox in offsets_x]
+    # one empty scratch set per worker: at most that many windows in flight
+    workers = min(ag._workers(), len(windows)) if _windows_per_worker(cfg) else 1
+    features = ag._run_blocks(lambda window, _: _window_features(net, image, *window),
+                              windows, [()] * workers)
+    with closing(features):  # after an error, wait for the windows still running
+        for (oy, ox), window_features in zip(windows, features):
+            _add_window(net, window_features, oy, ox, acc)
 
     cnt = coverage_map(h, w, patch, step).astype(np.float32)
     if cnt.max() == 1.0:

@@ -4,6 +4,7 @@ import inspect
 import os
 import signal
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -147,6 +148,41 @@ def test_no_grad_suppresses_tape():
     with ag.no_grad():
         out = ag.dot_sum(x, np.ones(3))
     assert out._backward is None and not out.requires_grad
+
+
+def test_grad_mode_is_per_thread():
+    # thread a enters no_grad, then b, then a leaves, then b: a flag
+    # shared by all threads would end switched off
+    leaf = ag.var(np.ones(3), requires_grad=True)
+    entered, both_in, a_left = (threading.Barrier(3, timeout=60) for _ in range(3))
+    records = {}
+
+    def a():
+        with ag.no_grad():
+            entered.wait()
+            both_in.wait()
+            records["a"] = ag.relu(leaf).requires_grad
+        a_left.wait()
+
+    def b():
+        entered.wait()
+        with ag.no_grad():
+            both_in.wait()
+            records["b"] = ag.relu(leaf).requires_grad
+            a_left.wait()
+
+    threads = [threading.Thread(target=a), threading.Thread(target=b)]
+    for t in threads:
+        t.start()
+    entered.wait()
+    both_in.wait()
+    records["caller, both inside"] = ag.relu(leaf).requires_grad
+    a_left.wait()
+    for t in threads:
+        t.join()
+    out = ag.relu(leaf)
+    assert out.requires_grad and out._backward is not None
+    assert records == {"a": False, "b": False, "caller, both inside": True}
 
 
 def test_batch_norm_train_updates_running_stats():

@@ -9,6 +9,8 @@ each call is one piece on the calling thread.
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -16,9 +18,10 @@ import numpy as np
 import pytest
 
 from vstain import autograd as ag
-from vstain import inference
+from vstain import cli, data_io, inference
 from vstain import kernels as K
 from vstain import network as nw
+from vstain.errors import NumericError
 from vstain.training import masked_cross_entropy
 
 
@@ -120,6 +123,158 @@ def test_predict_bits_do_not_depend_on_the_split(monkeypatch, fresh_pool):
     image = np.random.default_rng(7).uniform(0, 255, size=(128, 192))
     assert_same_bits(monkeypatch, lambda: [inference.predict_image(net, image, step=64)],
                      workers=(1, 2))
+
+
+def new_pool(monkeypatch, workers):
+    """Shut the pool down, so the next one starts with `workers` threads."""
+    if ag._pool is not None:
+        ag._pool.shutdown()
+    monkeypatch.setattr(ag, "_pool", None)
+    monkeypatch.setattr(ag, "ATTENTION_WORKERS", workers)
+
+
+def record_window_threads(monkeypatch) -> list:
+    """Names of the threads that run predict's window forwards, in call order."""
+    names, forward = [], inference.forward
+
+    def recording_forward(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "forward", recording_forward)
+    return names
+
+
+def test_predict_bits_do_not_depend_on_the_window_workers(monkeypatch, fresh_pool):
+    # 128 x 256 at step 64: three windows of 128^2, whose enc1 attention
+    # holds 2^26 scores, so they run one per worker
+    net = head_heavy_net()
+    assert inference._windows_per_worker(net.config)
+    image = np.random.default_rng(11).uniform(0, 255, size=(128, 256))
+    names = record_window_threads(monkeypatch)
+    results = []
+    for workers in (1, 2, 3):
+        new_pool(monkeypatch, workers)
+        names.clear()
+        results.append(inference.predict_image(net, image, step=64))
+        on_pool = [name.startswith("vstain-pool") for name in names]
+        assert len(names) == 3 and all(on_pool) == (workers > 1) and any(on_pool) == all(on_pool)
+    for other in results[1:]:
+        assert np.array_equal(results[0], other)
+
+
+def test_predict_holds_one_window_forward_per_worker(monkeypatch, fresh_pool):
+    """With windows run one per worker, predict holds the output, at most
+    one window forward per worker and one slab of scratch per worker."""
+    new_pool(monkeypatch, 2)
+    net = nw.build(nw.NetworkConfig(), np.random.default_rng(0))
+    cfg = net.config
+    image = np.random.default_rng(12).uniform(0, 255, size=(128, 256))  # three windows
+    names = record_window_threads(monkeypatch)
+    tracemalloc.start()
+    try:
+        # one window forward on this thread, with every worker's scratch
+        base = tracemalloc.get_traced_memory()[0]
+        inference._window_features(net, image[:, :, None], 0, 0)
+        window = tracemalloc.get_traced_memory()[1] - base
+        names.clear()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        dist = inference.predict_image(net, image, step=64)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(names) == 3 and all(name.startswith("vstain-pool") for name in names)
+    p, tv = cfg.patch_size, cfg.task_count * cfg.value_classes
+    rows = max(hi - lo for lo, hi in
+               ag._pieces(p, p * p * cfg.decoder_channels[-1] * tv, small=True))
+    slab = rows * p * tv * 4
+    assert peak <= dist.nbytes + ag.ATTENTION_WORKERS * (window + slab) + (1 << 20)
+
+
+# Runs in a child, with argv[1] pool threads: a conv forward that splits
+# into pieces, and a pooled attention forward and backward, first in one
+# pool task per thread at once, then on the calling thread with the pool
+# out of reach; prints whether each array's bits are equal.
+NESTED_CHILD = """
+import sys, threading
+import numpy as np
+from vstain import autograd as ag, kernels as K
+ag.ATTENTION_WORKERS = int(sys.argv[1])
+ag.ATTENTION_BLOCK_SCORES = 64 * 16  # 100 queries of 64 keys: seven blocks
+r = np.random.default_rng(0)
+x, w, b = (r.normal(size=s).astype(np.float32) for s in ((1, 128, 128, 48), (3, 3, 48, 16), (16,)))
+q, k, v, probe = (r.normal(size=s) for s in ((1, 10, 10, 4), (1, 8, 8, 4), (1, 8, 8, 3), (1, 10, 10, 3)))
+
+def run():
+    qkv = [ag.var(a, requires_grad=True) for a in (q, k, v)]
+    out = ag.attention(*qkv)
+    ag.backward(ag.dot_sum(out, probe))
+    return [K.conv2d(x, w, b, 1), out.data] + [t.grad for t in qkv]
+
+start = threading.Barrier(ag.ATTENTION_WORKERS)
+
+def run_on_every_worker():
+    start.wait()
+    return run()
+
+tasks = [ag._worker_pool().submit(run_on_every_worker) for _ in range(ag.ATTENTION_WORKERS)]
+nested = [task.result() for task in tasks]
+ag.POOL_MIN_WORK, ag.ATTENTION_WORKERS = 2 ** 62, 1
+whole = run()
+print(*(np.array_equal(a, b) for arrays in nested for a, b in zip(whole, arrays)))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_work_split_inside_a_pool_task_stays_on_its_thread(workers):
+    # while every pool thread runs such a task, a task that waited on
+    # pieces of its own would wait forever
+    src = str(Path(nw.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run([sys.executable, "-c", NESTED_CHILD, str(workers)], env=env,
+                              capture_output=True, text=True, timeout=120)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"work split inside a pool task hung at {workers} workers")
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.stdout.split() == ["True"] * 5 * workers
+
+
+def test_numeric_error_in_a_window_forward_reaches_the_caller(monkeypatch, fresh_pool,
+                                                              tmp_path, capsys):
+    new_pool(monkeypatch, 2)
+    for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(key, "1")  # cli.main sets them
+    net = head_heavy_net()
+    nw.save_checkpoint(tmp_path / "model.gptc", net)
+    image = np.random.default_rng(13).integers(0, 256, size=(128, 256)).astype(np.uint8)
+    data_io.save_pgm(tmp_path / "image.pgm", image)  # three windows at step 64
+    lock, names, running = threading.Lock(), [], [0]
+    forward = inference.forward
+
+    def failing_forward(*args, **kwargs):
+        with lock:
+            names.append(threading.current_thread().name)
+            call = len(names)
+            running[0] += 1
+        try:
+            if call == 2:
+                raise NumericError("window forward: non-finite scores")
+            time.sleep(0.5)  # the other windows are still running when it fails
+            return forward(*args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(inference, "forward", failing_forward)
+    code = cli.main(["predict", "--checkpoint", str(tmp_path / "model.gptc"),
+                     "--image", str(tmp_path / "image.pgm"), "--out", str(tmp_path / "out")])
+    assert code == 4 and running[0] == 0
+    assert "non-finite scores" in capsys.readouterr().err
+    # when the first window fails, the third never starts
+    assert len(names) >= 2 and all(name.startswith("vstain-pool") for name in names)
 
 
 @pytest.mark.parametrize("render", ["argmax", "expectation"])
