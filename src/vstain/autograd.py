@@ -206,6 +206,13 @@ PIECE_WORK = POOL_MIN_WORK // 4
 _pool: ThreadPoolExecutor | None = None
 
 
+def _pooled(n: int, n_queries: int, n_keys: int) -> bool:
+    """Whether attention over n batch elements of n_keys x n_queries
+    scores runs its query blocks on the pool: when it holds at least two
+    full blocks of scores."""
+    return n * n_queries * n_keys >= 2 * ATTENTION_BLOCK_SCORES
+
+
 def _mark_pool_thread() -> None:
     _thread.on_pool = True
 
@@ -340,7 +347,7 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     step = max(1, ATTENTION_BLOCK_SCORES // n_keys)
     tasks = [(b, slice(lo, lo + step)) for b in range(n) for lo in range(0, n_queries, step)]
     dtype = np.result_type(qm, km, vm)
-    pooled = n * n_queries * n_keys >= 2 * ATTENTION_BLOCK_SCORES
+    pooled = _pooled(n, n_queries, n_keys)
     block_size = n_keys * min(step, n_queries)
     slab_size = max(kernels.softmax_scratch_size((n_keys, width))
                     for width in (min(step, n_queries), (n_queries - 1) % step + 1))

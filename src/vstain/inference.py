@@ -9,10 +9,11 @@ distributions are merged by arithmetic mean, then renormalised. Edge
 windows never invent pixels: only the multi-scale context crops use
 reflection padding.
 
-Models whose windows are large enough run the window forwards one per
-worker of the pool; each window's distributions are added into the
-output on the calling thread, in window order, so the float32 overlap
-sums get their addends in the same order on any number of workers.
+Models whose window forwards pool attention blocks run those forwards
+one per worker of the pool; each window's distributions are added into
+the output on the calling thread, in window order, so the float32
+overlap sums get their addends in the same order on any number of
+workers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .multiscale import PatchSpec, extract_multiscale
 # predict_distributions stays importable from here: benchmarks/tracer.py
 # patches inference.predict_distributions by name.
 from .network import (Network, forward, predict_distributions,  # noqa: F401
-                      predict_distributions_inplace)
+                      attention_shapes, predict_distributions_inplace)
 
 
 def window_offsets(extent: int, patch: int, step: int) -> list[int]:
@@ -66,11 +67,10 @@ def _window_features(net: Network, image: np.ndarray, oy: int, ox: int) -> np.nd
 
 def _windows_per_worker(cfg) -> bool:
     """Whether predict runs its window forwards one per pool worker: when
-    a window's largest attention layer (patch^2 keys by ceil(patch/2)^2
-    queries) holds at least two full blocks of scores, the rule by which
-    attention runs its blocks on the pool."""
-    p = cfg.patch_size
-    return p * p * (-(-p // 2)) ** 2 >= 2 * ag.ATTENTION_BLOCK_SCORES
+    an attention layer of one window runs its blocks on the pool. Smaller
+    windows ran no faster on the pool, and each window in flight there
+    holds its forward's memory."""
+    return any(ag._pooled(1, *shape) for shape in attention_shapes(cfg))
 
 
 def _add_window(net: Network, features: np.ndarray, oy: int, ox: int,
@@ -134,8 +134,9 @@ def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray
     features = ag._run_blocks(lambda window, _: _window_features(net, image, *window),
                               windows, [()] * workers)
     with closing(features):  # after an error, wait for the windows still running
-        for (oy, ox), window_features in zip(windows, features):
-            _add_window(net, window_features, oy, ox, acc)
+        for oy, ox in windows:
+            # no name holds a window's features while the next forward runs
+            _add_window(net, next(features), oy, ox, acc)
 
     cnt = coverage_map(h, w, patch, step).astype(np.float32)
     if cnt.max() == 1.0:

@@ -166,6 +166,14 @@ def stage_ledger(config: NetworkConfig) -> list[tuple[str, int, int]]:
     return rows
 
 
+def attention_shapes(config: NetworkConfig) -> list[tuple[int, int]]:
+    """(query positions, key positions) of each transformer layer's
+    attention on one patch, in forward order: each layer attends from the
+    extent of the ledger row before it (its keys) to its own (its queries)."""
+    rows = stage_ledger(config)[:-1]  # stem .. last decoder stage
+    return [(s * s, prev * prev) for (_, prev, _), (_, s, _) in zip(rows, rows[1:])]
+
+
 @dataclass
 class Network:
     config: NetworkConfig

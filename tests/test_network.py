@@ -44,6 +44,26 @@ def test_default_stage_ledger_matches_table():
     assert nw.stage_ledger(nw.NetworkConfig()) == TABLE_ROWS
 
 
+@pytest.mark.parametrize("patch", [16, 32])
+def test_attention_shapes_are_the_forwards(monkeypatch, patch):
+    cfg, net = tiny_net(patch_size=patch)
+    shapes, attention = [], ag.attention
+
+    def recording_attention(q, k, v):
+        shapes.append((q.data.shape[1] * q.data.shape[2], k.data.shape[1] * k.data.shape[2]))
+        return attention(q, k, v)
+
+    monkeypatch.setattr(ag, "attention", recording_attention)
+    x = ag.var(np.random.default_rng(1).random((1, patch, patch, 3)).astype(np.float32))
+    with ag.no_grad():
+        nw.forward(net, x, "eval")
+    assert shapes == nw.attention_shapes(cfg)
+    # the default model's enc1.gdt and dec3.gut: 128^2 keys by 64^2 queries
+    # and 64^2 keys by 128^2 queries
+    default = nw.attention_shapes(nw.NetworkConfig())
+    assert (default[0], default[-1]) == ((64 ** 2, 128 ** 2), (128 ** 2, 64 ** 2))
+
+
 def test_default_build_is_fast_and_consistent():
     import time
     t0 = time.monotonic()

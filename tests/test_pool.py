@@ -163,10 +163,24 @@ def test_predict_bits_do_not_depend_on_the_window_workers(monkeypatch, fresh_poo
         assert np.array_equal(results[0], other)
 
 
-def test_predict_holds_one_window_forward_per_worker(monkeypatch, fresh_pool):
-    """With windows run one per worker, predict holds the output, at most
-    one window forward per worker and one slab of scratch per worker."""
+def test_small_windows_run_on_the_calling_thread(monkeypatch, fresh_pool):
+    # 40 x 48 at step 8: 20 windows of 16^2, whose attention layers each
+    # hold under two blocks of scores; the merge is under POOL_MIN_WORK
     new_pool(monkeypatch, 2)
+    net = nw.build(nw.NetworkConfig.tiny(), np.random.default_rng(0))
+    assert not inference._windows_per_worker(net.config)
+    names = record_window_threads(monkeypatch)
+    inference.predict_image(net, np.random.default_rng(14).uniform(0, 255, (40, 48)), step=8)
+    assert len(names) == 20 and set(names) == {threading.current_thread().name}
+    assert ag._pool is None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_predict_holds_one_window_forward_per_worker(monkeypatch, fresh_pool, workers):
+    """Predict holds the output, at most one window forward per worker
+    and one slab of scratch per worker; on one worker, no window's
+    features outlive its add into the output."""
+    new_pool(monkeypatch, workers)
     net = nw.build(nw.NetworkConfig(), np.random.default_rng(0))
     cfg = net.config
     image = np.random.default_rng(12).uniform(0, 255, size=(128, 256))  # three windows
@@ -184,7 +198,8 @@ def test_predict_holds_one_window_forward_per_worker(monkeypatch, fresh_pool):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert len(names) == 3 and all(name.startswith("vstain-pool") for name in names)
+    assert len(names) == 3
+    assert {name.startswith("vstain-pool") for name in names} == {workers > 1}
     p, tv = cfg.patch_size, cfg.task_count * cfg.value_classes
     rows = max(hi - lo for lo, hi in
                ag._pieces(p, p * p * cfg.decoder_channels[-1] * tv, small=True))
