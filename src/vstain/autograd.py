@@ -3,10 +3,9 @@
 A forward pass builds an implicit tape: every op returns a `Variable`
 whose parents and backward closure record how it was produced. Calling
 :func:`backward` on a scalar result walks that record once in reverse
-topological order, releasing each node as it goes. Stochastic ops
-(dropout) draw their masks from a caller-supplied generator and capture
-them, so re-running a forward pass with the same seed replays the
-identical tape bit-for-bit.
+topological order, releasing each node as it goes. Dropout draws its
+mask from a caller-supplied generator, so re-running a forward pass with
+the same seed replays the identical tape bit-for-bit.
 
 A tape is single-owner while it is being recorded; completed gradients
 are plain arrays and safe to share. Gradient recording can be suspended
@@ -152,7 +151,7 @@ def grad_of(v: Variable) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops
+# scalar probe
 # ---------------------------------------------------------------------------
 
 def dot_sum(a: Variable, weights: np.ndarray) -> Variable:
@@ -165,15 +164,6 @@ def dot_sum(a: Variable, weights: np.ndarray) -> Variable:
         accumulate(a, g * weights)
 
     return make_op((a.data * weights).sum(), (a,), bw)
-
-
-def relu(a: Variable) -> Variable:
-    out = np.maximum(a.data, 0)
-
-    def bw(g):
-        accumulate(a, g * (a.data > 0))
-
-    return make_op(out, (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +448,30 @@ class BnState:
                    var=np.ones(channels, dtype=dtype))
 
 
-def batch_norm(x: Variable, gamma: Variable, beta: Variable, state: BnState,
-               mode: str) -> Variable:
-    """Per-channel batch normalisation over the (N, H, W) axes.
+def bn_relu_dropout(x: Variable, gamma: Variable, beta: Variable, state: BnState,
+                    mode: str, rate: float, rng: np.random.Generator | None) -> Variable:
+    """Batch norm, ReLU and, in train mode, inverted dropout as one tape node.
 
-    Train mode normalises by batch statistics and folds them into the
-    running estimates; eval mode uses the running estimates only.
+    Batch norm is per channel over the (N, H, W) axes: train mode
+    normalises by batch statistics and folds them into the running
+    estimates, eval mode uses the running estimates only. Dropout zeroes
+    each entry with probability `rate`, drawn from `rng` (needed when
+    train mode drops anything), and scales the rest by 1/(1-rate).
+
+    Backward keeps only the output and the per-channel mean and inverse
+    deviation. The output is > 0 exactly where the ReLU passed and the
+    entry was kept, so it is the combined mask; the normalised input is
+    recomputed from x bit for bit.
     """
     if mode not in ("train", "eval"):
-        raise ShapeError(f"batch_norm: invalid mode {mode!r}")
+        raise ShapeError(f"bn_relu_dropout: invalid mode {mode!r}")
+    if not 0.0 <= rate < 1.0:
+        raise ShapeError(f"bn_relu_dropout: rate must be in [0, 1), got {rate}")
+    dropping = mode == "train" and rate > 0.0
+    if dropping and rng is None:
+        raise ShapeError("bn_relu_dropout: train mode with dropout needs an rng")
     axes = (0, 1, 2)
+    dtype = x.data.dtype
     if mode == "train":
         mu = x.data.mean(axis=axes)
         varb = x.data.var(axis=axes)
@@ -476,13 +480,30 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable, state: BnState,
         state.var = (state.momentum * state.var
                      + (1.0 - state.momentum) * varb).astype(state.var.dtype)
     else:
-        mu = state.mean.astype(x.data.dtype)
-        varb = state.var.astype(x.data.dtype)
+        mu = state.mean.astype(dtype)
+        varb = state.var.astype(dtype)
     inv = 1.0 / np.sqrt(varb + state.eps)
-    xhat = (x.data - mu) * inv
-    out = gamma.data * xhat + beta.data
+
+    def normalised():
+        xhat = x.data - mu
+        xhat *= inv
+        return xhat
+
+    out = gamma.data * normalised()
+    out += beta.data
+    out = out.astype(dtype, copy=False)
+    np.maximum(out, 0, out=out)
+    if dropping:
+        out *= (rng.random(out.shape) >= rate).astype(dtype) / (1.0 - rate)
 
     def bw(g):
+        # the +0.0 turns -0.0 into +0.0, as the zeroed gradient buffers
+        # between three separate nodes would
+        g = g * (out > 0)
+        g += 0.0
+        if dropping:
+            g *= np.ones((), dtype) / (1.0 - rate)
+        xhat = normalised()
         accumulate(gamma, (g * xhat).sum(axis=axes))
         accumulate(beta, g.sum(axis=axes))
         gxhat = g * gamma.data
@@ -493,29 +514,7 @@ def batch_norm(x: Variable, gamma: Variable, beta: Variable, state: BnState,
         else:
             accumulate(x, gxhat * inv)
 
-    return make_op(out.astype(x.data.dtype, copy=False), (x, gamma, beta), bw)
-
-
-def dropout(x: Variable, rate: float, rng: np.random.Generator) -> Variable:
-    """Inverted dropout: zero with probability `rate`, scale the rest by 1/(1-rate).
-
-    The mask is drawn once and its booleans captured, so the recorded
-    tape replays deterministically. rate == 0 is the identity.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ShapeError(f"dropout: rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return x
-    keep = (rng.random(x.data.shape) >= rate)
-    dtype = x.data.dtype
-
-    def scaled_mask():  # rebuilt in backward: the tape keeps only the booleans
-        return keep.astype(dtype) / (1.0 - rate)
-
-    def bw(g):
-        accumulate(x, g * scaled_mask())
-
-    return make_op(x.data * scaled_mask(), (x,), bw)
+    return make_op(out, (x, gamma, beta), bw)
 
 
 # ---------------------------------------------------------------------------

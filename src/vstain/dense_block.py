@@ -2,7 +2,8 @@
 
 Every layer maps the concatenation of the block input and all previous
 layer outputs through conv(3x3, same, stride 1) -> batch norm -> ReLU ->
-dropout, producing `growth` new feature maps, so layer l sees
+dropout, the last three one tape node (:func:`autograd.bn_relu_dropout`),
+producing `growth` new feature maps, so layer l sees
 c0 + (l-1)*growth channels. A trailing 1x1 convolution (no norm, no
 activation) adjusts the concatenated c0 + L*growth maps to the requested
 output count. Spatial extents never change. Dropout is active in train
@@ -103,15 +104,10 @@ def dense_forward(
             f"dense block: input has {x.data.shape[3]} channels, "
             f"expected {params.in_channels}"
         )
-    use_dropout = mode == "train" and params.dropout_rate > 0
-    if use_dropout and rng is None:
-        raise ShapeError("dense_forward: train mode with dropout needs an rng")
     feats = x
     for layer in params.layers:
         h = ag.conv2d(feats, layer.conv_w, layer.conv_b, stride=1)
-        h = ag.batch_norm(h, layer.bn_gamma, layer.bn_beta, layer.bn_state, mode)
-        h = ag.relu(h)
-        if use_dropout:
-            h = ag.dropout(h, params.dropout_rate, rng)
+        h = ag.bn_relu_dropout(h, layer.bn_gamma, layer.bn_beta, layer.bn_state, mode,
+                               params.dropout_rate, rng)
         feats = ag.concat_channels([feats, h])
     return ag.conv2d(feats, params.out_w, params.out_b, stride=1)

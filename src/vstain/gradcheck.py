@@ -100,27 +100,28 @@ def run_suite(seed: int = 0) -> list[CheckRow]:
     check("concat", lambda v: ag.dot_sum(ag.concat_channels([v, ag.var(other)]), p),
           rng.normal(size=(1, 3, 3, 3)))
 
-    # relu (inputs kept away from the kink)
-    p = rng.normal(size=(4, 4))
-    check("relu", lambda v: ag.dot_sum(ag.relu(v), p), _away_from_kinks(rng, (4, 4)))
+    # likewise 230 normals here
+    rng.normal(size=230)
 
-    # batch norm, train and eval modes
-    gamma = ag.var(rng.normal(size=3) + 1.5, requires_grad=True)
-    beta = ag.var(rng.normal(size=3), requires_grad=True)
-    xb = rng.normal(size=(2, 4, 4, 3))
-    p = rng.normal(size=(2, 4, 4, 3))
+    # batch norm, ReLU and dropout (pinned mask) as one node, on its own
+    # generator; x is +-a per channel with |a| >= 0.1 and |beta| < 0.01,
+    # so every batch-norm output stays clear of the ReLU's kink
+    rf = np.random.default_rng([seed, 3])
+    a = _away_from_kinks(rf, (1, 4, 4, 3), margin=0.1)
+    xb = np.concatenate([a, -a])
+    gamma, beta = 1.0 + np.abs(rf.normal(size=3)), 0.01 * np.tanh(rf.normal(size=3))
+    p = rf.normal(size=(2, 4, 4, 3))
+
+    def fused(x, g, b, mode="train"):
+        y = ag.bn_relu_dropout(x, g, b, ag.BnState.create(3, np.float64), mode, 0.5,
+                               np.random.default_rng(11))
+        return ag.dot_sum(y, p)
+
     for mode in ("train", "eval"):
-        check(f"batch_norm/{mode}/input",
-              lambda v, m=mode: ag.dot_sum(
-                  ag.batch_norm(v, gamma, beta, ag.BnState.create(3, np.float64), m), p),
-              xb)
-    check("batch_norm/gamma",
-          lambda v: ag.dot_sum(
-              ag.batch_norm(ag.var(xb), v, beta, ag.BnState.create(3, np.float64), "train"), p),
-          np.array(gamma.data))
-
-    # dropout with a pinned mask
-    check("dropout", lambda v: ag.dot_sum(ag.dropout(v, 0.5, np.random.default_rng(11)), p), xb)
+        check(f"bn_relu_dropout/{mode}/input",
+              lambda v, m=mode: fused(v, ag.var(gamma), ag.var(beta), m), xb)
+    check("bn_relu_dropout/gamma", lambda v: fused(ag.var(xb), v, ag.var(beta)), gamma)
+    check("bn_relu_dropout/beta", lambda v: fused(ag.var(xb), ag.var(gamma), v), beta)
 
     # the head fused into the masked loss: features, head weight and bias;
     # the head has its own generator, so no other check's inputs move

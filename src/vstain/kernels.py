@@ -140,11 +140,6 @@ def _softmax_shifted(x: np.ndarray, cut_tail: bool, scratch: np.ndarray) -> np.n
     return x
 
 
-def _cut_softmax(out: np.ndarray) -> np.ndarray:
-    """Column softmax of shifted scores, in place, computing no subnormal."""
-    return _softmax_shifted(out, True, np.empty(softmax_scratch_size(out.shape), out.dtype))
-
-
 def col_softmax_inplace(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """:func:`col_softmax` of a float array, written over it; returns x.
 
@@ -189,14 +184,16 @@ def col_softmax(m: np.ndarray) -> np.ndarray:
 
 def col_softmax_backward_inplace(out: np.ndarray, grad: np.ndarray,
                                  scratch: np.ndarray) -> np.ndarray:
-    """:func:`col_softmax_backward` written over `grad`; returns grad.
+    """Gradient of col_softmax w.r.t. its input, given its output `out`
+    and the upstream `grad`, written over `grad`; returns grad.
 
-    `grad` has out's shape and dtype; `scratch` is as for
-    :func:`col_softmax_inplace`. The column sum of grad * out is built
-    slab by slab: numpy sums axis -2 row by row, so summing each slab's
-    products below the running sum, kept in the slab scratch's first
-    row, adds the same numbers in the same order as one sum over all
-    rows.
+    Results with magnitude below the dtype's smallest normal number are
+    flushed to zero, as in the forward. `grad` has out's shape and dtype;
+    `scratch` is as for :func:`col_softmax_inplace`. The column sum of
+    grad * out is built slab by slab: numpy sums axis -2 row by row, so
+    summing each slab's products below the running sum, kept in the slab
+    scratch's first row, adds the same numbers in the same order as one
+    sum over all rows.
     """
     slabs = _row_slabs(out.shape)
     inner = None
@@ -215,17 +212,6 @@ def col_softmax_backward_inplace(out: np.ndarray, grad: np.ndarray,
         gs *= out[s]
         flush_subnormals(gs)  # keeps +0.0 for negative subnormals
     return grad
-
-
-def col_softmax_backward(out: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Gradient of col_softmax w.r.t. its input, given output and upstream grad.
-
-    Results with magnitude below the dtype's smallest normal number are
-    flushed to zero, as in the forward.
-    """
-    grad = np.array(grad, dtype=np.result_type(out, grad))
-    return col_softmax_backward_inplace(
-        out, grad, np.empty(softmax_scratch_size(out.shape), grad.dtype))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,9 @@ resolutions and the first dense block's output at full resolution; each
 is channel-concatenated with the matching up-transformer output before
 the decoder dense block. The head emits one value-class distribution
 per task and pixel (no activation; softmax happens downstream).
-:func:`forward` stops at the decoder features; :func:`logits` applies
-the head to every task. Prediction fuses the head with the softmax in
-slabs of window rows, and training fuses it into its loss and evaluates
-it on the labelled tasks only.
+:func:`forward` stops at the decoder features. Prediction fuses the
+head with the softmax in slabs of window rows, and training fuses it
+into its loss and evaluates it on the labelled tasks only.
 
 Checkpoints are single "GPTC" container files: a JSON header (config,
 tensor manifest, optimizer metadata, RNG state) followed by the named
@@ -38,8 +37,7 @@ from . import gptt
 from .autograd import BnState, Variable
 from .kernels import he_init
 from .dense_block import DenseBlockParams, dense_forward, make_dense_block
-from .errors import (ConfigError, DataError, NumericError, ShapeError,
-                     require_types)
+from .errors import ConfigError, DataError, ShapeError, require_types
 from .gpt_layer import (GptLayerParams, GptVariant, default_value_channels,
                         gpt_forward, make_gpt_layer)
 
@@ -297,7 +295,7 @@ def _check_ledger(net: Network) -> None:
 def forward(net: Network, x: Variable, mode: str = "eval",
             rng: np.random.Generator | None = None) -> Variable:
     """Decoder features (N, patch, patch, decoder_channels[-1]) for a patch
-    batch: the input of the 1x1 head (:func:`logits`)."""
+    batch: the input of the 1x1 head."""
     cfg = net.config
     n, h, w, c = x.data.shape
     if (h, w) != (cfg.patch_size, cfg.patch_size):
@@ -328,16 +326,6 @@ def forward(net: Network, x: Variable, mode: str = "eval",
         skip = gdt_outs[stages - 2 - i] if i < stages - 1 else skip_full
         h_ = dense_forward(ag.concat_channels([u, skip]), db, mode, rng)
     return h_
-
-
-def logits(net: Network, features: Variable) -> Variable:
-    """Every task's logits (N, H, W, task_count * value_classes) from the
-    decoder features; raises NumericError if any is non-finite."""
-    out = ag.conv2d(features, net.head_w, net.head_b, stride=1)
-    # a NaN or an infinity shows in the max or the min
-    if not (np.isfinite(out.data.max()) and np.isfinite(out.data.min())):
-        raise NumericError("head: non-finite logits")
-    return out
 
 
 def predict_distributions_inplace(logits: np.ndarray, task_count: int,

@@ -3,6 +3,8 @@
 Everything here is deliberately written with plain python loops or
 plain numpy and never calls the production kernels, so agreement is
 meaningful. `closure_arrays` lists what a tape node's backward keeps.
+The batch norm, ReLU and dropout tape ops are the separate nodes that
+`autograd.bn_relu_dropout` fuses, kept as its reference chain.
 """
 
 import struct
@@ -10,6 +12,7 @@ import types
 
 import numpy as np
 
+from vstain import autograd as ag
 from vstain.gpt_layer import GptVariant
 
 
@@ -97,6 +100,14 @@ def oracle_gpt_layer(x, params):
     return out
 
 
+def oracle_logits(net, features):
+    """Every task's logits (N, H, W, task_count * value_classes): the
+    decoder features (an array) times the 1x1 head's weight matrix, plus
+    its bias."""
+    w = net.head_w.data
+    return features @ w.reshape(w.shape[2], w.shape[3]) + net.head_b.data
+
+
 def oracle_mirror_pad(t, top, bottom, left, right):
     """Reflection padding of (N, H, W, C) without repeating the border pixel."""
     return np.pad(t, ((0, 0), (top, bottom), (left, right), (0, 0)), mode="reflect")
@@ -180,3 +191,60 @@ def closure_arrays(fn):
             elif isinstance(value, types.FunctionType):
                 stack.append(value)
     return found
+
+
+def oracle_batch_norm(x, gamma, beta, state, mode):
+    """Per-channel batch norm over (N, H, W) as its own tape node; updates
+    the running statistics in train mode."""
+    axes = (0, 1, 2)
+    if mode == "train":
+        mu = x.data.mean(axis=axes)
+        varb = x.data.var(axis=axes)
+        state.mean = (state.momentum * state.mean
+                      + (1.0 - state.momentum) * mu).astype(state.mean.dtype)
+        state.var = (state.momentum * state.var
+                     + (1.0 - state.momentum) * varb).astype(state.var.dtype)
+    else:
+        mu = state.mean.astype(x.data.dtype)
+        varb = state.var.astype(x.data.dtype)
+    inv = 1.0 / np.sqrt(varb + state.eps)
+    xhat = (x.data - mu) * inv
+    out = gamma.data * xhat + beta.data
+
+    def bw(g):
+        ag.accumulate(gamma, (g * xhat).sum(axis=axes))
+        ag.accumulate(beta, g.sum(axis=axes))
+        gxhat = g * gamma.data
+        if mode == "train":
+            gx = (gxhat - gxhat.mean(axis=axes)
+                  - xhat * (gxhat * xhat).mean(axis=axes)) * inv
+            ag.accumulate(x, gx)
+        else:
+            ag.accumulate(x, gxhat * inv)
+
+    return ag.make_op(out.astype(x.data.dtype, copy=False), (x, gamma, beta), bw)
+
+
+def oracle_relu(a):
+    def bw(g):
+        ag.accumulate(a, g * (a.data > 0))
+
+    return ag.make_op(np.maximum(a.data, 0), (a,), bw)
+
+
+def oracle_dropout(x, rate, rng):
+    """Inverted dropout as its own tape node; rate 0 is the identity."""
+    if rate == 0.0:
+        return x
+    mask = (rng.random(x.data.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
+
+    def bw(g):
+        ag.accumulate(x, g * mask)
+
+    return ag.make_op(x.data * mask, (x,), bw)
+
+
+def oracle_bn_relu_dropout(x, gamma, beta, state, mode, rate, rng):
+    """The unfused chain: batch norm, ReLU, then dropout in train mode."""
+    h = oracle_relu(oracle_batch_norm(x, gamma, beta, state, mode))
+    return oracle_dropout(h, rate, rng) if mode == "train" else h

@@ -11,7 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
-from oracles import closure_arrays
+from oracles import closure_arrays, oracle_bn_relu_dropout
 
 from vstain import autograd as ag
 from vstain import kernels as K
@@ -51,14 +51,14 @@ def test_finite_diff_dead_coordinate():
 
 
 def test_non_scalar_loss_rejected():
-    x = ag.var(np.zeros((2, 2)), requires_grad=True)
+    x = ag.var(np.zeros((1, 2, 2, 1)), requires_grad=True)
     with pytest.raises(ShapeError):
-        ag.backward(ag.relu(x))
+        ag.backward(ag.concat_channels([x, x]))
 
 
 def test_graph_consumed_once():
     x = ag.var(np.ones(3), requires_grad=True)
-    loss = ag.dot_sum(ag.relu(x), np.ones(3))
+    loss = ag.dot_sum(x, np.ones(3))
     ag.backward(loss)
     with pytest.raises(VstainError):
         ag.backward(loss)
@@ -112,35 +112,99 @@ def test_backward_releases_every_interior_node():
     assert features.data.shape == (2, p, p, cfg.decoder_channels[-1])
 
 
+def fused_layer(x, mode="train", rate=0.5, seed=4, state=None, gamma=1.0, beta=0.0):
+    """bn_relu_dropout on leaves; returns (output, x, gamma, beta)."""
+    c = x.shape[3]
+    xv = ag.var(x, requires_grad=True)
+    gv = ag.var(np.full(c, gamma, x.dtype), requires_grad=True)
+    bv = ag.var(np.full(c, beta, x.dtype), requires_grad=True)
+    state = state or ag.BnState.create(c, x.dtype)
+    return (ag.bn_relu_dropout(xv, gv, bv, state, mode, rate, np.random.default_rng(seed)),
+            xv, gv, bv)
+
+
 def test_dropout_replay_with_same_seed_is_bitwise():
-    x = ag.var(rng.normal(size=(4, 4)).astype(np.float32))
-    a = ag.dropout(x, 0.5, np.random.default_rng(3)).data
-    b = ag.dropout(x, 0.5, np.random.default_rng(3)).data
+    x = rng.normal(size=(1, 4, 4, 2)).astype(np.float32)
+    a = fused_layer(x, seed=3)[0].data
+    b = fused_layer(x, seed=3)[0].data
     assert np.array_equal(a, b)
 
 
-def test_dropout_tape_keeps_boolean_mask():
-    # the closure holds the keep-mask as booleans, no float array of x's size
+def test_bn_relu_dropout_tape_keeps_no_activation_sized_array():
+    # backward keeps the output and per-channel statistics, never the
+    # normalised input, the batch-norm or ReLU output or the keep-mask
     shape = (2, 8, 8, 4)
-    x = ag.var(np.random.default_rng(3).normal(size=shape).astype(np.float32),
-               requires_grad=True)
-    y = ag.dropout(x, 0.3, np.random.default_rng(4))
+    x = np.random.default_rng(3).normal(size=shape).astype(np.float32)
+    y = fused_layer(x, rate=0.3)[0]
     held = closure_arrays(y._backward)
-    assert any(a.dtype == bool and a.shape == shape for a in held)
-    assert not any(a.dtype.kind == "f" and a.size >= x.data.size for a in held)
-    # backward rebuilds the forward's scaled mask bit for bit
-    mask = (np.random.default_rng(4).random(shape) >= 0.3).astype(np.float32) / (1.0 - 0.3)
-    ag.backward(ag.dot_sum(y, np.ones(shape, np.float32)))
-    assert np.array_equal(y.data, x.data * mask) and np.array_equal(x.grad, mask)
+    assert any(a is y.data for a in held)
+    assert all(a is y.data or a.size <= shape[3] for a in held)
 
 
 def test_dropout_eval_scale():
-    # inverted dropout: kept entries scale by 1 / (1 - rate)
-    x = ag.var(np.ones((1000,)))
-    out = ag.dropout(x, 0.5, np.random.default_rng(5)).data
-    kept = out[out != 0]
-    assert np.allclose(kept, 2.0)
-    assert 300 < kept.size < 700
+    # inverted dropout: kept entries scale by 1 / (1 - rate), exactly
+    x = np.random.default_rng(6).normal(size=(1, 10, 100, 1))
+    plain = fused_layer(x, rate=0.0, beta=5.0)[0].data
+    out = fused_layer(x, rate=0.5, beta=5.0, seed=5)[0].data
+    kept = out != 0
+    assert np.all(plain > 0) and np.array_equal(out[kept], 2.0 * plain[kept])
+    assert 300 < np.count_nonzero(kept) < 700
+
+
+def upstream(y, g):
+    """A scalar node whose backward hands y exactly g, signed zeros included
+    (accumulate's zeroed buffer would turn -0.0 into +0.0)."""
+    def bw(_):
+        y.grad = g.copy()
+
+    return ag.make_op(np.zeros((), y.data.dtype), (y,), bw)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.0, 0.5, 0.3])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_bn_relu_dropout_matches_the_unfused_chain_bitwise(mode, rate, dtype):
+    r = np.random.default_rng(8)
+    shape = (2, 5, 6, 3)
+    x = (r.normal(size=shape) * 2 + 0.3).astype(dtype)
+    gamma = (r.normal(size=3) + 1.0).astype(dtype)
+    beta = r.normal(size=3).astype(dtype)
+    # the upstream gradient holds -0.0 and +0.0, and negatives where the mask cuts
+    g = r.normal(size=shape).astype(dtype)
+    g[r.random(shape) < 0.2] = -0.0
+    g[r.random(shape) < 0.1] = 0.0
+    results = []
+    for op in (ag.bn_relu_dropout, oracle_bn_relu_dropout):
+        state = ag.BnState(mean=np.full(3, 0.2, dtype), var=np.full(3, 1.7, dtype))
+        leaves = [ag.var(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+        draws = np.random.default_rng(11)
+        y = op(*leaves, state, mode, rate, draws)
+        ag.backward(upstream(y, g))
+        results.append([y.data, *(v.grad for v in leaves), state.mean, state.var,
+                        draws.random(2)])
+    fused, chain = results
+    assert np.count_nonzero(fused[0] == 0) and np.count_nonzero(fused[0] > 0)
+    assert np.signbit(chain[1]).any() and not np.signbit(chain[1][chain[1] == 0]).any()
+    for a, b in zip(fused, chain):
+        assert_same_bits(a, b)
+
+
+def test_bn_relu_dropout_rejects_bad_arguments():
+    x = np.zeros((1, 2, 2, 1), np.float32)
+    with pytest.raises(ShapeError, match="mode"):
+        fused_layer(x, mode="predict")
+    with pytest.raises(ShapeError, match="rate"):
+        fused_layer(x, rate=1.0)
+    c = ag.var(np.ones(1, np.float32))
+    with pytest.raises(ShapeError, match="rng"):
+        ag.bn_relu_dropout(ag.var(x), c, c, ag.BnState.create(1), "train", 0.5, None)
+    # eval mode drops nothing, so it needs no generator
+    ag.bn_relu_dropout(ag.var(x), c, c, ag.BnState.create(1), "eval", 0.5, None)
 
 
 def test_no_grad_suppresses_tape():
@@ -161,14 +225,14 @@ def test_grad_mode_is_per_thread():
         with ag.no_grad():
             entered.wait()
             both_in.wait()
-            records["a"] = ag.relu(leaf).requires_grad
+            records["a"] = ag.dot_sum(leaf, np.ones(3)).requires_grad
         a_left.wait()
 
     def b():
         entered.wait()
         with ag.no_grad():
             both_in.wait()
-            records["b"] = ag.relu(leaf).requires_grad
+            records["b"] = ag.dot_sum(leaf, np.ones(3)).requires_grad
             a_left.wait()
 
     threads = [threading.Thread(target=a), threading.Thread(target=b)]
@@ -176,24 +240,23 @@ def test_grad_mode_is_per_thread():
         t.start()
     entered.wait()
     both_in.wait()
-    records["caller, both inside"] = ag.relu(leaf).requires_grad
+    records["caller, both inside"] = ag.dot_sum(leaf, np.ones(3)).requires_grad
     a_left.wait()
     for t in threads:
         t.join()
-    out = ag.relu(leaf)
+    out = ag.dot_sum(leaf, np.ones(3))
     assert out.requires_grad and out._backward is not None
     assert records == {"a": False, "b": False, "caller, both inside": True}
 
 
 def test_batch_norm_train_updates_running_stats():
     state = ag.BnState.create(2)
-    x = ag.var(rng.normal(size=(2, 3, 3, 2)).astype(np.float32) * 3 + 1)
-    gamma = ag.var(np.ones(2, np.float32))
-    beta = ag.var(np.zeros(2, np.float32))
-    out = ag.batch_norm(x, gamma, beta, state, "train")
+    x = rng.normal(size=(2, 3, 3, 2)).astype(np.float32) * 3 + 1
+    # beta 10 lifts every standardised value clear of the ReLU
+    out = fused_layer(x, rate=0.0, state=state, beta=10.0)[0]
     assert not np.allclose(state.mean, 0)
     # train-mode output is standardised per channel
-    assert np.allclose(out.data.mean(axis=(0, 1, 2)), 0, atol=1e-5)
+    assert np.allclose(out.data.mean(axis=(0, 1, 2)), 10, atol=1e-5)
     assert np.allclose(out.data.var(axis=(0, 1, 2)), 1, atol=1e-3)
 
 
@@ -201,10 +264,10 @@ def test_batch_norm_eval_uses_running_stats():
     state = ag.BnState.create(1)
     state.mean[:] = 4.0
     state.var[:] = 9.0
-    x = ag.var(np.full((1, 2, 2, 1), 7.0, np.float32))
-    out = ag.batch_norm(x, ag.var(np.ones(1, np.float32)),
-                        ag.var(np.zeros(1, np.float32)), state, "eval")
+    x = np.full((1, 2, 2, 1), 7.0, np.float32)
+    out = fused_layer(x, mode="eval", state=state)[0]
     assert np.allclose(out.data, (7.0 - 4.0) / np.sqrt(9.0 + 1e-5), atol=1e-6)
+    assert state.mean[0] == 4.0 and state.var[0] == 9.0
 
 
 def _attention_with_grads(q, k, v, probe):
@@ -390,5 +453,5 @@ def test_every_tape_op_is_recorded_by_a_training_step(monkeypatch):
     mask = np.ones((2, cfg.task_count), bool)
     ag.backward(masked_cross_entropy(features, net.head_w, net.head_b, targets, mask,
                                      cfg.value_classes))
-    assert {"attention", "conv2d", "deconv2d", "dropout"} <= ops
+    assert {"attention", "conv2d", "deconv2d", "bn_relu_dropout"} <= ops
     assert sorted(ops - recorded - {"dot_sum"}) == []

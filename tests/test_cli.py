@@ -296,6 +296,25 @@ def test_predict_bad_step_is_usage_error_and_writes_nothing(pipeline, tmp_path, 
     assert not (tmp_path / "p").exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "minus-inf"])
+def test_predict_non_finite_head_is_numeric_error_and_writes_nothing(pipeline, tmp_path,
+                                                                     capsys, value):
+    from vstain import network as nw
+    net, extras = nw.load_checkpoint(pipeline / "run" / "checkpoint_000015.gptc")
+    net.head_b.data[3] = value
+    ckpt = tmp_path / "bad_head.gptc"
+    nw.save_checkpoint(ckpt, net, step=extras["step"])
+    code = cli.main(["predict", "--checkpoint", str(ckpt),
+                     "--image", str(pipeline / "data/images/s003_input.pgm"),
+                     "--out", str(tmp_path / "p"), "--step", "16"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "non-finite logits" in err
+    assert not (tmp_path / "p").exists()
+
+
 BAD_PIXELS = pytest.mark.parametrize(
     "value", [np.nan, np.inf, -np.inf, -5.0, 300.0],
     ids=["nan", "inf", "minus-inf", "minus-5", "300"])

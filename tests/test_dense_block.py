@@ -69,6 +69,15 @@ def test_train_mode_seeded_reproducible():
     assert np.array_equal(outs[0], outs[1])
 
 
+def test_train_layer_records_three_tape_nodes():
+    # per layer: conv, the fused batch norm/ReLU/dropout node, concat;
+    # then the block's 1x1 conv
+    db = make_dense_block(np.random.default_rng(7), 4, 2, 3, 6)
+    out = dense_forward(ag.var(np.ones((1, 4, 4, 4), np.float32)), db, "train",
+                        np.random.default_rng(1))
+    assert sum(v._backward is not None for v in ag._topo_order(out)) == 2 * 3 + 1
+
+
 def test_train_mode_needs_rng_when_dropout_active():
     db = make_dense_block(np.random.default_rng(8), 4, 1, 3, 6)
     x = ag.var(np.zeros((1, 4, 4, 4), np.float32))

@@ -11,6 +11,8 @@ from vstain.errors import ConfigError, DataError, ShapeError
 from vstain.inference import coverage_map, predict_image, window_offsets
 from vstain.multiscale import PatchSpec, extract_multiscale
 
+from oracles import oracle_logits
+
 rng = np.random.default_rng(31)
 
 
@@ -77,8 +79,8 @@ def test_single_window_equals_direct_forward():
     dist = predict_image(net, image, step=16)
     inp = extract_multiscale(image, PatchSpec((16, 16), 32)).astype(np.float32) / 255.0
     with ag.no_grad():
-        logits = nw.logits(net, nw.forward(net, ag.var(inp[None]), "eval"))
-    direct = nw.predict_distributions(logits.data, 2, 256)[0]
+        logits = oracle_logits(net, nw.forward(net, ag.var(inp[None]), "eval").data)
+    direct = nw.predict_distributions(logits, 2, 256)[0]
     # single window: no merging, bit-identical to the direct pass
     assert dist.shape == (32, 32, 2, 256)
     assert np.array_equal(dist, direct)
@@ -124,8 +126,7 @@ def test_merge_order_independent():
         inp = extract_multiscale(image, PatchSpec((ox + 16, oy + 16), patch))
         with ag.no_grad():
             features = nw.forward(net, ag.var(inp.astype(np.float32)[None] / 255.0), "eval")
-            logits = nw.logits(net, features)
-        probs = nw.predict_distributions(logits.data, t, v)[0]
+        probs = nw.predict_distributions(oracle_logits(net, features.data), t, v)[0]
         acc[oy : oy + patch, ox : ox + patch] += probs
         cnt[oy : oy + patch, ox : ox + patch] += 1
     ref = acc / cnt[:, :, None, None]
