@@ -67,8 +67,6 @@ def cut_softmax(x):
     return K._softmax_shifted(x, True, np.empty(K.softmax_scratch_size(x.shape), x.dtype))
 
 
-
-
 SCORE_BLOCKS = {
     # attention-like blocks: scale 30 puts about 16 % of the exps in the
     # subnormal range, scale 3 none; scale 3000 makes almost every exp 0
