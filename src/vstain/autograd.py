@@ -418,15 +418,86 @@ def deconv2d(x: Variable, w: Variable, b: Variable) -> Variable:
     return make_op(out, (x, w, b), bw)
 
 
-def concat_channels(xs: list[Variable]) -> Variable:
-    out = kernels.concat_channels([x.data for x in xs])
-    offsets = np.cumsum([0] + [x.data.shape[3] for x in xs])
+class ChannelBuffer:
+    """A dense block's feature maps side by side in one (N, H, W, C) array.
+
+    The block's inputs are copied in first. Each layer then writes its
+    output into the next free channels (:meth:`free`) and appends it
+    (:meth:`append`), and each convolution reads the channels filled so
+    far in place (:func:`buffer_conv2d`), so no layer's input is ever
+    copied. In backward the convolutions run latest first, and each adds
+    its input gradient into one gradient array of the buffer's shape;
+    every layer output's gradient is its slice of that array, complete
+    once the convolutions reading it have run. So each element receives
+    the same addends in the same order as when every layer concatenated
+    its input and output into a new array: a single input then takes its
+    slice and the first convolution's gradient as two additions, and
+    several inputs, which were concatenated first, take their slices of
+    the sum.
+    """
+
+    def __init__(self, inputs: list[Variable], channels: int):
+        shape = inputs[0].data.shape
+        for i, x in enumerate(inputs):
+            if x.data.ndim != 4 or x.data.shape[:3] != shape[:3]:
+                raise ShapeError(f"channel buffer: input {i} has shape {x.data.shape}, "
+                                 f"expected (N,H,W) {shape[:3]}")
+        self.data = np.empty(shape[:3] + (channels,), np.result_type(*(x.data for x in inputs)))
+        self.parts: list[Variable] = []
+        self.bounds = [0]
+        self.grad: np.ndarray | None = None
+        for x in inputs:
+            self.free(x.data.shape[3])[...] = x.data
+            self.append(x)
+        self.inputs = len(inputs)
+
+    def free(self, width: int) -> np.ndarray:
+        """The next `width` unfilled channels, as a view to write into."""
+        lo = self.bounds[-1]
+        if lo + width > self.data.shape[3]:
+            raise ShapeError(f"channel buffer: {width} more channels overflow "
+                             f"{self.data.shape[3]}")
+        return self.data[..., lo : lo + width]
+
+    def append(self, v: Variable) -> None:
+        """Record v, whose data has been written into :meth:`free`'s view."""
+        self.parts.append(v)
+        self.bounds.append(self.bounds[-1] + v.data.shape[3])
+
+    def _backward(self, parts: tuple[Variable, ...], g: np.ndarray) -> None:
+        """Take the gradient g of the channels of `parts`, the buffer's
+        first parts, from a convolution that read them."""
+        single = len(parts) == 1  # the first convolution of a one-input block
+        if not single:
+            if self.grad is None:  # the block's last convolution, first in backward
+                self.grad = np.zeros_like(self.data)
+                first = self.inputs
+                for v, lo, hi in zip(self.parts[first:], self.bounds[first:],
+                                     self.bounds[first + 1:]):
+                    if v.requires_grad:
+                        v.grad = self.grad[..., lo:hi]
+            self.grad[..., : g.shape[3]] += g
+        if len(parts) == self.inputs:  # the block's first convolution
+            for x, lo, hi in zip(parts, self.bounds, self.bounds[1:]):
+                if self.grad is not None:
+                    accumulate(x, self.grad[..., lo:hi])
+                if single:
+                    accumulate(x, g)
+            self.grad = None
+
+
+def buffer_conv2d(buf: ChannelBuffer, w: Variable, b: Variable) -> Variable:
+    """Stride-1 conv2d of the channels `buf` holds so far, read in place."""
+    parts, data, width = tuple(buf.parts), buf.data, buf.bounds[-1]
+    out = kernels.conv2d(data[..., :width], w.data, b.data, 1)
 
     def bw(g):
-        for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-            accumulate(x, g[..., lo:hi])
+        gx, gw, gb = kernels.conv2d_backward(data[..., :width], w.data, 1, g)
+        buf._backward(parts, gx)
+        accumulate(w, gw)
+        accumulate(b, gb)
 
-    return make_op(out, tuple(xs), bw)
+    return make_op(out, parts + (w, b), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +520,17 @@ class BnState:
 
 
 def bn_relu_dropout(x: Variable, gamma: Variable, beta: Variable, state: BnState,
-                    mode: str, rate: float, rng: np.random.Generator | None) -> Variable:
+                    mode: str, rate: float, rng: np.random.Generator | None,
+                    out: np.ndarray | None = None) -> Variable:
     """Batch norm, ReLU and, in train mode, inverted dropout as one tape node.
 
     Batch norm is per channel over the (N, H, W) axes: train mode
     normalises by batch statistics and folds them into the running
     estimates, eval mode uses the running estimates only. Dropout zeroes
     each entry with probability `rate`, drawn from `rng` (needed when
-    train mode drops anything), and scales the rest by 1/(1-rate).
+    train mode drops anything), and scales the rest by 1/(1-rate). The
+    output is written into `out` when given: an array of x's shape and
+    dtype, such as the free channels of a dense block's buffer.
 
     Backward keeps only the output and the per-channel mean and inverse
     deviation. The output is > 0 exactly where the ReLU passed and the
@@ -489,10 +563,11 @@ def bn_relu_dropout(x: Variable, gamma: Variable, beta: Variable, state: BnState
         xhat *= inv
         return xhat
 
-    out = gamma.data * normalised()
-    out += beta.data
-    out = out.astype(dtype, copy=False)
-    np.maximum(out, 0, out=out)
+    y = gamma.data * normalised()
+    y += beta.data
+    y = y.astype(dtype, copy=False)
+    out = np.maximum(y, 0, out=y if out is None else out)
+    del y
     if dropping:
         out *= (rng.random(out.shape) >= rate).astype(dtype) / (1.0 - rate)
 

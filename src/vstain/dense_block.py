@@ -8,6 +8,18 @@ c0 + (l-1)*growth channels. A trailing 1x1 convolution (no norm, no
 activation) adjusts the concatenated c0 + L*growth maps to the requested
 output count. Spatial extents never change. Dropout is active in train
 mode only; these blocks are the only place dropout is applied.
+
+The concatenation is never copied per layer (cf. memory-efficient
+DenseNets, arXiv:1707.06990). A block allocates one (N, H, W,
+c0 + L*growth) buffer (:class:`autograd.ChannelBuffer`) and copies its
+input, or the decoder's up-sampled features and skip side by side, into
+the first c0 channels. Each layer writes its output into the next
+`growth` channels, and each convolution reads the filled channels in
+place, so a block's tape holds that one buffer where it held one copy of
+the concatenation per layer. Backward adds every convolution's input
+gradient into one array of the buffer's shape, latest layer first; each
+element receives the same addends in the same order as the per-layer
+copies gave it, so values and gradients keep their bits.
 """
 
 from __future__ import annotations
@@ -91,23 +103,25 @@ def make_dense_block(
 
 
 def dense_forward(
-    x: Variable,
+    x: Variable | list[Variable],
     params: DenseBlockParams,
     mode: str,
     rng: np.random.Generator | None = None,
 ) -> Variable:
-    """Run the block on (N, H, W, c0). Train mode needs `rng` for dropout."""
+    """Run the block on (N, H, W, c0), or on several inputs whose
+    channels, side by side in order, make up c0. Train mode needs `rng`
+    for dropout."""
     if mode not in ("train", "eval"):
         raise ShapeError(f"dense_forward: invalid mode {mode!r}")
-    if x.data.shape[3] != params.in_channels:
+    inputs = [x] if isinstance(x, Variable) else list(x)
+    c0 = sum(v.data.shape[-1] for v in inputs)
+    if c0 != params.in_channels:
         raise ShapeError(
-            f"dense block: input has {x.data.shape[3]} channels, "
-            f"expected {params.in_channels}"
+            f"dense block: input has {c0} channels, expected {params.in_channels}"
         )
-    feats = x
+    buf = ag.ChannelBuffer(inputs, params.concat_channels)
     for layer in params.layers:
-        h = ag.conv2d(feats, layer.conv_w, layer.conv_b, stride=1)
-        h = ag.bn_relu_dropout(h, layer.bn_gamma, layer.bn_beta, layer.bn_state, mode,
-                               params.dropout_rate, rng)
-        feats = ag.concat_channels([feats, h])
-    return ag.conv2d(feats, params.out_w, params.out_b, stride=1)
+        h = ag.buffer_conv2d(buf, layer.conv_w, layer.conv_b)
+        buf.append(ag.bn_relu_dropout(h, layer.bn_gamma, layer.bn_beta, layer.bn_state, mode,
+                                      params.dropout_rate, rng, out=buf.free(params.growth)))
+    return ag.buffer_conv2d(buf, params.out_w, params.out_b)

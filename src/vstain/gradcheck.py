@@ -94,10 +94,15 @@ def run_suite(seed: int = 0) -> list[CheckRow]:
     # likewise 168 normals here
     rng.normal(size=168)
 
-    # concat
+    # a dense block on two inputs side by side, as the decoder runs it
+    # (dropout off); the normals the concat check drew here feed it, and
+    # its weights come from their own generator
     other = rng.normal(size=(1, 3, 3, 2))
     p = rng.normal(size=(1, 3, 3, 5))
-    check("concat", lambda v: ag.dot_sum(ag.concat_channels([v, ag.var(other)]), p),
+    db2 = make_dense_block(np.random.default_rng([seed, 4]), 5, 2, 2, 5, dropout_rate=0.0,
+                           dtype=np.float64)
+    check("dense_block/inputs",
+          lambda v: ag.dot_sum(dense_forward([v, ag.var(other)], db2, "train"), p),
           rng.normal(size=(1, 3, 3, 3)))
 
     # likewise 230 normals here

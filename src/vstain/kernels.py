@@ -462,21 +462,6 @@ def resize_bilinear(t: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 # misc
 # ---------------------------------------------------------------------------
 
-def concat_channels(tensors: list[np.ndarray]) -> np.ndarray:
-    """Stack tensors along the channel axis; all other extents must agree."""
-    if not tensors:
-        raise ShapeError("concat_channels: empty input list")
-    first = check_tensor4(tensors[0], "concat input 0")
-    for i, t in enumerate(tensors[1:], start=1):
-        t = check_tensor4(t, f"concat input {i}")
-        if t.shape[:3] != first.shape[:3]:
-            raise ShapeError(
-                f"concat_channels: input {i} has (N,H,W) {t.shape[:3]}, "
-                f"expected {first.shape[:3]}"
-            )
-    return np.concatenate(tensors, axis=3)
-
-
 def he_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
             dtype=np.float32) -> np.ndarray:
     """He-style normal initialisation with ReLU gain."""

@@ -324,7 +324,7 @@ def forward(net: Network, x: Variable, mode: str = "eval",
     for i, (gut, db) in enumerate(net.decoder):
         u = gpt_forward(h_, gut)
         skip = gdt_outs[stages - 2 - i] if i < stages - 1 else skip_full
-        h_ = dense_forward(ag.concat_channels([u, skip]), db, mode, rng)
+        h_ = dense_forward([u, skip], db, mode, rng)
     return h_
 
 

@@ -1,10 +1,13 @@
 """Independent scalar reimplementations used as test oracles.
 
-Everything here is deliberately written with plain python loops or
-plain numpy and never calls the production kernels, so agreement is
-meaningful. `closure_arrays` lists what a tape node's backward keeps.
-The batch norm, ReLU and dropout tape ops are the separate nodes that
-`autograd.bn_relu_dropout` fuses, kept as its reference chain.
+The oracle_* reimplementations are deliberately written with plain
+python loops or plain numpy and never call the production kernels, so
+agreement is meaningful. `closure_arrays` lists what a tape node's
+backward keeps. Two reference chains reuse production ops around the
+step they stand in for: the batch norm, ReLU and dropout tape ops are
+the separate nodes that `autograd.bn_relu_dropout` fuses, and the
+concatenating dense block is the reference for the channel buffer that
+`dense_block.dense_forward` fills in place.
 """
 
 import struct
@@ -248,3 +251,28 @@ def oracle_bn_relu_dropout(x, gamma, beta, state, mode, rate, rng):
     """The unfused chain: batch norm, ReLU, then dropout in train mode."""
     h = oracle_relu(oracle_batch_norm(x, gamma, beta, state, mode))
     return oracle_dropout(h, rate, rng) if mode == "train" else h
+
+
+def oracle_concat_channels(xs):
+    """Channel concatenation as its own tape node: a copy of every input."""
+    out = np.concatenate([x.data for x in xs], axis=3)
+    offsets = np.cumsum([0] + [x.data.shape[3] for x in xs])
+
+    def bw(g):
+        for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
+            ag.accumulate(x, g[..., lo:hi])
+
+    return ag.make_op(out, tuple(xs), bw)
+
+
+def oracle_dense_forward(x, params, mode, rng=None):
+    """A dense block that concatenates the inputs (one Variable or a list,
+    concatenated first) and each layer's output into a new tape node per
+    layer."""
+    feats = x if isinstance(x, ag.Variable) else oracle_concat_channels(list(x))
+    for layer in params.layers:
+        h = ag.conv2d(feats, layer.conv_w, layer.conv_b, stride=1)
+        h = ag.bn_relu_dropout(h, layer.bn_gamma, layer.bn_beta, layer.bn_state, mode,
+                               params.dropout_rate, rng)
+        feats = oracle_concat_channels([feats, h])
+    return ag.conv2d(feats, params.out_w, params.out_b, stride=1)

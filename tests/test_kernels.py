@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vstain import autograd as ag
 from vstain import kernels as K
 from vstain.errors import NumericError, ShapeError
 from vstain.multiscale import _reflect_indices
@@ -420,18 +421,22 @@ def test_mirror_pad_reflection():
 
 
 # ---------------------------------------------------------------------------
-# concat
+# concat: a dense block's channel buffer
 # ---------------------------------------------------------------------------
+
+def buffer_of(*arrays):
+    return ag.ChannelBuffer([ag.var(a) for a in arrays], sum(a.shape[3] for a in arrays))
+
 
 def test_concat_single_identity():
     x = rng.normal(size=(2, 3, 3, 4)).astype(np.float32)
-    assert np.array_equal(K.concat_channels([x]), x)
+    assert np.array_equal(buffer_of(x).data, x)
 
 
 def test_concat_order_and_round_trip():
     a = rng.normal(size=(2, 4, 4, 2)).astype(np.float32)
     b = rng.normal(size=(2, 4, 4, 3)).astype(np.float32)
-    out = K.concat_channels([a, b])
+    out = buffer_of(a, b).data
     assert out.shape == (2, 4, 4, 5)
     assert np.array_equal(out[..., :2], a)
     assert np.array_equal(out[..., 2:], b)
@@ -439,4 +444,4 @@ def test_concat_order_and_round_trip():
 
 def test_concat_dim_mismatch():
     with pytest.raises(ShapeError):
-        K.concat_channels([np.zeros((1, 4, 4, 1)), np.zeros((1, 5, 4, 1))])
+        buffer_of(np.zeros((1, 4, 4, 1)), np.zeros((1, 5, 4, 1)))
