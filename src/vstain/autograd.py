@@ -305,18 +305,42 @@ def split_rows(piece_fn, rows: int, work: int, scratch=lambda rows: (),
         pass
 
 
+def _key_chunks(n_keys: int, width: int) -> list[tuple[int, int]]:
+    """Key-row ranges [lo, hi) that attention's backward cuts an
+    (n_keys, width) block of weights into: about kernels.SOFTMAX_SLAB
+    entries each, cut evenly, so no range holds fewer than two rows
+    unless there is one key. The cut depends on the shape only."""
+    count = max(1, min(n_keys // 2, n_keys * width // kernels.SOFTMAX_SLAB))
+    return [(n_keys * i // count, n_keys * (i + 1) // count) for i in range(count)]
+
+
 def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     """Global attention V col_softmax(K^T Q) as one tape node.
 
     q: (N, Hq, Wq, C), k: (N, H, W, C), v: (N, H, W, Cv); returns
     (N, Hq, Wq, Cv), where each output position is a softmax-weighted
     sum of the value vectors at all H*W key positions of its batch
-    element. Query positions are processed in blocks, and backward
-    recomputes each block's weights, so no n_keys x n_queries matrix is
-    stored. Layers with at least two full blocks of scores run their
-    blocks on the ATTENTION_WORKERS threads of the pool, unless called on
-    a pool thread; the calling thread allocates one set of block-sized
-    scratch per thread for each pass.
+    element. Query positions are processed in blocks, and no
+    n_keys x n_queries matrix is ever stored. Layers with at least two
+    full blocks of scores run their blocks on the ATTENTION_WORKERS
+    threads of the pool, unless called on a pool thread; the calling
+    thread allocates one set of scratch per thread for each pass, whose
+    one block-sized array holds the block's scores.
+
+    Backward (after FlashAttention's, arXiv:2205.14135) keeps that one
+    block per worker. It recomputes a block's weights P over its scores,
+    then walks their key rows in chunks of :func:`_key_chunks`. For each
+    chunk it computes dP = V[chunk] g^T into small scratch, takes the
+    value gradient's rows P[chunk] g from the weights first, and then
+    writes the score gradient dS = P * (dP - D) over them, flushing
+    results below the smallest normal number to +0.0 as the softmax
+    does. D_j = g_j . out_j is each query's row dot of its output
+    gradient and the forward output, computed once for all blocks: it
+    equals the column sum of P * dP, which would need dP whole. D is
+    summed in float64, where float32 products are exact, and rounded
+    once, which makes the query and key gradients of float32 attention
+    slightly closer to float64 ones than a float32 sum. The query and
+    key gradients are then dS^T K and dS Q.
     """
     for name, t in (("q", q), ("k", k), ("v", v)):
         if t.data.ndim != 4:
@@ -339,8 +363,10 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     dtype = np.result_type(qm, km, vm)
     pooled = _pooled(n, n_queries, n_keys)
     block_size = n_keys * min(step, n_queries)
-    slab_size = max(kernels.softmax_scratch_size((n_keys, width))
-                    for width in (min(step, n_queries), (n_queries - 1) % step + 1))
+    widths = (min(step, n_queries), (n_queries - 1) % step + 1)  # a block's, the last one's
+    slab_size = max(kernels.softmax_scratch_size((n_keys, width)) for width in widths)
+    chunks = {width: _key_chunks(n_keys, width) for width in widths}
+    chunk_size = max(width * max(hi - lo for lo, hi in cuts) for width, cuts in chunks.items())
 
     def scratch_sets(*shapes) -> list:
         """Per worker, one array of each shape, allocated on this thread."""
@@ -365,21 +391,27 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
 
     def bw(g):
         gm = g.reshape(n, n_queries, cv)
+        dots = np.einsum("nqc,nqc->nq", gm, out, dtype=np.float64).astype(gm.dtype)  # D
         gq, gk, gv = np.empty_like(qm), np.zeros_like(km), np.zeros_like(vm)
 
         def backward_block(task, scratch):
             b, s = task
-            scores, grads, slab, part_v, part_k = scratch
+            scores, slab, dp, part_v, part_k = scratch
             weights = block_weights(b, s, scores, slab)
-            gs = grads[: weights.size].reshape(weights.shape)
-            np.matmul(vm[b], gm[b, s].T, out=gs)
-            kernels.col_softmax_backward_inplace(weights, gs, slab)
-            np.matmul(gs.T, km[b], out=gq[b, s])
-            np.matmul(weights, gm[b, s], out=part_v)
-            np.matmul(gs, qm[b, s], out=part_k)
+            gs, width = gm[b, s], weights.shape[1]
+            for lo, hi in chunks[width]:
+                w = weights[lo:hi]
+                dpc = dp[: w.size].reshape(w.shape)
+                np.matmul(vm[b, lo:hi], gs.T, out=dpc)
+                np.matmul(w, gs, out=part_v[lo:hi])
+                dpc -= dots[b, s]
+                w *= dpc
+                kernels.flush_subnormals(w)  # keeps +0.0 for negative subnormals
+            np.matmul(weights.T, km[b], out=gq[b, s])
+            np.matmul(weights, qm[b, s], out=part_k)
             return part_v, part_k
 
-        sets = scratch_sets(block_size, block_size, slab_size, (n_keys, cv), (n_keys, c))
+        sets = scratch_sets(block_size, slab_size, chunk_size, (n_keys, cv), (n_keys, c))
         for (b, _), (part_v, part_k) in zip(tasks, _run_blocks(backward_block, tasks, sets)):
             gv[b] += part_v
             gk[b] += part_k
@@ -454,9 +486,6 @@ class ChannelBuffer:
     def free(self, width: int) -> np.ndarray:
         """The next `width` unfilled channels, as a view to write into."""
         lo = self.bounds[-1]
-        if lo + width > self.data.shape[3]:
-            raise ShapeError(f"channel buffer: {width} more channels overflow "
-                             f"{self.data.shape[3]}")
         return self.data[..., lo : lo + width]
 
     def append(self, v: Variable) -> None:

@@ -88,8 +88,9 @@ def _has_subnormal_tail(shifted: np.ndarray) -> bool:
 def _slab_rows(shape: tuple[int, ...]) -> int:
     """Rows per slab of an (..., rows, cols) array, about SOFTMAX_SLAB
     elements. A one-column array is one slab: numpy sums a single column
-    pairwise, but several columns row by row, which is what lets
-    :func:`col_softmax_backward_inplace` carry a column sum across slabs."""
+    pairwise, but several columns row by row, which is what lets a column
+    sum be carried across slabs (tests/oracles.py's
+    col_softmax_backward_inplace does)."""
     rows, cols = shape[-2], shape[-1]
     if cols == 1:
         return rows
@@ -180,38 +181,6 @@ def col_softmax(m: np.ndarray) -> np.ndarray:
         raise ShapeError(f"col_softmax: expected a matrix, got rank {m.ndim}")
     out = np.copy(m)
     return col_softmax_inplace(out, np.empty(softmax_scratch_size(out.shape), out.dtype))
-
-
-def col_softmax_backward_inplace(out: np.ndarray, grad: np.ndarray,
-                                 scratch: np.ndarray) -> np.ndarray:
-    """Gradient of col_softmax w.r.t. its input, given its output `out`
-    and the upstream `grad`, written over `grad`; returns grad.
-
-    Results with magnitude below the dtype's smallest normal number are
-    flushed to zero, as in the forward. `grad` has out's shape and dtype;
-    `scratch` is as for :func:`col_softmax_inplace`. The column sum of
-    grad * out is built slab by slab: numpy sums axis -2 row by row, so
-    summing each slab's products below the running sum, kept in the slab
-    scratch's first row, adds the same numbers in the same order as one
-    sum over all rows.
-    """
-    slabs = _row_slabs(out.shape)
-    inner = None
-    for s in slabs:
-        w = out[s]
-        acc = _scratch_like(scratch, w.shape[:-2] + (w.shape[-2] + 1, w.shape[-1]))
-        np.multiply(grad[s], w, out=acc[..., 1:, :])
-        if inner is None:
-            inner = np.sum(acc[..., 1:, :], axis=-2, keepdims=True)
-        else:
-            acc[..., :1, :] = inner
-            np.sum(acc, axis=-2, keepdims=True, out=inner)
-    for s in slabs:
-        gs = grad[s]
-        gs -= inner
-        gs *= out[s]
-        flush_subnormals(gs)  # keeps +0.0 for negative subnormals
-    return grad
 
 
 # ---------------------------------------------------------------------------

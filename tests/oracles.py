@@ -3,11 +3,13 @@
 The oracle_* reimplementations are deliberately written with plain
 python loops or plain numpy and never call the production kernels, so
 agreement is meaningful. `closure_arrays` lists what a tape node's
-backward keeps. Two reference chains reuse production ops around the
+backward keeps. Three reference chains reuse production ops around the
 step they stand in for: the batch norm, ReLU and dropout tape ops are
-the separate nodes that `autograd.bn_relu_dropout` fuses, and the
+the separate nodes that `autograd.bn_relu_dropout` fuses; the
 concatenating dense block is the reference for the channel buffer that
-`dense_block.dense_forward` fills in place.
+`dense_block.dense_forward` fills in place; and
+`col_softmax_backward_inplace` is the softmax backward that attention
+ran before it took its column sums from the output.
 """
 
 import struct
@@ -16,6 +18,7 @@ import types
 import numpy as np
 
 from vstain import autograd as ag
+from vstain import kernels as K
 from vstain.gpt_layer import GptVariant
 
 
@@ -158,6 +161,39 @@ def oracle_col_softmax_backward(out, grad):
     result = out * (grad - inner)
     result[np.abs(result) < np.finfo(result.dtype).tiny] = 0
     return result
+
+
+def col_softmax_backward_inplace(out, grad, scratch):
+    """Gradient of col_softmax w.r.t. its input, given its output `out`
+    and the upstream `grad`, written over `grad`; returns grad. Attention
+    used this before its backward took the column sums from the output
+    (autograd.attention); it stays as the slab-by-slab reference.
+
+    Results with magnitude below the dtype's smallest normal number are
+    flushed to zero, as in the forward. `grad` has out's shape and dtype;
+    `scratch` is a flat buffer of at least softmax_scratch_size(out.shape)
+    elements. The column sum of grad * out is built slab by slab: numpy
+    sums axis -2 row by row, so summing each slab's products below the
+    running sum, kept in the slab scratch's first row, adds the same
+    numbers in the same order as one sum over all rows.
+    """
+    slabs = K._row_slabs(out.shape)
+    inner = None
+    for s in slabs:
+        w = out[s]
+        acc = K._scratch_like(scratch, w.shape[:-2] + (w.shape[-2] + 1, w.shape[-1]))
+        np.multiply(grad[s], w, out=acc[..., 1:, :])
+        if inner is None:
+            inner = np.sum(acc[..., 1:, :], axis=-2, keepdims=True)
+        else:
+            acc[..., :1, :] = inner
+            np.sum(acc, axis=-2, keepdims=True, out=inner)
+    for s in slabs:
+        gs = grad[s]
+        gs -= inner
+        gs *= out[s]
+        K.flush_subnormals(gs)  # keeps +0.0 for negative subnormals
+    return grad
 
 
 def oracle_expectation(probs, task):

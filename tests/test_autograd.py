@@ -393,8 +393,8 @@ def test_forked_child_runs_pooled_attention(monkeypatch, fresh_pool):
     pytest.fail("forked child hung in pooled attention")
 
 
-def test_pooled_attention_backward_keeps_two_score_blocks_per_worker(monkeypatch,
-                                                                     fresh_pool):
+def test_pooled_attention_backward_keeps_one_score_block_per_worker(monkeypatch,
+                                                                    fresh_pool):
     # 4096 keys and queries with 4 channels: each 256-query block of
     # scores is 4 MB, and everything else is small
     workers, block_scores = 2, 2 ** 20
@@ -411,7 +411,7 @@ def test_pooled_attention_backward_keeps_two_score_blocks_per_worker(monkeypatch
     finally:
         tracemalloc.stop()
     block_bytes = block_scores * np.dtype(np.float32).itemsize
-    assert peak <= (workers * 2 + 1) * block_bytes
+    assert peak <= (workers + 1) * block_bytes
 
 
 def test_attention_shape_checks():
