@@ -27,6 +27,7 @@ model can learn the mapping. Everything is a pure function of the seed.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -77,19 +78,14 @@ def _parse_pgm_token(raw: bytes, pos: int, path: str) -> tuple[bytes, int]:
     return raw[start:pos], pos
 
 
-def load_pgm(path: str | Path) -> np.ndarray:
-    """Read binary P5 into an (H, W) float32 array of 0-255 values."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+def _parse_pgm_header(raw: bytes, path: str) -> tuple[int, int, int]:
+    """(width, height, payload offset) of the P5 header at the start of raw."""
     if raw[:2] != b"P5":
         raise DataError(f"{path}: not binary PGM (magic {raw[:2]!r} at byte 0)")
     pos = 2
     fields = []
     for _ in range(3):
-        token, pos = _parse_pgm_token(raw, pos, str(path))
+        token, pos = _parse_pgm_token(raw, pos, path)
         try:
             fields.append(int(token))
         except ValueError:
@@ -99,15 +95,51 @@ def load_pgm(path: str | Path) -> np.ndarray:
         raise DataError(f"{path}: maxval {maxval} unsupported, expected 255")
     if w < 1 or h < 1:
         raise DataError(f"{path}: bad extents {w}x{h}")
-    pos += 1  # single whitespace byte after maxval
-    expected = pos + w * h
-    if len(raw) != expected:
-        raise DataError(
-            f"{path}: payload length mismatch at byte {pos}: "
-            f"file has {len(raw)} bytes, expected {expected}"
-        )
-    data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos)
-    return data.reshape(h, w).astype(np.float32)
+    return w, h, pos + 1  # single whitespace byte after maxval
+
+
+# Bytes of a PGM file read at first for its header; a longer header (a
+# long comment) is read again in four times as many.
+PGM_HEADER_READ = 4096
+
+
+def load_pgm(path: str | Path) -> np.ndarray:
+    """Read binary P5 into an (H, W) float32 array of 0-255 values.
+
+    The header is checked against the file's size before the payload is
+    read, straight from the open file into its array.
+    """
+    path = Path(path)
+    try:
+        with open(path, "rb") as f:
+            size = f.seek(0, io.SEEK_END)
+            n = PGM_HEADER_READ
+            while True:
+                f.seek(0)
+                raw = f.read(n)
+                whole = len(raw) >= size
+                try:
+                    w, h, pos = _parse_pgm_header(raw, str(path))
+                except DataError:
+                    if whole:
+                        raise
+                else:  # done once the whitespace byte ending maxval has been read
+                    if whole or pos <= len(raw):
+                        break
+                n *= 4
+            expected = pos + w * h
+            if size != expected:
+                raise DataError(
+                    f"{path}: payload length mismatch at byte {pos}: "
+                    f"file has {size} bytes, expected {expected}"
+                )
+            data = np.empty((h, w), dtype=np.uint8)
+            f.seek(pos)
+            if f.readinto(data) != data.nbytes:  # the file shrank after its size was taken
+                raise DataError(f"{path}: truncated payload at byte {pos}")
+    except OSError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    return data.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,17 @@ class AdamState:
         )
 
 
+def grad_norm(params: dict[str, Variable]) -> float:
+    """The L2 norm of all parameters' gradients together, summed in
+    float64, where no finite float32 gradient's square overflows; NaN or
+    inf exactly when some gradient is not finite."""
+    total = 0.0
+    for p in params.values():
+        g = ag.grad_of(p).astype(np.float64).reshape(-1)
+        total += float(g @ g)
+    return math.sqrt(total)
+
+
 def adam_step(params: dict[str, Variable], state: AdamState,
               config: TrainConfig) -> None:
     """One bias-corrected Adam update, in place."""
@@ -276,9 +287,12 @@ def train(
     Writes loss.csv plus periodic and final checkpoints under out_dir,
     which is created only once the inputs and any resumed checkpoint have
     been checked; a checkpoint past max_steps is a ConfigError. A
-    non-finite loss aborts with a diagnostic dump of the offending
-    batch. Fully reproducible from (manifest, configs, seed); resuming
-    from a checkpoint continues the identical stream.
+    non-finite loss, a non-finite gradient before the Adam update or a
+    non-finite parameter after it aborts the step with a NumericError
+    and a diagnostic dump of the offending batch and of the weights the
+    step started from; no checkpoint of that step is written. Fully
+    reproducible from (manifest, configs, seed); resuming from a
+    checkpoint continues the identical stream.
     """
     train_config.validate()
     net_config.validate()
@@ -357,6 +371,19 @@ def train(
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
                 raise NumericError(f"train: non-finite loss at step {step}")
+            ag.zero_grad(params.values())
+            ag.backward(loss)
+            if not math.isfinite(grad_norm(params)):
+                raise NumericError(f"train: non-finite gradient at step {step}")
+            before = {name: p.data for name, p in params.items()}
+            adam_step(params, opt, train_config)
+            bad = [name for name, p in params.items() if not np.isfinite(p.data).all()]
+            if bad:
+                for name, p in params.items():
+                    p.data = before[name]  # dump the weights the step started from
+                raise NumericError(f"train: non-finite parameter {bad[0]} after the "
+                                   f"update at step {step}")
+            del before
         except NumericError as exc:
             dump = out_dir / f"diagnostic_step{step:06d}"
             dump.mkdir(exist_ok=True)
@@ -364,10 +391,6 @@ def train(
             gptt.save_gptt(dump / "targets.gptt", targets.astype(np.float32))
             save_checkpoint(dump / "state.gptc", net, step=step)
             raise NumericError(f"{exc}; offending batch dumped to {dump}") from exc
-
-        ag.zero_grad(params.values())
-        ag.backward(loss)
-        adam_step(params, opt, train_config)
         loss_log.append((step, loss_value, time.monotonic() - started))
 
         if step % train_config.checkpoint_interval == 0 and step < train_config.max_steps:

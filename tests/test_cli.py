@@ -315,6 +315,35 @@ def test_predict_non_finite_head_is_numeric_error_and_writes_nothing(pipeline, t
     assert not (tmp_path / "p").exists()
 
 
+def test_train_to_non_finite_gradients_is_numeric_error_without_checkpoint(tmp_path):
+    # a valid config whose learning rate blows the weights up: step 2's
+    # gradients overflow, and the run once exited 0 with a checkpoint of
+    # inf and NaN weights
+    cfg = {"network": {"patch_size": 32, "task_count": 2, "growth_rate": 1,
+                       "stem_channels": 1, "encoder_depths": [1], "encoder_channels": [8],
+                       "bottom_depth": 0, "bottom_channels": 20, "decoder_depths": [1],
+                       "decoder_channels": [8], "qk_channels": 1},
+           "train": {"learning_rate": 1000, "batch_size": 2, "max_steps": 2,
+                     "checkpoint_interval": 100, "seed": 0}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["synth", "--out", str(tmp_path / "data"), "--samples", "3",
+                     "--test-samples", "1", "--size", "32", "--seed", "7",
+                     "--tasks", "nuclei,viability"]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(vstain.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "vstain", "train",
+                           "--manifest", str(tmp_path / "data/manifest.json"),
+                           "--config", str(cfg_path), "--out", str(tmp_path / "run")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert proc.returncode == 4, proc.stderr[-2000:]
+    assert len(errors) == 1 and "non-finite gradient at step 2" in errors[0]
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / "run" / "diagnostic_step000002" / "state.gptc").exists()
+    assert not (tmp_path / "run" / "checkpoint_000002.gptc").exists()
+
+
 BAD_PIXELS = pytest.mark.parametrize(
     "value", [np.nan, np.inf, -np.inf, -5.0, 300.0],
     ids=["nan", "inf", "minus-inf", "minus-5", "300"])

@@ -1,6 +1,7 @@
 """File formats, manifests, and the synthetic scene generator."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,26 @@ def test_pgm_comments_in_header(tmp_path):
     path.write_bytes(b"P5\n# a comment\n2 1\n255\n\x07\x09")
     img = dio.load_pgm(path)
     assert np.array_equal(img, [[7.0, 9.0]])
+
+
+def test_pgm_header_longer_than_the_first_read(tmp_path):
+    path = tmp_path / "long.pgm"
+    comment = b"# " + b"x" * (3 * dio.PGM_HEADER_READ) + b"\n"
+    path.write_bytes(b"P5\n" + comment + b"2 1\n" + comment + b"255\n\x07\x09")
+    assert np.array_equal(dio.load_pgm(path), [[7.0, 9.0]])
+
+
+def test_pgm_size_mismatch_is_found_before_the_payload_is_read(tmp_path):
+    path = tmp_path / "big.pgm"
+    path.write_bytes(b"P5\n4 4\n255\n" + bytes(8 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="payload length mismatch"):
+            dio.load_pgm(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_load_image_gptt_rank3(tmp_path):

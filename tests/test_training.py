@@ -12,7 +12,7 @@ from vstain import data_io as dio
 from vstain import kernels
 from vstain import training as tr
 from vstain.errors import ConfigError, DataError, NumericError
-from vstain.network import NetworkConfig, build, forward
+from vstain.network import NetworkConfig, build, forward, load_checkpoint
 
 rng = np.random.default_rng(77)
 
@@ -422,3 +422,30 @@ def test_non_finite_forward_dumps_offending_batch(tmp_path):
     assert (dump / "input.gptt").exists()
     assert (dump / "targets.gptt").exists()
     assert (dump / "state.gptc").exists()
+
+
+def test_grad_norm_sums_in_float64():
+    big = ag.var(np.zeros(3, np.float32), requires_grad=True)
+    big.grad = np.full(3, 1e20, np.float32)  # each square overflows float32
+    other = ag.var(np.zeros(2, np.float32), requires_grad=True)  # no gradient: zeros
+    assert tr.grad_norm({"big": big, "other": other}) == pytest.approx(np.sqrt(3) * 1e20)
+    for bad in (np.inf, -np.inf, np.nan):
+        big.grad[1] = bad
+        assert not np.isfinite(tr.grad_norm({"big": big, "other": other}))
+
+
+def test_non_finite_parameter_after_update_dumps_the_step_start(tmp_path):
+    # a learning rate past float32's range turns the first update into inf
+    # and NaN while its gradients are finite
+    manifest, ncfg, tcfg = tiny_setup(tmp_path, steps=2, interval=1)
+    tcfg.learning_rate = 1e39
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match="non-finite parameter .* step 1; .*dumped"):
+        tr.train(manifest, ncfg, tcfg, tmp_path / "run")
+    run = tmp_path / "run"
+    assert sorted(p.name for p in run.iterdir()) == ["diagnostic_step000001"]
+    dumped, _ = load_checkpoint(run / "diagnostic_step000001" / "state.gptc")
+    init_ss, _ = np.random.SeedSequence(tcfg.seed).spawn(2)
+    start = build(ncfg, np.random.default_rng(init_ss)).named_parameters()
+    for name, p in dumped.named_parameters().items():
+        assert np.array_equal(p.data, start[name].data), name
