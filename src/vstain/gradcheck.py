@@ -95,8 +95,8 @@ def run_suite(seed: int = 0) -> list[CheckRow]:
     rng.normal(size=168)
 
     # a dense block on two inputs side by side, as the decoder runs it
-    # (dropout off); the normals the concat check drew here feed it, and
-    # its weights come from their own generator
+    # (dropout off); its inputs take 90 normals here, which keeps every
+    # later row's inputs, and its weights have their own generator
     other = rng.normal(size=(1, 3, 3, 2))
     p = rng.normal(size=(1, 3, 3, 5))
     db2 = make_dense_block(np.random.default_rng([seed, 4]), 5, 2, 2, 5, dropout_rate=0.0,
