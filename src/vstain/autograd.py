@@ -16,6 +16,7 @@ threads at once leave every other thread's tape recording.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from collections import deque
@@ -240,7 +241,8 @@ def _run_blocks(block_fn, tasks: list, scratch_sets: list):
     starts once the caller has taken the result of the task before it
     that used the same set, so a result may live in its set. numpy
     releases the GIL inside BLAS and ufunc loops, so blocks run on
-    several cores at once.
+    several cores at once. Each block runs in a copy of the caller's
+    context, which holds numpy's error state (``np.errstate``).
     """
     if len(scratch_sets) == 1:
         for task in tasks:
@@ -252,7 +254,8 @@ def _run_blocks(block_fn, tasks: list, scratch_sets: list):
         for i, task in enumerate(tasks):
             if len(running) == len(scratch_sets):
                 yield running.popleft().result()
-            running.append(pool.submit(block_fn, task, scratch_sets[i % len(scratch_sets)]))
+            running.append(pool.submit(contextvars.copy_context().run, block_fn, task,
+                                       scratch_sets[i % len(scratch_sets)]))
         while running:
             yield running.popleft().result()
     finally:  # after an error, leave no block writing into the arrays

@@ -13,7 +13,9 @@ Models whose window forwards pool attention blocks run those forwards
 one per worker of the pool; each window's distributions are added into
 the output on the calling thread, in window order, so the float32
 overlap sums get their addends in the same order on any number of
-workers.
+workers. Before it returns, predict_image hands the heap's free pages
+back to the system: the windows' freed scratch would stay resident
+beside the output for as long as the caller holds it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from contextlib import closing
 
 import numpy as np
 
+from . import _release_free_heap
 from . import autograd as ag
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .multiscale import PatchSpec, extract_multiscale
@@ -141,6 +144,7 @@ def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray
     cnt = coverage_map(h, w, patch, step).astype(np.float32)
     if cnt.max() == 1.0:
         # no overlap anywhere: each pixel is one softmax output already
+        _release_free_heap()
         return acc
 
     def merge(lo, hi, sums):
@@ -151,4 +155,5 @@ def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray
         np.divide(a, np.sum(a, axis=-1, keepdims=True, dtype=np.float64, out=s), out=a)
 
     ag.split_rows(merge, h, acc.size * ag.PASS_WORK, lambda rows: (np.empty(rows * w * t),))
+    _release_free_heap()
     return acc

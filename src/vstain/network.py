@@ -364,8 +364,9 @@ def distributions_to_image(probs: np.ndarray, task: int,
     if reduction == "argmax":
         img = np.empty((n, h, w), dtype=np.intp)
 
-        def piece(lo, hi):
-            np.argmax(p[:, lo:hi], axis=-1, out=img[:, lo:hi])
+        def piece(lo, hi):  # one row at a time: argmax copies a strided slice
+            for r in range(lo, hi):
+                np.argmax(p[:, r], axis=-1, out=img[:, r])
 
         ag.split_rows(piece, h, p.size * ag.PASS_WORK)
     elif reduction == "expectation":

@@ -288,11 +288,11 @@ def train(
     which is created only once the inputs and any resumed checkpoint have
     been checked; a checkpoint past max_steps is a ConfigError. A
     non-finite loss, a non-finite gradient before the Adam update or a
-    non-finite parameter after it aborts the step with a NumericError
-    and a diagnostic dump of the offending batch and of the weights the
-    step started from; no checkpoint of that step is written. Fully
-    reproducible from (manifest, configs, seed); resuming from a
-    checkpoint continues the identical stream.
+    non-finite parameter or Adam moment after it aborts the step with a
+    NumericError and a diagnostic dump of the offending batch and of the
+    weights the step started from; no checkpoint of that step is
+    written. Fully reproducible from (manifest, configs, seed); resuming
+    from a checkpoint continues the identical stream.
     """
     train_config.validate()
     net_config.validate()
@@ -365,25 +365,33 @@ def train(
         mask = np.stack(ms)
 
         try:
-            features = forward(net, x, mode="train", rng=loop_rng)
-            loss = masked_cross_entropy(features, net.head_w, net.head_b, targets, mask,
-                                        net_config.value_classes)
-            loss_value = float(loss.data)
-            if not np.isfinite(loss_value):
-                raise NumericError(f"train: non-finite loss at step {step}")
-            ag.zero_grad(params.values())
-            ag.backward(loss)
-            if not math.isfinite(grad_norm(params)):
-                raise NumericError(f"train: non-finite gradient at step {step}")
-            before = {name: p.data for name, p in params.items()}
-            adam_step(params, opt, train_config)
-            bad = [name for name, p in params.items() if not np.isfinite(p.data).all()]
-            if bad:
-                for name, p in params.items():
-                    p.data = before[name]  # dump the weights the step started from
-                raise NumericError(f"train: non-finite parameter {bad[0]} after the "
-                                   f"update at step {step}")
-            del before
+            # the finite checks are the signal: the overflowing or invalid
+            # products before them print no numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                features = forward(net, x, mode="train", rng=loop_rng)
+                loss = masked_cross_entropy(features, net.head_w, net.head_b, targets, mask,
+                                            net_config.value_classes)
+                loss_value = float(loss.data)
+                if not np.isfinite(loss_value):
+                    raise NumericError(f"train: non-finite loss at step {step}")
+                ag.zero_grad(params.values())
+                ag.backward(loss)
+                if not math.isfinite(grad_norm(params)):
+                    raise NumericError(f"train: non-finite gradient at step {step}")
+                before = {name: p.data for name, p in params.items()}
+                adam_step(params, opt, train_config)
+                # a large finite gradient can overflow Adam's running square v
+                bad = [f"parameter {name}" for name, p in params.items()
+                       if not np.isfinite(p.data).all()]
+                bad += [f"Adam moment {moment}/{name}"
+                        for moment, arrays in (("m", opt.m), ("v", opt.v))
+                        for name, a in arrays.items() if not np.isfinite(a).all()]
+                if bad:
+                    for name, p in params.items():
+                        p.data = before[name]  # dump the weights the step started from
+                    raise NumericError(f"train: non-finite {bad[0]} after the update at "
+                                       f"step {step}")
+                del before
         except NumericError as exc:
             dump = out_dir / f"diagnostic_step{step:06d}"
             dump.mkdir(exist_ok=True)

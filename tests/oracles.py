@@ -206,6 +206,13 @@ def oracle_expectation(probs, task):
     return np.clip(img, 0, 255).astype(np.uint8)
 
 
+def oracle_argmax(probs, task):
+    """The "argmax" render in one pass over the whole image: the first
+    modal class of each pixel, clamped to 0-255."""
+    img = probs[:, :, :, task, :].argmax(axis=-1)
+    return np.clip(img, 0, 255).astype(np.uint8)
+
+
 def oracle_gptt_bytes(t):
     """One GPTT blob assembled in memory: magic, version, rank and the
     extents, then the little-endian float32 payload as one bytes copy."""

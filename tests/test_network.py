@@ -16,7 +16,7 @@ from vstain import cli, gptt, inference
 from vstain import network as nw
 from vstain.errors import ConfigError, DataError, NumericError, ShapeError
 
-from oracles import oracle_expectation, oracle_gptt_bytes, oracle_logits
+from oracles import oracle_argmax, oracle_expectation, oracle_gptt_bytes, oracle_logits
 
 TABLE_ROWS = [
     ("stem", 128, 32),
@@ -267,6 +267,27 @@ def test_expectation_render_holds_no_full_size_float64():
     finally:
         tracemalloc.stop()
     assert peak < probs.size * 8 / 4  # a quarter of one (H, W, 256) float64
+
+
+def test_renders_of_predict_paper_distributions_hold_about_their_output(monkeypatch):
+    # predict-paper's (1, 192, 192, 8, 256) float32 distributions: argmax
+    # once copied each worker's strided slice of rows, 38 MB in all
+    monkeypatch.setattr(ag, "ATTENTION_WORKERS", 2)
+    probs = np.zeros((1, 192, 192, 8, 256), dtype=np.float32)
+    task = probs[:, :, :, 5]
+    # quarter steps leave ties, which resolve to the lower class
+    task[...] = np.random.default_rng(17).integers(0, 4, task.shape, dtype=np.uint8)
+    task /= task.sum(axis=-1, keepdims=True)
+    for render, oracle in (("argmax", oracle_argmax), ("expectation", oracle_expectation)):
+        tracemalloc.start()
+        try:
+            got = nw.distributions_to_image(probs, 5, render)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, oracle(probs, 5)), render
+        if render == "argmax":
+            assert peak - got.nbytes < 2 << 20
 
 
 def test_render_one_hot():

@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,22 @@ def test_numeric_error_in_a_window_forward_reaches_the_caller(monkeypatch, fresh
     assert "non-finite scores" in capsys.readouterr().err
     # when the first window fails, the third never starts
     assert len(names) >= 2 and all(name.startswith("vstain-pool") for name in names)
+
+
+def test_pool_blocks_run_under_the_callers_numpy_error_state(monkeypatch, fresh_pool):
+    # numpy's error state is per thread: a training step silences the
+    # overflow warnings of products that run on the pool
+    new_pool(monkeypatch, 2)
+    big = np.full(4, 1e30, dtype=np.float32)
+
+    def block(task, scratch):
+        return np.geterr(), big * big - big * big  # overflow, then inf - inf
+
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning on a pool thread raises there
+        results = list(ag._run_blocks(block, range(4), [(), ()]))
+    assert all(state["over"] == state["invalid"] == "ignore" for state, _ in results)
+    assert all(np.isnan(diff).all() for _, diff in results)
 
 
 @pytest.mark.parametrize("render", ["argmax", "expectation"])
