@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import _flush_to_zero, _flushing_to_zero, kernels
 from .errors import ShapeError, VstainError
 
 
@@ -242,19 +242,27 @@ def _run_blocks(block_fn, tasks: list, scratch_sets: list):
     that used the same set, so a result may live in its set. numpy
     releases the GIL inside BLAS and ufunc loops, so blocks run on
     several cores at once. Each block runs in a copy of the caller's
-    context, which holds numpy's error state (``np.errstate``).
+    context, which holds numpy's error state (``np.errstate``), and
+    with the caller's subnormal flushing (:func:`vstain._flush_to_zero`),
+    on or off, so its bits do not depend on the thread it runs on.
     """
     if len(scratch_sets) == 1:
         for task in tasks:
             yield block_fn(task, scratch_sets[0])
         return
+    flush = _flushing_to_zero()
+
+    def run(task, scratch):
+        with _flush_to_zero(flush):
+            return block_fn(task, scratch)
+
     pool = _worker_pool()
     running: deque[Future] = deque()
     try:
         for i, task in enumerate(tasks):
             if len(running) == len(scratch_sets):
                 yield running.popleft().result()
-            running.append(pool.submit(contextvars.copy_context().run, block_fn, task,
+            running.append(pool.submit(contextvars.copy_context().run, run, task,
                                        scratch_sets[i % len(scratch_sets)]))
         while running:
             yield running.popleft().result()
@@ -308,12 +316,16 @@ def split_rows(piece_fn, rows: int, work: int, scratch=lambda rows: (),
         pass
 
 
+# Weights per key chunk of attention's backward.
+KEY_CHUNK = 2 ** 16
+
+
 def _key_chunks(n_keys: int, width: int) -> list[tuple[int, int]]:
     """Key-row ranges [lo, hi) that attention's backward cuts an
-    (n_keys, width) block of weights into: about kernels.SOFTMAX_SLAB
-    entries each, cut evenly, so no range holds fewer than two rows
-    unless there is one key. The cut depends on the shape only."""
-    count = max(1, min(n_keys // 2, n_keys * width // kernels.SOFTMAX_SLAB))
+    (n_keys, width) block of weights into: about KEY_CHUNK entries each,
+    cut evenly, so no range holds fewer than two rows unless there is
+    one key. The cut depends on the shape only."""
+    count = max(1, min(n_keys // 2, n_keys * width // KEY_CHUNK))
     return [(n_keys * i // count, n_keys * (i + 1) // count) for i in range(count)]
 
 
@@ -328,16 +340,15 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     full blocks of scores run their blocks on the ATTENTION_WORKERS
     threads of the pool, unless called on a pool thread; the calling
     thread allocates one set of scratch per thread for each pass, whose
-    one block-sized array holds the block's scores.
+    one block-sized array holds the block's scores. Forward and backward
+    run with subnormals flushed in hardware (:func:`vstain._flush_to_zero`).
 
     Backward (after FlashAttention's, arXiv:2205.14135) keeps that one
     block per worker. It recomputes a block's weights P over its scores,
     then walks their key rows in chunks of :func:`_key_chunks`. For each
     chunk it computes dP = V[chunk] g^T into small scratch, takes the
     value gradient's rows P[chunk] g from the weights first, and then
-    writes the score gradient dS = P * (dP - D) over them, flushing
-    results below the smallest normal number to +0.0 as the softmax
-    does. D_j = g_j . out_j is each query's row dot of its output
+    writes the score gradient dS = P * (dP - D) over them. D_j = g_j . out_j is each query's row dot of its output
     gradient and the forward output, computed once for all blocks: it
     equals the column sum of P * dP, which would need dP whole. D is
     summed in float64, where float32 products are exact, and rounded
@@ -367,7 +378,6 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     pooled = _pooled(n, n_queries, n_keys)
     block_size = n_keys * min(step, n_queries)
     widths = (min(step, n_queries), (n_queries - 1) % step + 1)  # a block's, the last one's
-    slab_size = max(kernels.softmax_scratch_size((n_keys, width)) for width in widths)
     chunks = {width: _key_chunks(n_keys, width) for width in widths}
     chunk_size = max(width * max(hi - lo for lo, hi in cuts) for width, cuts in chunks.items())
 
@@ -376,12 +386,12 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
         count = min(_workers(), len(tasks)) if pooled else 1
         return [tuple(np.empty(shape, dtype) for shape in shapes) for _ in range(count)]
 
-    def block_weights(b, s, scores, slab):
+    def block_weights(b, s, scores):
         """The (n_keys, width) softmax weights of one block, in `scores`."""
         qs = qm[b, s]
         scores = scores[: n_keys * len(qs)].reshape(n_keys, len(qs))
         np.matmul(km[b], qs.T, out=scores)
-        return kernels.col_softmax_inplace(scores, slab)
+        return kernels.col_softmax_inplace(scores)
 
     out = np.empty((n, n_queries, cv), dtype=dtype)
 
@@ -389,38 +399,40 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
         b, s = task
         np.matmul(block_weights(b, s, *scratch).T, vm[b], out=out[b, s])
 
-    for _ in _run_blocks(forward_block, tasks, scratch_sets(block_size, slab_size)):
-        pass
+    with _flush_to_zero():
+        for _ in _run_blocks(forward_block, tasks, scratch_sets(block_size)):
+            pass
 
     def bw(g):
-        gm = g.reshape(n, n_queries, cv)
-        dots = np.einsum("nqc,nqc->nq", gm, out, dtype=np.float64).astype(gm.dtype)  # D
-        gq, gk, gv = np.empty_like(qm), np.zeros_like(km), np.zeros_like(vm)
+        with _flush_to_zero():
+            gm = g.reshape(n, n_queries, cv)
+            dots = np.einsum("nqc,nqc->nq", gm, out, dtype=np.float64).astype(gm.dtype)  # D
+            gq, gk, gv = np.empty_like(qm), np.zeros_like(km), np.zeros_like(vm)
 
-        def backward_block(task, scratch):
-            b, s = task
-            scores, slab, dp, part_v, part_k = scratch
-            weights = block_weights(b, s, scores, slab)
-            gs, width = gm[b, s], weights.shape[1]
-            for lo, hi in chunks[width]:
-                w = weights[lo:hi]
-                dpc = dp[: w.size].reshape(w.shape)
-                np.matmul(vm[b, lo:hi], gs.T, out=dpc)
-                np.matmul(w, gs, out=part_v[lo:hi])
-                dpc -= dots[b, s]
-                w *= dpc
-                kernels.flush_subnormals(w)  # keeps +0.0 for negative subnormals
-            np.matmul(weights.T, km[b], out=gq[b, s])
-            np.matmul(weights, qm[b, s], out=part_k)
-            return part_v, part_k
+            def backward_block(task, scratch):
+                b, s = task
+                scores, dp, part_v, part_k = scratch
+                weights = block_weights(b, s, scores)
+                gs, width = gm[b, s], weights.shape[1]
+                for lo, hi in chunks[width]:
+                    w = weights[lo:hi]
+                    dpc = dp[: w.size].reshape(w.shape)
+                    np.matmul(vm[b, lo:hi], gs.T, out=dpc)
+                    np.matmul(w, gs, out=part_v[lo:hi])
+                    dpc -= dots[b, s]
+                    w *= dpc
+                np.matmul(weights.T, km[b], out=gq[b, s])
+                np.matmul(weights, qm[b, s], out=part_k)
+                return part_v, part_k
 
-        sets = scratch_sets(block_size, slab_size, chunk_size, (n_keys, cv), (n_keys, c))
-        for (b, _), (part_v, part_k) in zip(tasks, _run_blocks(backward_block, tasks, sets)):
-            gv[b] += part_v
-            gk[b] += part_k
-        accumulate(q, gq.reshape(q.data.shape))
-        accumulate(k, gk.reshape(k.data.shape))
-        accumulate(v, gv.reshape(v.data.shape))
+            sets = scratch_sets(block_size, chunk_size, (n_keys, cv), (n_keys, c))
+            blocks = _run_blocks(backward_block, tasks, sets)
+            for (b, _), (part_v, part_k) in zip(tasks, blocks):
+                gv[b] += part_v
+                gk[b] += part_k
+            accumulate(q, gq.reshape(q.data.shape))
+            accumulate(k, gk.reshape(k.data.shape))
+            accumulate(v, gv.reshape(v.data.shape))
 
     return make_op(out.reshape(n, hq, wq, cv), (q, k, v), bw)
 

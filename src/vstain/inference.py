@@ -16,6 +16,12 @@ overlap sums get their addends in the same order on any number of
 workers. Before it returns, predict_image hands the heap's free pages
 back to the system: the windows' freed scratch would stay resident
 beside the output for as long as the caller holds it.
+
+Prediction runs with subnormals flushed in hardware
+(:func:`vstain._flush_to_zero`), so output probabilities below float32's
+smallest normal number are zero, and with numpy's overflow and invalid
+warnings off: the finite checks of the attention softmax and the head
+raise the one NumericError instead.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from contextlib import closing
 
 import numpy as np
 
-from . import _release_free_heap
+from . import _flush_to_zero, _release_free_heap
 from . import autograd as ag
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .multiscale import PatchSpec, extract_multiscale
@@ -129,31 +135,33 @@ def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray
     offsets_y = window_offsets(h, patch, step)
     offsets_x = window_offsets(w, patch, step)
 
-    t, v = cfg.task_count, cfg.value_classes
-    acc = np.zeros((h, w, t, v), dtype=np.float32)
-    windows = [(oy, ox) for oy in offsets_y for ox in offsets_x]
-    # one empty scratch set per worker: at most that many windows in flight
-    workers = min(ag._workers(), len(windows)) if _windows_per_worker(cfg) else 1
-    features = ag._run_blocks(lambda window, _: _window_features(net, image, *window),
-                              windows, [()] * workers)
-    with closing(features):  # after an error, wait for the windows still running
-        for oy, ox in windows:
-            # no name holds a window's features while the next forward runs
-            _add_window(net, next(features), oy, ox, acc)
+    # the finite checks are the signal: the overflowing or invalid
+    # products before them print no numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"), _flush_to_zero():
+        t, v = cfg.task_count, cfg.value_classes
+        acc = np.zeros((h, w, t, v), dtype=np.float32)
+        windows = [(oy, ox) for oy in offsets_y for ox in offsets_x]
+        # one empty scratch set per worker: at most that many windows in flight
+        workers = min(ag._workers(), len(windows)) if _windows_per_worker(cfg) else 1
+        features = ag._run_blocks(lambda window, _: _window_features(net, image, *window),
+                                  windows, [()] * workers)
+        with closing(features):  # after an error, wait for the windows still running
+            for oy, ox in windows:
+                # no name holds a window's features while the next forward runs
+                _add_window(net, next(features), oy, ox, acc)
 
-    cnt = coverage_map(h, w, patch, step).astype(np.float32)
-    if cnt.max() == 1.0:
-        # no overlap anywhere: each pixel is one softmax output already
-        _release_free_heap()
-        return acc
+        cnt = coverage_map(h, w, patch, step).astype(np.float32)
 
-    def merge(lo, hi, sums):
-        """Mean over windows, then renormalised in float64, in place."""
-        a = acc[lo:hi]
-        a /= cnt[lo:hi, :, None, None]
-        s = sums[: a.size // v].reshape(a.shape[:-1] + (1,))
-        np.divide(a, np.sum(a, axis=-1, keepdims=True, dtype=np.float64, out=s), out=a)
+        def merge(lo, hi, sums):
+            """Mean over windows, then renormalised in float64, in place."""
+            a = acc[lo:hi]
+            a /= cnt[lo:hi, :, None, None]
+            s = sums[: a.size // v].reshape(a.shape[:-1] + (1,))
+            np.divide(a, np.sum(a, axis=-1, keepdims=True, dtype=np.float64, out=s), out=a)
 
-    ag.split_rows(merge, h, acc.size * ag.PASS_WORK, lambda rows: (np.empty(rows * w * t),))
+        # with no overlap anywhere, each pixel is one softmax output already
+        if cnt.max() > 1.0:
+            ag.split_rows(merge, h, acc.size * ag.PASS_WORK,
+                          lambda rows: (np.empty(rows * w * t),))
     _release_free_heap()
     return acc

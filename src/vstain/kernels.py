@@ -29,7 +29,7 @@ import numpy as np
 
 # autograd owns the worker pool; it imports this module too, and calls
 # into it only after both have loaded
-from . import autograd
+from . import _flush_to_zero, autograd
 from .errors import NumericError, ShapeError
 
 
@@ -47,140 +47,36 @@ def check_tensor4(t: np.ndarray, name: str = "tensor") -> np.ndarray:
 # softmax
 # ---------------------------------------------------------------------------
 
-def flush_subnormals(a: np.ndarray) -> np.ndarray:
-    """Zero, in place, the entries of `a` smaller in magnitude than its
-    dtype's smallest normal number; returns `a`.
-
-    Each entry moves by less than that number, and subnormal operands
-    would slow every later BLAS product on them by about 100x.
-    """
-    tiny = np.finfo(a.dtype).tiny
-    small = a < tiny  # two comparisons, not np.abs: no float-sized temporary
-    small &= a > -tiny
-    np.copyto(a, 0, where=small)
-    return a
-
-
-# A block whose row sample has more than 1/SUBNORMAL_GATE of its shifted
-# scores where exp turns subnormal takes the cut path of col_softmax.
-SUBNORMAL_GATE = 256
-# Elements per row slab of the softmax passes' scratch buffer.
-SOFTMAX_SLAB = 2 ** 16
-
-
-def _subnormal_band(dtype) -> tuple[np.floating, float]:
-    """(cut, floor) for shifted scores x of `dtype`: exp(x) is subnormal
-    or zero for x < cut = log(tiny), and rounds to exactly 0 below floor."""
-    fi = np.finfo(dtype)
-    cut = np.log(fi.dtype.type(fi.tiny))
-    return cut, float(cut) - (fi.nmant + 1) * math.log(2)
-
-
-def _has_subnormal_tail(shifted: np.ndarray) -> bool:
-    """Whether a strided row sample of the shifted scores puts more than
-    1/SUBNORMAL_GATE of its entries where exp turns subnormal."""
-    cut, floor = _subnormal_band(shifted.dtype)
-    sample = shifted[..., :: max(1, shifted.shape[-2] // 64), :]
-    band = np.count_nonzero((sample >= floor) & (sample < cut))
-    return band * SUBNORMAL_GATE > sample.size
-
-
-def _slab_rows(shape: tuple[int, ...]) -> int:
-    """Rows per slab of an (..., rows, cols) array, about SOFTMAX_SLAB
-    elements. A one-column array is one slab: numpy sums a single column
-    pairwise, but several columns row by row, which is what lets a column
-    sum be carried across slabs (tests/oracles.py's
-    col_softmax_backward_inplace does)."""
-    rows, cols = shape[-2], shape[-1]
-    if cols == 1:
-        return rows
-    return max(1, SOFTMAX_SLAB * rows // math.prod(shape))
-
-
-def _row_slabs(shape: tuple[int, ...]) -> list[tuple]:
-    step = _slab_rows(shape)
-    return [(..., slice(lo, lo + step), slice(None)) for lo in range(0, shape[-2], step)]
-
-
-def softmax_scratch_size(shape: tuple[int, ...]) -> int:
-    """Elements of the scratch buffer the in-place softmax passes need on
-    an array of `shape`: one row slab plus one row."""
-    return (_slab_rows(shape) + 1) * math.prod(shape) // shape[-2]
-
-
-def _scratch_like(scratch: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    return scratch[: math.prod(shape)].reshape(shape)
-
-
-def _softmax_shifted(x: np.ndarray, cut_tail: bool, scratch: np.ndarray) -> np.ndarray:
-    """Column softmax of shifted scores x, in place, slab by slab.
-
-    With `cut_tail`, scores below log(tiny) first move below the
-    underflow point, so exp gives exactly 0 where it would give a
-    subnormal that the flush would zero. After the divide, one `>= tiny`
-    comparison into float scratch, multiplied in, flushes: weights are
-    >= 0, so this zeroes exactly what :func:`flush_subnormals` would.
-    """
-    fi = np.finfo(x.dtype)
-    cut, _ = _subnormal_band(x.dtype)
-    slabs = _row_slabs(x.shape)
-    with np.errstate(over="ignore"):
-        for s in slabs:
-            xs = x[s]
-            if cut_tail:
-                t = np.subtract(xs, cut, out=_scratch_like(scratch, xs.shape))
-                t *= fi.max  # >= 0 where xs >= cut, else far below the underflow point
-                np.minimum(xs, t, out=xs)
-            np.exp(xs, out=xs)
-    total = np.sum(x, axis=-2, keepdims=True)
-    for s in slabs:
-        xs = x[s]
-        xs /= total
-        xs *= np.greater_equal(xs, fi.tiny, out=_scratch_like(scratch, xs.shape),
-                               casting="unsafe")
-    return x
-
-
-def col_softmax_inplace(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def col_softmax_inplace(x: np.ndarray) -> np.ndarray:
     """:func:`col_softmax` of a float array, written over it; returns x.
 
-    `scratch` is a flat buffer of x's dtype with at least
-    softmax_scratch_size(x.shape) elements. Besides it, only the column
-    statistics and the gate's row sample take memory.
+    Besides x, only the column statistics take memory.
     """
-    colmax = np.max(x, axis=-2, keepdims=True)
-    # a NaN or an infinity shows in its column's max or min
-    if not (np.isfinite(colmax).all() and np.isfinite(np.min(x, axis=-2)).all()):
-        raise NumericError("col_softmax: non-finite input")
-    x -= colmax
-    return _softmax_shifted(x, _has_subnormal_tail(x), scratch)
+    with _flush_to_zero():
+        colmax = np.max(x, axis=-2, keepdims=True)
+        # a NaN or an infinity shows in its column's max or min
+        if not (np.isfinite(colmax).all() and np.isfinite(np.min(x, axis=-2)).all()):
+            raise NumericError("col_softmax: non-finite input")
+        x -= colmax
+        np.exp(x, out=x)
+        x /= np.sum(x, axis=-2, keepdims=True)
+    return x
 
 
 def col_softmax(m: np.ndarray) -> np.ndarray:
     """Softmax of every column (axis -2), stabilised by column-max shift.
 
     For a key/query score matrix of shape (n_keys, n_queries) each output
-    column is a probability vector over key positions. Weights below the
-    dtype's smallest normal number are flushed to zero, as
-    :func:`flush_subnormals` would.
-
-    Subnormal operands cost exp and the divide about 100x each. So when a
-    row sample shows a subnormal tail (:func:`_has_subnormal_tail`), the
-    block takes the cut path, which computes none: scores below log(tiny)
-    are cut before exp. Both paths return the same bits, so the gate
-    decides only speed. Nothing is zeroed before the divide: zeroing exps
-    below tiny * sum would differ from the flush when the sum is a power
-    of two >= 2 and an exp lies one ulp below tiny * sum (the quotient
-    ties and rounds up to tiny). The cut does drop subnormal addends from
-    the column sum; they could move its last bit only through a chain of
-    exact rounding ties that starts while the running sum is below
-    2**24 * tiny, and no such input is known.
+    column is a probability vector over key positions. It runs with
+    subnormals flushed in hardware (:func:`vstain._flush_to_zero`), so
+    exps and weights below the dtype's smallest normal number are zero
+    and add nothing to the column sum; where that mode does nothing,
+    they stay as computed.
     """
     m = np.asarray(m)
     if m.ndim < 2:
         raise ShapeError(f"col_softmax: expected a matrix, got rank {m.ndim}")
-    out = np.copy(m)
-    return col_softmax_inplace(out, np.empty(softmax_scratch_size(out.shape), out.dtype))
+    return col_softmax_inplace(np.copy(m))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _flush_to_zero
 from . import autograd as ag
-from . import data_io, gptt, kernels
+from . import data_io, gptt
 from .autograd import Variable
 from .errors import (ConfigError, DataError, NumericError, ShapeError,
                      require_types)
@@ -97,7 +98,8 @@ def masked_cross_entropy(
     formed. The forward keeps each labelled pixel's max logit, exp-sum
     and shifted target logit; the backward computes one slice's logits
     again at a time, by the forward's per-row products, and adds its
-    gradients slice by slice, in slice order.
+    gradients slice by slice, in slice order. Forward and backward run
+    with subnormals flushed in hardware (:func:`vstain._flush_to_zero`).
     Raises NumericError on a non-finite labelled logit. With no active
     cell the loss is an exact +0.0 with zero gradients.
     """
@@ -161,48 +163,49 @@ def masked_cross_entropy(
             zt[i, ys] = np.take_along_axis(z, target(i, ys), axis=-1)
             np.sum(np.exp(z, out=z), axis=-1, keepdims=True, out=sez[i, ys])
 
-    ag.split_rows(forward_piece, labelled * h, work,
-                  lambda n_rows: (np.empty(min(n_rows, h) * w * v, dtype),), small=True)
-    count = max(zt.size, 1)
-    loss = (np.log(sez) - zt).sum() / count
+    with _flush_to_zero():
+        ag.split_rows(forward_piece, labelled * h, work,
+                      lambda n_rows: (np.empty(min(n_rows, h) * w * v, dtype),), small=True)
+        count = max(zt.size, 1)
+        loss = (np.log(sez) - zt).sum() / count
 
     def bw(g):
-        scale = g / count
-        gx = np.zeros_like(x)
-        gw = np.zeros((c, t, v), w_all.dtype)
-        gb = np.zeros((t, v), dtype)
-        dz = np.empty((h, w, v), dtype)  # one slice's logit gradient at a time
-        slice_work = h * w * c * v
-        for i, (r, k) in enumerate(zip(rows, tasks)):
+        with _flush_to_zero():
+            scale = g / count
+            gx = np.zeros_like(x)
+            gw = np.zeros((c, t, v), w_all.dtype)
+            gb = np.zeros((t, v), dtype)
+            dz = np.empty((h, w, v), dtype)  # one slice's logit gradient at a time
+            slice_work = h * w * c * v
+            for i, (r, k) in enumerate(zip(rows, tasks)):
 
-            def input_piece(lo, hi, buf):  # image rows of the slice and of gx[r]
-                # the forward's logits and shift again, then their gradient
-                d = head(i, slice(lo, hi), dz[lo:hi])
-                d -= zmax[i, lo:hi]
-                np.exp(d, out=d)
-                d /= sez[i, lo:hi]
-                tz = target(i, slice(lo, hi))
-                np.put_along_axis(d, tz, np.take_along_axis(d, tz, axis=-1) - 1, axis=-1)
-                d *= scale
-                kernels.flush_subnormals(d)
-                part = buf[: (hi - lo) * w * c].reshape(hi - lo, w, c)
-                gx[r, lo:hi] += np.matmul(d, w_all.reshape(c, t, v)[:, k].T, out=part)
+                def input_piece(lo, hi, buf):  # image rows of the slice and of gx[r]
+                    # the forward's logits and shift again, then their gradient
+                    d = head(i, slice(lo, hi), dz[lo:hi])
+                    d -= zmax[i, lo:hi]
+                    np.exp(d, out=d)
+                    d /= sez[i, lo:hi]
+                    tz = target(i, slice(lo, hi))
+                    np.put_along_axis(d, tz, np.take_along_axis(d, tz, axis=-1) - 1, axis=-1)
+                    d *= scale
+                    part = buf[: (hi - lo) * w * c].reshape(hi - lo, w, c)
+                    gx[r, lo:hi] += np.matmul(d, w_all.reshape(c, t, v)[:, k].T, out=part)
 
-            ag.split_rows(input_piece, h, slice_work,
-                          lambda n_rows: (np.empty(n_rows * w * c, dtype),), small=True)
+                ag.split_rows(input_piece, h, slice_work,
+                              lambda n_rows: (np.empty(n_rows * w * c, dtype),), small=True)
 
-            def weight_piece(lo, hi, buf):  # columns [lo, hi) of the slice's V
-                d = dz[..., lo:hi]
-                gw[:, k, lo:hi] += np.matmul(x[r].reshape(-1, c).T, d.reshape(-1, hi - lo),
-                                             out=buf[: c * (hi - lo)].reshape(c, hi - lo))
-                gb[k, lo:hi] += d.sum(axis=(0, 1))
+                def weight_piece(lo, hi, buf):  # columns [lo, hi) of the slice's V
+                    d = dz[..., lo:hi]
+                    gw[:, k, lo:hi] += np.matmul(x[r].reshape(-1, c).T, d.reshape(-1, hi - lo),
+                                                 out=buf[: c * (hi - lo)].reshape(c, hi - lo))
+                    gb[k, lo:hi] += d.sum(axis=(0, 1))
 
-            ag.split_rows(weight_piece, v, slice_work,
-                          lambda cols: (np.empty(c * cols, dtype),))
-        del dz  # before accumulate allocates the features' gradient
-        ag.accumulate(features, gx)
-        ag.accumulate(head_w, gw.reshape(w_all.shape))
-        ag.accumulate(head_b, gb.reshape(-1))
+                ag.split_rows(weight_piece, v, slice_work,
+                              lambda cols: (np.empty(c * cols, dtype),))
+            del dz  # before accumulate allocates the features' gradient
+            ag.accumulate(features, gx)
+            ag.accumulate(head_w, gw.reshape(w_all.shape))
+            ag.accumulate(head_b, gb.reshape(-1))
 
     return ag.make_op(np.asarray(loss, dtype=dtype), (features, head_w, head_b), bw)
 
@@ -367,7 +370,7 @@ def train(
         try:
             # the finite checks are the signal: the overflowing or invalid
             # products before them print no numpy warnings
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"), _flush_to_zero():
                 features = forward(net, x, mode="train", rng=loop_rng)
                 loss = masked_cross_entropy(features, net.head_w, net.head_b, targets, mask,
                                             net_config.value_classes)

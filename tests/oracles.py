@@ -10,15 +10,20 @@ concatenating dense block is the reference for the channel buffer that
 `dense_block.dense_forward` fills in place; and
 `col_softmax_backward_inplace` is the softmax backward that attention
 ran before it took its column sums from the output.
+
+The softmax oracles run under `vstain._flush_to_zero`, the hardware mode
+the production softmax runs under, so that their exps and column sums
+drop the same subnormals.
 """
 
+import math
 import struct
 import types
 
 import numpy as np
 
+import vstain
 from vstain import autograd as ag
-from vstain import kernels as K
 from vstain.gpt_layer import GptVariant
 
 
@@ -141,15 +146,23 @@ def oracle_masked_cross_entropy(logits, targets, mask, value_classes):
     return loss, dz.reshape(n, h, w, c)
 
 
+def flush_subnormals(a):
+    """Zero, in place, the entries of `a` smaller in magnitude than its
+    dtype's smallest normal number, as +0.0; returns `a`."""
+    tiny = np.finfo(a.dtype).tiny
+    np.copyto(a, 0, where=(a < tiny) & (a > -tiny))
+    return a
+
+
 def oracle_col_softmax(m):
-    """Column softmax with no subnormal cut: shift by the column max, exp,
+    """Column softmax in whole-array passes: shift by the column max, exp,
     divide by the column sum, then zero every weight below the dtype's
     smallest normal number."""
-    out = m - np.max(m, axis=-2, keepdims=True)
-    np.exp(out, out=out)
-    out /= np.sum(out, axis=-2, keepdims=True)
-    out[np.abs(out) < np.finfo(out.dtype).tiny] = 0
-    return out
+    with vstain._flush_to_zero():
+        out = m - np.max(m, axis=-2, keepdims=True)
+        np.exp(out, out=out)
+        out /= np.sum(out, axis=-2, keepdims=True)
+    return flush_subnormals(out)
 
 
 def oracle_col_softmax_backward(out, grad):
@@ -161,6 +174,27 @@ def oracle_col_softmax_backward(out, grad):
     result = out * (grad - inner)
     result[np.abs(result) < np.finfo(result.dtype).tiny] = 0
     return result
+
+
+# Elements per row slab of col_softmax_backward_inplace.
+SOFTMAX_SLAB = 2 ** 16
+
+
+def _slab_rows(shape):
+    """Rows per slab of an (..., rows, cols) array, about SOFTMAX_SLAB
+    elements. A one-column array is one slab: numpy sums a single column
+    pairwise, but several columns row by row, which is what lets a column
+    sum be carried across slabs."""
+    rows, cols = shape[-2], shape[-1]
+    if cols == 1:
+        return rows
+    return max(1, SOFTMAX_SLAB * rows // math.prod(shape))
+
+
+def softmax_scratch_size(shape):
+    """Elements of the scratch buffer col_softmax_backward_inplace needs
+    on an array of `shape`: one row slab plus one row."""
+    return (_slab_rows(shape) + 1) * math.prod(shape) // shape[-2]
 
 
 def col_softmax_backward_inplace(out, grad, scratch):
@@ -177,11 +211,13 @@ def col_softmax_backward_inplace(out, grad, scratch):
     running sum, kept in the slab scratch's first row, adds the same
     numbers in the same order as one sum over all rows.
     """
-    slabs = K._row_slabs(out.shape)
+    step = _slab_rows(out.shape)
+    slabs = [(..., slice(lo, lo + step), slice(None)) for lo in range(0, out.shape[-2], step)]
     inner = None
     for s in slabs:
         w = out[s]
-        acc = K._scratch_like(scratch, w.shape[:-2] + (w.shape[-2] + 1, w.shape[-1]))
+        shape = w.shape[:-2] + (w.shape[-2] + 1, w.shape[-1])
+        acc = scratch[: math.prod(shape)].reshape(shape)
         np.multiply(grad[s], w, out=acc[..., 1:, :])
         if inner is None:
             inner = np.sum(acc[..., 1:, :], axis=-2, keepdims=True)
@@ -192,7 +228,7 @@ def col_softmax_backward_inplace(out, grad, scratch):
         gs = grad[s]
         gs -= inner
         gs *= out[s]
-        K.flush_subnormals(gs)  # keeps +0.0 for negative subnormals
+        flush_subnormals(gs)  # keeps +0.0 for negative subnormals
     return grad
 
 

@@ -80,9 +80,13 @@ def test_pipeline_outputs_exist(pipeline):
 
 
 def test_pipeline_loss_decreases(pipeline):
+    # one batch's loss swings between about 15 and 250 from step to step,
+    # so the mean of three steps at each end is compared: the last three
+    # are lower for train seeds 0-11, and with the update taken out they
+    # are not for this seed
     rows = (pipeline / "run" / "loss.csv").read_text().splitlines()[1:]
     losses = [float(r.split(",")[1]) for r in rows]
-    assert losses[-1] < losses[0]
+    assert np.mean(losses[-3:]) < np.mean(losses[:3])
 
 
 def test_predictions_cover_value_range(pipeline):
@@ -445,6 +449,38 @@ def test_train_to_an_overflowing_adam_moment_is_numeric_error(synth_32, tmp_path
     assert "non-finite Adam moment v/" in capsys.readouterr().err
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
         "checkpoint_000001.gptc", "diagnostic_step000002"]
+
+
+def test_predict_to_overflowing_scores_is_numeric_error_without_warnings(synth_32,
+                                                                          tmp_path):
+    # two steps at learning rate 10 leave finite weights whose attention
+    # scores overflow on the test image: predict once printed numpy's
+    # overflow warning before its one error line
+    cfg = {"network": {"patch_size": 16, "task_count": 2, "growth_rate": 2,
+                       "stem_channels": 4, "encoder_depths": [1, 1, 2],
+                       "encoder_channels": [2, 9, 11], "bottom_depth": 1,
+                       "bottom_channels": 18, "decoder_depths": [1, 0, 2],
+                       "decoder_channels": [2, 9, 11], "qk_channels": 3,
+                       "dropout_rate": 0.0},
+           "train": {"learning_rate": 10.0, "batch_size": 1, "max_steps": 2,
+                     "checkpoint_interval": 100, "seed": 0}}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train", "--manifest", str(synth_32), "--config",
+                         str(tmp_path / "config.json"), "--out", str(tmp_path / "run")]) == 0
+    manifest = dio.load_manifest(synth_32)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(vstain.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "vstain", "predict",
+                           "--checkpoint", str(tmp_path / "run" / "checkpoint_000002.gptc"),
+                           "--image", str(manifest.root / manifest.split("test")[0].input_path),
+                           "--out", str(tmp_path / "pred"), "--step", "8"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert proc.returncode == 4, proc.stderr[-2000:]
+    assert errors == ["error: col_softmax: non-finite input"]
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 BAD_PIXELS = pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from vstain.errors import NumericError, ShapeError
 from vstain.multiscale import _reflect_indices
 
 from oracles import (col_softmax_backward_inplace, oracle_col_softmax,
-                     oracle_col_softmax_backward)
+                     oracle_col_softmax_backward, softmax_scratch_size)
 
 rng = np.random.default_rng(1234)
 
@@ -60,13 +60,8 @@ def assert_same_bits(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def shifted(m):
-    return m - np.max(m, axis=-2, keepdims=True)
-
-
-def cut_softmax(x):
-    """The cut path on shifted scores x, in place, whatever the gate says."""
-    return K._softmax_shifted(x, True, np.empty(K.softmax_scratch_size(x.shape), x.dtype))
+def subnormal(t):
+    return np.count_nonzero((t != 0) & (np.abs(t) < np.finfo(t.dtype).tiny))
 
 
 SCORE_BLOCKS = {
@@ -78,20 +73,17 @@ SCORE_BLOCKS = {
     "float64-scale300": rng.normal(size=(2048, 32)) * 300,
     "float64-scale3": rng.normal(size=(2048, 32)) * 3,
 }
-GATE_OPEN = {"scale30": True, "scale3": False, "scale3000": False,
-             "float64-scale300": True, "float64-scale3": False}
 
 
 @pytest.mark.parametrize("name", sorted(SCORE_BLOCKS))
 def test_col_softmax_matches_oracle_on_both_sides_of_the_gate(name):
+    # the name stays from the software subnormal gate that hardware
+    # flushing replaced: blocks with and without a subnormal tail
     m = SCORE_BLOCKS[name]
-    assert K._has_subnormal_tail(shifted(m)) == GATE_OPEN[name]
     expected = oracle_col_softmax(m)
     assert_same_bits(K.col_softmax(m), expected)
-    # the gate decides speed only: the cut path gives the same bits anywhere
-    assert_same_bits(cut_softmax(shifted(m)), expected)
     x = m.copy()
-    assert K.col_softmax_inplace(x, np.empty(K.softmax_scratch_size(x.shape), x.dtype)) is x
+    assert K.col_softmax_inplace(x) is x
     assert_same_bits(x, expected)
 
 
@@ -102,8 +94,7 @@ def test_col_softmax_scores_at_log_tiny_plus_minus_one_ulp(dtype):
                     dtype=dtype)
     m = np.zeros((600, 3), dtype=dtype)
     m[1:] = np.resize(edge, 599)[:, None]
-    m[1:, 1] -= 5  # the subnormal band, so the gate opens
-    assert K._has_subnormal_tail(shifted(m))
+    m[1:, 1] -= 5  # the subnormal band
     assert_same_bits(K.col_softmax(m), oracle_col_softmax(m))
 
 
@@ -121,10 +112,11 @@ def test_col_softmax_unit_column_sum_with_entries_near_tiny(dtype):
     assert np.sum(weights) == 1.0
     assert np.count_nonzero(weights < np.finfo(dtype).tiny) > 0
     assert np.count_nonzero((weights >= np.finfo(dtype).tiny) & (weights < 1)) > 0
-    assert K._has_subnormal_tail(shifted(m))
     assert_same_bits(K.col_softmax(m), oracle_col_softmax(m))
 
 
+# the three test_cut_softmax_* tests are named for the software cut path
+# before exp that hardware flushing replaced
 @settings(max_examples=60, deadline=None)
 @given(rows=st.integers(1, 300), cols=st.integers(1, 9),
        scale=st.sampled_from([0.5, 20.0, 30.0, 60.0, 400.0]),
@@ -132,15 +124,11 @@ def test_col_softmax_unit_column_sum_with_entries_near_tiny(dtype):
        seed=st.integers(0, 2 ** 16))
 def test_cut_softmax_matches_oracle_on_random_scores(rows, cols, scale, dtype, seed):
     m = (np.random.default_rng(seed).standard_normal((rows, cols)) * scale).astype(dtype)
-    expected = oracle_col_softmax(m)
-    assert_same_bits(K.col_softmax(m), expected)
-    assert_same_bits(cut_softmax(shifted(m)), expected)
+    assert_same_bits(K.col_softmax(m), oracle_col_softmax(m))
 
 
 def test_cut_softmax_batched_and_sliced_across_slabs():
     m = (rng.normal(size=(3, 700, 50)) * 30).astype(np.float32)
-    assert K.SOFTMAX_SLAB < m.size  # two slabs, the second one short
-    assert K._has_subnormal_tail(shifted(m))
     assert_same_bits(K.col_softmax(m), oracle_col_softmax(m))
 
 
@@ -153,11 +141,14 @@ def test_cut_softmax_computes_no_subnormal_and_no_full_size_temporary(monkeypatc
 
     def exp(x, out=None):
         e = real_exp(x, out=out)
-        subnormal_exps.append(np.count_nonzero((e > 0) & (e < tiny)))
+        # counted in row chunks, so that the count adds no full-size temporary
+        subnormal_exps.append(sum(np.count_nonzero((c > 0) & (c < tiny))
+                                  for c in np.array_split(e, 64)))
         return e
 
     m = (rng.normal(size=(16384, 64)) * 30).astype(np.float32)
-    assert K._has_subnormal_tail(shifted(m))
+    e = np.exp(m - m.max(axis=0))  # unflushed, about 16 % of the exps are subnormal
+    assert subnormal(e) > e.size // 8
     monkeypatch.setattr(np, "exp", exp)
     tracemalloc.start()
     try:
@@ -167,7 +158,7 @@ def test_cut_softmax_computes_no_subnormal_and_no_full_size_temporary(monkeypatc
         tracemalloc.stop()
     assert subnormal_exps and sum(subnormal_exps) == 0
     assert np.count_nonzero((out > 0) & (out < tiny)) == 0
-    # the output plus slab-sized scratch; a full-size float temporary
+    # the output and the column statistics; a full-size float temporary
     # would double it
     assert peak < m.nbytes * 3 // 2
 
@@ -181,9 +172,6 @@ def test_col_softmax_flushes_subnormals_forward_and_backward():
     grad = r.normal(size=scores.shape).astype(np.float32)
     tiny = np.finfo(np.float32).tiny
 
-    def subnormal(t):
-        return np.count_nonzero((t != 0) & (np.abs(t) < tiny))
-
     # unflushed, both passes would land in the subnormal range
     e = np.exp(scores - scores.max(axis=0))
     plain = e / e.sum(axis=0)
@@ -193,7 +181,7 @@ def test_col_softmax_flushes_subnormals_forward_and_backward():
     assert np.all((out == plain) | (plain < tiny))
 
     assert subnormal(out * (grad - (grad * out).sum(axis=0))) > 0
-    scratch = np.empty(K.softmax_scratch_size(out.shape), out.dtype)
+    scratch = np.empty(softmax_scratch_size(out.shape), out.dtype)
     assert subnormal(col_softmax_backward_inplace(out, grad, scratch)) == 0
 
 
@@ -212,9 +200,9 @@ def softmax_backward_case(shape, dtype, seed):
 ])
 def test_col_softmax_backward_inplace_matches_oracle_across_slabs(shape, dtype):
     out, grad = softmax_backward_case(shape, dtype, seed=sum(shape))
-    assert K.softmax_scratch_size(shape) < out.size or shape[-1] == 1
+    assert softmax_scratch_size(shape) < out.size or shape[-1] == 1
     expected = oracle_col_softmax_backward(out, grad)
-    scratch = np.empty(K.softmax_scratch_size(shape), dtype)
+    scratch = np.empty(softmax_scratch_size(shape), dtype)
     result = col_softmax_backward_inplace(out, grad, scratch)
     assert result is grad
     assert_same_bits(result, expected)
@@ -234,7 +222,7 @@ def test_col_softmax_backward_flushes_negative_subnormals_to_plus_zero(dtype):
     assert np.count_nonzero((raw < 0) & (raw > -tiny)) > 0
     assert np.count_nonzero((raw > 0) & (raw < tiny)) > 0
     result = col_softmax_backward_inplace(
-        out, grad, np.empty(K.softmax_scratch_size(out.shape), dtype))
+        out, grad, np.empty(softmax_scratch_size(out.shape), dtype))
     assert_same_bits(result, expected)
     assert not np.signbit(result[(raw < 0) & (raw > -tiny)]).any()
 

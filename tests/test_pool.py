@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vstain
 from vstain import autograd as ag
 from vstain import cli, data_io, inference
 from vstain import kernels as K
@@ -307,6 +308,34 @@ def test_pool_blocks_run_under_the_callers_numpy_error_state(monkeypatch, fresh_
         results = list(ag._run_blocks(block, range(4), [(), ()]))
     assert all(state["over"] == state["invalid"] == "ignore" for state, _ in results)
     assert all(np.isnan(diff).all() for _, diff in results)
+
+
+@pytest.mark.skipif(vstain._libm is None, reason="the mode needs x86-64 with glibc")
+def test_pool_blocks_run_under_the_callers_subnormal_flushing(monkeypatch, fresh_pool):
+    # the floating-point modes are per thread: each block takes the
+    # caller's flushing, on or off, and the pool thread gets its own back
+    new_pool(monkeypatch, 2)
+    pool, both = ag._worker_pool(), threading.Barrier(2, timeout=30)
+
+    def own_modes():
+        """Each of the two pool threads' flushing, outside _run_blocks."""
+        def mode():
+            both.wait()
+            return vstain._flushing_to_zero()
+        return [f.result() for f in [pool.submit(mode) for _ in range(2)]]
+
+    tiny = np.full(4, np.finfo(np.float32).tiny, np.float32)
+
+    def block(task, scratch):
+        return vstain._flushing_to_zero(), tiny / np.float32(4)
+
+    assert own_modes() == [False, False]  # both threads start here, without it
+    for caller in (True, False, True):
+        with vstain._flush_to_zero(caller):
+            results = list(ag._run_blocks(block, range(6), [(), ()]))
+        assert all(flushing == caller for flushing, _ in results)
+        assert all((quarter == 0).all() == caller for _, quarter in results)
+    assert own_modes() == [False, False]
 
 
 @pytest.mark.parametrize("render", ["argmax", "expectation"])
