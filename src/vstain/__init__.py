@@ -7,7 +7,8 @@ the environment before numpy and its BLAS are first loaded.
 Importing the package fixes glibc's mmap and trim thresholds and caps
 its arenas at one (see :func:`_fix_malloc_thresholds`);
 :func:`_release_free_heap` hands the heap's free pages back to the system;
-:func:`_flush_to_zero` runs float work with subnormals flushed in hardware.
+:func:`_flush_to_zero` runs float work with subnormals flushed in hardware,
+and :func:`_set_flush_to_zero` sets that mode for the rest of a thread's life.
 """
 
 import ctypes
@@ -66,6 +67,17 @@ _FenvT = ctypes.c_uint32 * 8
 _MXCSR = 7
 
 
+def _set_flush_to_zero(on: bool) -> None:
+    """Turn the calling thread's FTZ and DAZ modes on (or off) for good;
+    a no-op where :func:`_flush_to_zero` does nothing."""
+    if _libm is None:
+        return
+    env = _FenvT()
+    _libm.fegetenv(env)
+    env[_MXCSR] = env[_MXCSR] | _FTZ_DAZ if on else env[_MXCSR] & ~_FTZ_DAZ
+    _libm.fesetenv(env)
+
+
 @contextmanager
 def _flush_to_zero(on: bool = True):
     """Run the body with the calling thread's FTZ and DAZ modes on (or,
@@ -85,9 +97,7 @@ def _flush_to_zero(on: bool = True):
         return
     saved = _FenvT()
     _libm.fegetenv(saved)
-    mode = _FenvT(*saved)
-    mode[_MXCSR] = saved[_MXCSR] | _FTZ_DAZ if on else saved[_MXCSR] & ~_FTZ_DAZ
-    _libm.fesetenv(mode)
+    _set_flush_to_zero(on)
     try:
         yield
     finally:

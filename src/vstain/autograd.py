@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _flush_to_zero, _flushing_to_zero, kernels
+from . import _flush_to_zero, _flushing_to_zero, _set_flush_to_zero, kernels
 from .errors import ShapeError, VstainError
 
 
@@ -205,7 +205,10 @@ def _pooled(n: int, n_queries: int, n_keys: int) -> bool:
 
 
 def _mark_pool_thread() -> None:
+    """Start a worker thread without subnormal flushing: a new thread
+    inherits the floating-point modes of the thread that started it."""
     _thread.on_pool = True
+    _set_flush_to_zero(False)
 
 
 def _worker_pool() -> ThreadPoolExecutor:
@@ -343,18 +346,30 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     one block-sized array holds the block's scores. Forward and backward
     run with subnormals flushed in hardware (:func:`vstain._flush_to_zero`).
 
-    Backward (after FlashAttention's, arXiv:2205.14135) keeps that one
-    block per worker. It recomputes a block's weights P over its scores,
-    then walks their key rows in chunks of :func:`_key_chunks`. For each
-    chunk it computes dP = V[chunk] g^T into small scratch, takes the
-    value gradient's rows P[chunk] g from the weights first, and then
-    writes the score gradient dS = P * (dP - D) over them. D_j = g_j . out_j is each query's row dot of its output
-    gradient and the forward output, computed once for all blocks: it
-    equals the column sum of P * dP, which would need dP whole. D is
-    summed in float64, where float32 products are exact, and rounded
-    once, which makes the query and key gradients of float32 attention
-    slightly closer to float64 ones than a float32 sum. The query and
-    key gradients are then dS^T K and dS Q.
+    The forward (after FlashAttention-2's, arXiv:2307.08691) never
+    normalises the weights. Each block's scores S become E = exp(S - m),
+    m being each query's max score (:func:`kernels.col_exp_shifted_inplace`),
+    and one product of E^T with V and a column of ones gives both E^T V
+    and each query's exp-sum l; the output rows are E^T V / l. A layer
+    whose keys and queries pass :func:`kernels.dots_bounded` has no
+    infinite score, so its blocks check only their column maxima for a
+    NaN; any other layer checks every score's column min as well.
+
+    Backward (after FlashAttention's, arXiv:2205.14135) keeps each
+    query's log-sum-exp, lse = m + log l, and one score block per worker.
+    It recomputes a block's normalised weights P in one exp over one
+    product: K with a column of ones times Q with a column of -lse gives
+    S - lse. It then walks P's key rows in chunks of :func:`_key_chunks`.
+    For each chunk it computes dP = V[chunk] g^T into small scratch,
+    takes the value gradient's rows P[chunk] g from the weights first,
+    and then writes the score gradient dS = P * (dP - D) over them.
+    D_j = g_j . out_j is each query's row dot of its output gradient and
+    the forward output, computed once for all blocks: it equals the
+    column sum of P * dP, which would need dP whole. D is summed in
+    float64, where float32 products are exact, and rounded once, which
+    makes the query and key gradients of float32 attention slightly
+    closer to float64 ones than a float32 sum. The query and key
+    gradients are then dS^T K and dS Q.
     """
     for name, t in (("q", q), ("k", k), ("v", v)):
         if t.data.ndim != 4:
@@ -376,31 +391,43 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     tasks = [(b, slice(lo, lo + step)) for b in range(n) for lo in range(0, n_queries, step)]
     dtype = np.result_type(qm, km, vm)
     pooled = _pooled(n, n_queries, n_keys)
-    block_size = n_keys * min(step, n_queries)
-    widths = (min(step, n_queries), (n_queries - 1) % step + 1)  # a block's, the last one's
-    chunks = {width: _key_chunks(n_keys, width) for width in widths}
-    chunk_size = max(width * max(hi - lo for lo, hi in cuts) for width, cuts in chunks.items())
+    width = min(step, n_queries)  # a full block's queries
+    block_size = n_keys * width
+    widths = (width, (n_queries - 1) % step + 1)  # a block's, the last one's
+    chunks = {w: _key_chunks(n_keys, w) for w in widths}
+    chunk_size = max(w * max(hi - lo for lo, hi in cuts) for w, cuts in chunks.items())
 
     def scratch_sets(*shapes) -> list:
         """Per worker, one array of each shape, allocated on this thread."""
         count = min(_workers(), len(tasks)) if pooled else 1
         return [tuple(np.empty(shape, dtype) for shape in shapes) for _ in range(count)]
 
-    def block_weights(b, s, scores):
-        """The (n_keys, width) softmax weights of one block, in `scores`."""
-        qs = qm[b, s]
-        scores = scores[: n_keys * len(qs)].reshape(n_keys, len(qs))
-        np.matmul(km[b], qs.T, out=scores)
-        return kernels.col_softmax_inplace(scores)
+    def with_column(m, column):
+        """m (N, rows, C) with `column` (N, rows) appended as its last channel."""
+        out = np.empty(m.shape[:2] + (m.shape[2] + 1,), dtype)
+        out[..., :-1] = m
+        out[..., -1] = column
+        return out
 
+    bounded = kernels.dots_bounded(km, qm)
+    v1 = with_column(vm, 1)
     out = np.empty((n, n_queries, cv), dtype=dtype)
+    lse = np.empty((n, n_queries), dtype=dtype)
 
     def forward_block(task, scratch):
         b, s = task
-        np.matmul(block_weights(b, s, *scratch).T, vm[b], out=out[b, s])
+        scores, sums = scratch
+        qs = qm[b, s]
+        e = scores[: n_keys * len(qs)].reshape(n_keys, len(qs))
+        np.matmul(km[b], qs.T, out=e)
+        colmax = kernels.col_exp_shifted_inplace(e, bounded)
+        ev = np.matmul(e.T, v1[b], out=sums[: len(qs)])  # E^T V, then the exp-sums l
+        np.divide(ev[:, :cv], ev[:, cv:], out=out[b, s])
+        np.log(ev[:, cv], out=lse[b, s])
+        lse[b, s] += colmax[0]
 
     with _flush_to_zero():
-        for _ in _run_blocks(forward_block, tasks, scratch_sets(block_size)):
+        for _ in _run_blocks(forward_block, tasks, scratch_sets(block_size, (width, cv + 1))):
             pass
 
     def bw(g):
@@ -408,13 +435,16 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
             gm = g.reshape(n, n_queries, cv)
             dots = np.einsum("nqc,nqc->nq", gm, out, dtype=np.float64).astype(gm.dtype)  # D
             gq, gk, gv = np.empty_like(qm), np.zeros_like(km), np.zeros_like(vm)
+            k1, q1 = with_column(km, 1), with_column(qm, -lse)
 
             def backward_block(task, scratch):
                 b, s = task
                 scores, dp, part_v, part_k = scratch
-                weights = block_weights(b, s, scores)
-                gs, width = gm[b, s], weights.shape[1]
-                for lo, hi in chunks[width]:
+                qs = q1[b, s]
+                weights = scores[: n_keys * len(qs)].reshape(n_keys, len(qs))
+                np.exp(np.matmul(k1[b], qs.T, out=weights), out=weights)  # P
+                gs = gm[b, s]
+                for lo, hi in chunks[len(qs)]:
                     w = weights[lo:hi]
                     dpc = dp[: w.size].reshape(w.shape)
                     np.matmul(vm[b, lo:hi], gs.T, out=dpc)

@@ -5,9 +5,10 @@ stride does not divide the image extent exactly, one final window is
 clamped flush against the far edge, so every pixel is covered at least
 once. Each window is predicted independently (multi-scale input centred
 on the window, eval-mode forward, per-pixel softmax) and overlapping
-distributions are merged by arithmetic mean, then renormalised. Edge
-windows never invent pixels: only the multi-scale context crops use
-reflection padding.
+distributions are merged by arithmetic mean, then renormalised; as the
+renormalisation divides out the window count, the per-pixel sum over
+windows is renormalised directly. Edge windows never invent pixels:
+only the multi-scale context crops use reflection padding.
 
 Models whose window forwards pool attention blocks run those forwards
 one per worker of the pool; each window's distributions are added into
@@ -32,6 +33,7 @@ import numpy as np
 
 from . import _flush_to_zero, _release_free_heap
 from . import autograd as ag
+from . import kernels
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .multiscale import PatchSpec, extract_multiscale
 # predict_distributions stays importable from here: benchmarks/tracer.py
@@ -89,18 +91,21 @@ def _add_window(net: Network, features: np.ndarray, oy: int, ox: int,
 
     The head, the softmax and the add run in slabs of window rows, each
     over its own scratch, so the window's logits are never held at once.
+    When the features and the head pass :func:`kernels.dots_bounded`, no
+    logit can be a NaN or an infinity, and the slabs check none of them.
     """
     cfg = net.config
     patch, t, v = cfg.patch_size, cfg.task_count, cfg.value_classes
     w = net.head_w.data.reshape(features.shape[-1], t * v)
     out = acc[oy : oy + patch, ox : ox + patch]
+    bounded = kernels.dots_bounded(features, w.T, net.head_b.data)
 
     def slab(lo, hi, scratch):
         z = scratch[: (hi - lo) * patch * t * v].reshape(1, hi - lo, patch, t * v)
         np.matmul(features[lo:hi], w, out=z[0])  # the 1x1 head, one row at a time
         z += net.head_b.data
         # a NaN or an infinity shows in the max or the min
-        if not (np.isfinite(z.max()) and np.isfinite(z.min())):
+        if not (bounded or (np.isfinite(z.max()) and np.isfinite(z.min()))):
             raise NumericError("head: non-finite logits")
         out[lo:hi] += predict_distributions_inplace(z, t, v)[0]
 
@@ -150,17 +155,14 @@ def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray
                 # no name holds a window's features while the next forward runs
                 _add_window(net, next(features), oy, ox, acc)
 
-        cnt = coverage_map(h, w, patch, step).astype(np.float32)
-
         def merge(lo, hi, sums):
-            """Mean over windows, then renormalised in float64, in place."""
+            """The sum over windows renormalised in float64, in place."""
             a = acc[lo:hi]
-            a /= cnt[lo:hi, :, None, None]
             s = sums[: a.size // v].reshape(a.shape[:-1] + (1,))
             np.divide(a, np.sum(a, axis=-1, keepdims=True, dtype=np.float64, out=s), out=a)
 
         # with no overlap anywhere, each pixel is one softmax output already
-        if cnt.max() > 1.0:
+        if coverage_map(h, w, patch, step).max() > 1:
             ag.split_rows(merge, h, acc.size * ag.PASS_WORK,
                           lambda rows: (np.empty(rows * w * t),))
     _release_free_heap()

@@ -47,18 +47,49 @@ def check_tensor4(t: np.ndarray, name: str = "tensor") -> np.ndarray:
 # softmax
 # ---------------------------------------------------------------------------
 
+def dots_bounded(a: np.ndarray, b: np.ndarray, offset: np.ndarray | None = None) -> bool:
+    """Whether every a_i . b_j (+ offset), a_i and b_j rows (last axis) of
+    a and b, is known to stay below a quarter of the dtype's largest value.
+
+    By Cauchy-Schwarz, |a_i . b_j| and each partial sum of its products
+    are at most max|a_i| * max|b_j| (Euclidean norms), plus max|offset|.
+    That bound is computed in the operands' dtype without a wider copy,
+    so an overflow, an infinity or a NaN among the operands fails it.
+    Under the bound no sum, and no difference of two sums, is infinite.
+    """
+    dtype = np.result_type(a, b, *(() if offset is None else (offset,)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.sqrt(np.einsum("...c,...c->...", a, a, dtype=dtype).max(), dtype=dtype)
+        bound *= np.sqrt(np.einsum("...c,...c->...", b, b, dtype=dtype).max(), dtype=dtype)
+        if offset is not None:
+            bound += np.abs(offset).max().astype(dtype)
+    return bool(bound < np.finfo(dtype).max / 4)
+
+
+def col_exp_shifted_inplace(x: np.ndarray, bounded: bool = False) -> np.ndarray:
+    """exp(x - column max) of a float array's columns (axis -2), written
+    over it; returns the column maxima (keepdims).
+
+    Raises NumericError on a NaN or an infinity in x: a NaN shows in its
+    column's max, an infinity in the max or the min. `bounded` says that
+    no entry can be infinite (see :func:`dots_bounded`), so the min pass
+    is skipped. Runs under the caller's subnormal flushing.
+    """
+    colmax = np.max(x, axis=-2, keepdims=True)
+    if not (np.isfinite(colmax).all() and (bounded or np.isfinite(np.min(x, axis=-2)).all())):
+        raise NumericError("col_softmax: non-finite input")
+    x -= colmax
+    np.exp(x, out=x)
+    return colmax
+
+
 def col_softmax_inplace(x: np.ndarray) -> np.ndarray:
     """:func:`col_softmax` of a float array, written over it; returns x.
 
     Besides x, only the column statistics take memory.
     """
     with _flush_to_zero():
-        colmax = np.max(x, axis=-2, keepdims=True)
-        # a NaN or an infinity shows in its column's max or min
-        if not (np.isfinite(colmax).all() and np.isfinite(np.min(x, axis=-2)).all()):
-            raise NumericError("col_softmax: non-finite input")
-        x -= colmax
-        np.exp(x, out=x)
+        col_exp_shifted_inplace(x)
         x /= np.sum(x, axis=-2, keepdims=True)
     return x
 
@@ -101,7 +132,10 @@ def _same_pad(x: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, int, int]
     out_w, pl, pr = same_pad_amounts(x.shape[2], k, stride)
     if pt == pb == pl == pr == 0:
         return x, out_h, out_w
-    return np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0))), out_h, out_w
+    n, h, w, c = x.shape
+    xp = np.zeros((n, pt + h + pb, pl + w + pr, c), x.dtype)
+    xp[:, pt : pt + h, pl : pl + w] = x
+    return xp, out_h, out_w
 
 
 def _im2col(xp: np.ndarray, k: int, stride: int, lo: int, hi: int, out_w: int,

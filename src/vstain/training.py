@@ -97,8 +97,9 @@ def masked_cross_entropy(
     computed as x @ w[:, task] + b[task]; the full logits are never
     formed. The forward keeps each labelled pixel's max logit, exp-sum
     and shifted target logit; the backward computes one slice's logits
-    again at a time, by the forward's per-row products, and adds its
-    gradients slice by slice, in slice order. Forward and backward run
+    again at a time, by the forward's per-row products, takes their
+    softmax in one exp of the logits less max + log(exp-sum), and adds
+    its gradients slice by slice, in slice order. Forward and backward run
     with subnormals flushed in hardware (:func:`vstain._flush_to_zero`).
     Raises NumericError on a non-finite labelled logit. With no active
     cell the loss is an exact +0.0 with zero gradients.
@@ -176,15 +177,15 @@ def masked_cross_entropy(
             gw = np.zeros((c, t, v), w_all.dtype)
             gb = np.zeros((t, v), dtype)
             dz = np.empty((h, w, v), dtype)  # one slice's logit gradient at a time
+            lse = zmax + np.log(sez)  # each labelled pixel's log-sum-exp
             slice_work = h * w * c * v
             for i, (r, k) in enumerate(zip(rows, tasks)):
 
                 def input_piece(lo, hi, buf):  # image rows of the slice and of gx[r]
-                    # the forward's logits and shift again, then their gradient
+                    # the forward's logits again, their softmax, then their gradient
                     d = head(i, slice(lo, hi), dz[lo:hi])
-                    d -= zmax[i, lo:hi]
+                    d -= lse[i, lo:hi]
                     np.exp(d, out=d)
-                    d /= sez[i, lo:hi]
                     tz = target(i, slice(lo, hi))
                     np.put_along_axis(d, tz, np.take_along_axis(d, tz, axis=-1) - 1, axis=-1)
                     d *= scale

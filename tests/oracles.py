@@ -42,6 +42,18 @@ def oracle_attention(q, k, v):
     return out
 
 
+def oracle_attention_grads(q, k, v, g):
+    """Float64 gradients (dq, dk, dv) of sum(g * oracle_attention(q, k, v)),
+    in its layout (g is (Cv, m)), by the column softmax's Jacobian."""
+    q, k, v, g = (np.asarray(a, dtype=np.float64) for a in (q, k, v, g))
+    s = k.T @ q
+    e = np.exp(s - s.max(axis=0))
+    p = e / e.sum(axis=0)
+    dp = v.T @ g
+    ds = p * (dp - (p * dp).sum(axis=0))
+    return k @ ds, q @ ds.T, g @ p.T
+
+
 def oracle_unfold(t):
     h, w, c = t.shape
     out = np.zeros((c, h * w))
@@ -126,7 +138,9 @@ def oracle_mirror_pad(t, top, bottom, left, right):
 
 def oracle_masked_cross_entropy(logits, targets, mask, value_classes):
     """(value, gradient) of the masked loss by the dense formula: every
-    task is evaluated, then the masked ones are multiplied by zero."""
+    task is evaluated, then the masked ones are multiplied by zero. The
+    softmax of the gradient is exp(z - (zmax + log(sez))), one exp of the
+    logits less their log-sum-exp."""
     n, h, w, c = logits.shape
     t = targets.shape[3]
     z = logits.reshape(n, h, w, t, value_classes)
@@ -141,7 +155,7 @@ def oracle_masked_cross_entropy(logits, targets, mask, value_classes):
     g = np.ones((), dtype=logits.dtype)
     onehot = np.zeros_like(ez)
     np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
-    dz = (ez / sez - onehot) * active[..., None] * (g / count)
+    dz = (np.exp(z - (zmax + np.log(sez))) - onehot) * active[..., None] * (g / count)
     dz[np.abs(dz) < np.finfo(dz.dtype).tiny] = 0
     return loss, dz.reshape(n, h, w, c)
 

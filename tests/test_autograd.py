@@ -11,9 +11,11 @@ import weakref
 
 import numpy as np
 import pytest
-from oracles import closure_arrays, oracle_bn_relu_dropout, oracle_concat_channels
+from oracles import (closure_arrays, oracle_attention, oracle_attention_grads,
+                     oracle_bn_relu_dropout, oracle_concat_channels)
 
 from vstain import autograd as ag
+from vstain import kernels as K
 from vstain import network as nw
 from vstain.errors import NumericError, ShapeError, VstainError
 from vstain.training import masked_cross_entropy
@@ -413,6 +415,48 @@ def test_pooled_attention_backward_keeps_one_score_block_per_worker(monkeypatch,
         tracemalloc.stop()
     block_bytes = block_scores * np.dtype(np.float32).itemsize
     assert peak <= (workers + 1) * block_bytes
+
+
+def unfolded(a):
+    """Batch element 0 of an (N, H, W, C) array as the oracles' (C, H*W) float64."""
+    return a[0].reshape(-1, a.shape[-1]).T.astype(np.float64)
+
+
+def test_float32_pooled_attention_matches_the_float64_oracle(monkeypatch, fresh_pool):
+    # six full blocks and a ragged one of 4 queries, on two workers
+    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", SMALL_BLOCK)
+    q, k, v, probe = attention_case(9, scale=1.5, dtype=np.float32)
+    got = with_workers(monkeypatch, 2, (q, k, v, probe))
+    assert ag._pool is not None
+    qs, ks, vs = unfolded(q), unfolded(k), unfolded(v)
+    want = (oracle_attention(qs, ks, vs),
+            *oracle_attention_grads(qs, ks, vs, unfolded(probe)))
+    # float32 rounds each score (here up to 27 in magnitude) by up to
+    # about 2e-6, and each weight by as much of itself: the errors read
+    # 4e-7 to 1.4e-6 of each result's largest entry
+    for g, w in zip(got, want):
+        assert g.dtype == np.float32
+        assert np.abs(unfolded(g) - w).max() <= 2e-5 * np.abs(w).max()
+
+
+def overflowing_scores_case():
+    """float32 q and k, all finite, whose score of key 0 and query 0 is
+    -1e40, -inf in float32, while that query's max score is finite."""
+    q, k, v, _ = attention_case(10, dtype=np.float32)
+    q[0, 0, 0] = (1e20, 0, 0, 0)
+    k[0, 0, 0] = (-1e20, 0, 0, 0)
+    k[0, 0, 1] = (1, 0, 0, 0)
+    return q, k, v
+
+
+def test_scores_that_can_overflow_are_each_checked():
+    # the keys' and queries' norms fail the bound, so each block checks
+    # the min of every score column as well as the max
+    q, k, v = overflowing_scores_case()
+    assert not K.dots_bounded(k.reshape(-1, 4), q.reshape(-1, 4))
+    with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                   match="col_softmax: non-finite input"):
+        ag.attention(ag.var(q), ag.var(k), ag.var(v))
 
 
 def test_attention_shape_checks():

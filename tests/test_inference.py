@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from vstain import autograd as ag
+from vstain import kernels as K
 from vstain import network as nw
-from vstain.errors import ConfigError, DataError, ShapeError
-from vstain.inference import coverage_map, predict_image, window_offsets
+from vstain.errors import ConfigError, DataError, NumericError, ShapeError
+from vstain.inference import _add_window, coverage_map, predict_image, window_offsets
 from vstain.multiscale import PatchSpec, extract_multiscale
 
 from oracles import oracle_logits
@@ -166,3 +167,21 @@ def test_predict_holds_one_output_and_one_window():
         tracemalloc.stop()
     window_logits = cfg.patch_size ** 2 * cfg.head_channels * 4
     assert peak <= dist.nbytes + 1.25 * window_logits
+
+
+def test_head_logits_that_can_overflow_are_each_checked():
+    # finite features and head whose norms fail the bound: one logit is
+    # -1e40, -inf in float32, while every slab's max stays finite, so the
+    # slab checks its min as well
+    net = small_net(patch=16)
+    c, tv = net.head_w.data.shape[2:]
+    features = rng.normal(size=(16, 16, c)).astype(np.float32)
+    features[3, 4] = 0
+    features[3, 4, 0] = 1e20
+    net.head_w.data[0, 0, :, 5] = 0
+    net.head_w.data[0, 0, 0, 5] = -1e20
+    w = net.head_w.data.reshape(c, tv)
+    assert not K.dots_bounded(features, w.T, net.head_b.data)
+    acc = np.zeros((16, 16, net.config.task_count, net.config.value_classes), np.float32)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="head: non-finite logits"):
+        _add_window(net, features, 0, 0, acc)

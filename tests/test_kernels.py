@@ -55,6 +55,36 @@ def test_col_softmax_rejects_each_non_finite_value(bad):
         K.col_softmax(scores)
 
 
+def test_dots_bound_holds_up_to_a_quarter_of_the_largest_value():
+    # powers of two: the bound max|a_i| * max|b_j| is exact in float32
+    a, b = np.float32([[2.0 ** 62, 0.0], [1.0, 1.0]]), np.float32([[2.0 ** 63, 0.0]])
+    assert K.dots_bounded(a, b)  # 2^125 < max / 4
+    assert not K.dots_bounded(2 * a, b)  # 2^126 > max / 4
+    assert not K.dots_bounded(a, b, np.float32([0.0, 2.0 ** 125]))
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[1e20, 0.0]], [[1e-20, 0.0]]),  # each dot is 1, but 1e20 squared is inf in float32
+    ([[np.inf, 0.0]], [[0.0, 1.0]]),
+    ([[np.nan, 0.0]], [[1.0, 1.0]]),
+], ids=["squares-overflow", "inf", "nan"])
+def test_dots_bound_fails_on_overflow_infinity_and_nan(a, b):
+    assert not K.dots_bounded(np.float32(a), np.float32(b))
+    assert not K.dots_bounded(np.float32(b), np.float32(a))
+
+
+def test_bounded_shifted_exp_checks_only_the_column_max():
+    x = np.float32([[0.0, 1.0, np.nan], [-np.inf, 3.0, 0.0]])
+    with pytest.raises(NumericError, match="col_softmax: non-finite input"):
+        K.col_exp_shifted_inplace(x.copy(), bounded=True)  # the NaN shows in the max
+    ok = x[:, :2].copy()
+    colmax = K.col_exp_shifted_inplace(ok, bounded=True)  # -inf is left to the bound
+    assert np.array_equal(colmax, [[0.0, 3.0]])
+    assert np.array_equal(ok, np.exp(x[:, :2] - colmax))
+    with pytest.raises(NumericError, match="col_softmax: non-finite input"):
+        K.col_exp_shifted_inplace(x[:, :2].copy())
+
+
 def assert_same_bits(a, b):
     assert a.dtype == b.dtype and np.array_equal(a, b)
     assert np.array_equal(np.signbit(a), np.signbit(b))

@@ -338,6 +338,25 @@ def test_pool_blocks_run_under_the_callers_subnormal_flushing(monkeypatch, fresh
     assert own_modes() == [False, False]
 
 
+@pytest.mark.skipif(vstain._libm is None, reason="the mode needs x86-64 with glibc")
+def test_a_pool_started_under_flushing_starts_its_threads_without_it(monkeypatch,
+                                                                     fresh_pool):
+    # a new thread inherits the floating-point modes of the thread that
+    # starts it: here both pool threads start inside the caller's flushing
+    new_pool(monkeypatch, 2)
+    both = threading.Barrier(2, timeout=30)
+
+    def mode():
+        both.wait()  # so that the two calls run on the two threads
+        return vstain._flushing_to_zero()
+
+    with vstain._flush_to_zero():
+        pool = ag._worker_pool()
+        futures = [pool.submit(mode) for _ in range(2)]
+        assert vstain._flushing_to_zero()
+    assert [f.result(timeout=60) for f in futures] == [False, False]
+
+
 @pytest.mark.parametrize("render", ["argmax", "expectation"])
 def test_render_bits_do_not_depend_on_the_split(monkeypatch, fresh_pool, render):
     probs = np.random.default_rng(8).random((1, 64, 48, 2, 256)).astype(np.float32)
