@@ -236,37 +236,36 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run_blocks(block_fn, tasks: list, scratch_sets: list):
-    """Yield block_fn(task, scratch_set) for each task, in task order.
+def _run_blocks(block_fn, tasks: list, workers: int):
+    """Yield block_fn(task) for each task, in task order.
 
-    With one scratch set the tasks run on the calling thread. With more,
-    they run on the pool, task i with set i % len(scratch_sets); task i
-    starts once the caller has taken the result of the task before it
-    that used the same set, so a result may live in its set. numpy
-    releases the GIL inside BLAS and ufunc loops, so blocks run on
-    several cores at once. Each block runs in a copy of the caller's
-    context, which holds numpy's error state (``np.errstate``), and
-    with the caller's subnormal flushing (:func:`vstain._flush_to_zero`),
-    on or off, so its bits do not depend on the thread it runs on.
+    With one worker the tasks run on the calling thread. With more, they
+    run on the pool, at most `workers` alive at once: task i starts once
+    the caller has taken the result of task i - workers, so no more than
+    `workers` tasks' temporaries and results are held. numpy releases
+    the GIL inside BLAS and ufunc loops, so blocks run on several cores
+    at once. Each block runs in a copy of the caller's context, which
+    holds numpy's error state (``np.errstate``), and with the caller's
+    subnormal flushing (:func:`vstain._flush_to_zero`), on or off, so its
+    bits do not depend on the thread it runs on.
     """
-    if len(scratch_sets) == 1:
+    if workers <= 1:
         for task in tasks:
-            yield block_fn(task, scratch_sets[0])
+            yield block_fn(task)
         return
     flush = _flushing_to_zero()
 
-    def run(task, scratch):
+    def run(task):
         with _flush_to_zero(flush):
-            return block_fn(task, scratch)
+            return block_fn(task)
 
     pool = _worker_pool()
     running: deque[Future] = deque()
     try:
-        for i, task in enumerate(tasks):
-            if len(running) == len(scratch_sets):
+        for task in tasks:
+            if len(running) == workers:
                 yield running.popleft().result()
-            running.append(pool.submit(contextvars.copy_context().run, run, task,
-                                       scratch_sets[i % len(scratch_sets)]))
+            running.append(pool.submit(contextvars.copy_context().run, run, task))
         while running:
             yield running.popleft().result()
     finally:  # after an error, leave no block writing into the arrays
@@ -287,21 +286,19 @@ def _pieces(rows: int, work: int, small: bool) -> list[tuple[int, int]]:
     return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 
-def split_rows(piece_fn, rows: int, work: int, scratch=lambda rows: (),
-               small: bool = False) -> None:
-    """Run piece_fn(lo, hi, *scratch) over consecutive ranges covering [0, rows).
+def split_rows(piece_fn, rows: int, work: int, small: bool = False) -> None:
+    """Run piece_fn(lo, hi) over consecutive ranges covering [0, rows).
 
     Each piece must write only its own rows (or columns) of the result,
-    so that the result does not depend on how the rows are cut. `work`
-    counts the multiply-adds of all rows, a pass over an array PASS_WORK
-    per element. Below POOL_MIN_WORK, [0, rows) is one piece on the
-    calling thread. Otherwise the pieces of :func:`_pieces` run on the
-    pool: small ones when each worker needs scratch in proportion to its
-    rows, one per worker otherwise. scratch(n) returns a tuple of arrays
-    for a piece of up to n rows; the calling thread calls it once per
-    worker, so no worker allocates a large temporary. Called on a pool
-    thread (from a piece, or a window of predict), the same pieces run
-    in turn on that thread with one set of scratch.
+    so that the result does not depend on how the rows are cut, and
+    allocates its own temporaries. `work` counts the multiply-adds of
+    all rows, a pass over an array PASS_WORK per element. Below
+    POOL_MIN_WORK, [0, rows) is one piece on the calling thread.
+    Otherwise the pieces of :func:`_pieces` run on the pool, at most one
+    per worker at once: small ones when a piece's temporaries grow with
+    its rows, one per worker otherwise. Called on a pool thread (from a
+    piece, or a window of predict), the same pieces run in turn on that
+    thread.
 
     A split product's pieces each hold at least PIECE_WORK / 2
     multiply-adds and at least two rows, which keeps them on OpenBLAS's
@@ -310,12 +307,11 @@ def split_rows(piece_fn, rows: int, work: int, scratch=lambda rows: (),
     differ from the same row of a larger product.
     """
     if work < POOL_MIN_WORK:
-        piece_fn(0, rows, *scratch(rows))
+        piece_fn(0, rows)
         return
     pieces = _pieces(rows, work, small)
-    largest = max(hi - lo for lo, hi in pieces)
-    sets = [scratch(largest) for _ in range(min(_workers(), len(pieces)))]
-    for _ in _run_blocks(lambda piece, s: piece_fn(*piece, *s), pieces, sets):
+    for _ in _run_blocks(lambda piece: piece_fn(*piece), pieces,
+                         min(_workers(), len(pieces))):
         pass
 
 
@@ -341,14 +337,14 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     element. Query positions are processed in blocks, and no
     n_keys x n_queries matrix is ever stored. Layers with at least two
     full blocks of scores run their blocks on the ATTENTION_WORKERS
-    threads of the pool, unless called on a pool thread; the calling
-    thread allocates one set of scratch per thread for each pass, whose
-    one block-sized array holds the block's scores. Forward and backward
-    run with subnormals flushed in hardware (:func:`vstain._flush_to_zero`).
+    threads of the pool, unless called on a pool thread, with at most one
+    block per worker alive at once (:func:`_run_blocks`); each block
+    allocates its own block of scores. Forward and backward run with
+    subnormals flushed in hardware (:func:`vstain._flush_to_zero`).
 
     The forward (after FlashAttention-2's, arXiv:2307.08691) never
     normalises the weights. Each block's scores S become E = exp(S - m),
-    m being each query's max score (:func:`kernels.col_exp_shifted_inplace`),
+    m being each query's max score (:func:`kernels.exp_shifted_inplace`),
     and one product of E^T with V and a column of ones gives both E^T V
     and each query's exp-sum l; the output rows are E^T V / l. A layer
     whose keys and queries pass :func:`kernels.dots_bounded` has no
@@ -356,11 +352,11 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     NaN; any other layer checks every score's column min as well.
 
     Backward (after FlashAttention's, arXiv:2205.14135) keeps each
-    query's log-sum-exp, lse = m + log l, and one score block per worker.
-    It recomputes a block's normalised weights P in one exp over one
-    product: K with a column of ones times Q with a column of -lse gives
-    S - lse. It then walks P's key rows in chunks of :func:`_key_chunks`.
-    For each chunk it computes dP = V[chunk] g^T into small scratch,
+    query's log-sum-exp, lse = m + log l. It recomputes a block's
+    normalised weights P in one exp over one product: K with a column of
+    ones times Q with a column of -lse gives S - lse. It then walks P's
+    key rows in chunks of :func:`_key_chunks`. For each chunk it
+    computes a small dP = V[chunk] g^T,
     takes the value gradient's rows P[chunk] g from the weights first,
     and then writes the score gradient dS = P * (dP - D) over them.
     D_j = g_j . out_j is each query's row dot of its output gradient and
@@ -390,17 +386,7 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     step = max(1, ATTENTION_BLOCK_SCORES // n_keys)
     tasks = [(b, slice(lo, lo + step)) for b in range(n) for lo in range(0, n_queries, step)]
     dtype = np.result_type(qm, km, vm)
-    pooled = _pooled(n, n_queries, n_keys)
-    width = min(step, n_queries)  # a full block's queries
-    block_size = n_keys * width
-    widths = (width, (n_queries - 1) % step + 1)  # a block's, the last one's
-    chunks = {w: _key_chunks(n_keys, w) for w in widths}
-    chunk_size = max(w * max(hi - lo for lo, hi in cuts) for w, cuts in chunks.items())
-
-    def scratch_sets(*shapes) -> list:
-        """Per worker, one array of each shape, allocated on this thread."""
-        count = min(_workers(), len(tasks)) if pooled else 1
-        return [tuple(np.empty(shape, dtype) for shape in shapes) for _ in range(count)]
+    workers = min(_workers(), len(tasks)) if _pooled(n, n_queries, n_keys) else 1
 
     def with_column(m, column):
         """m (N, rows, C) with `column` (N, rows) appended as its last channel."""
@@ -414,20 +400,17 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     out = np.empty((n, n_queries, cv), dtype=dtype)
     lse = np.empty((n, n_queries), dtype=dtype)
 
-    def forward_block(task, scratch):
+    def forward_block(task):
         b, s = task
-        scores, sums = scratch
-        qs = qm[b, s]
-        e = scores[: n_keys * len(qs)].reshape(n_keys, len(qs))
-        np.matmul(km[b], qs.T, out=e)
-        colmax = kernels.col_exp_shifted_inplace(e, bounded)
-        ev = np.matmul(e.T, v1[b], out=sums[: len(qs)])  # E^T V, then the exp-sums l
+        e = np.matmul(km[b], qm[b, s].T)
+        colmax = kernels.exp_shifted_inplace(e, -2, "col_softmax: non-finite input", bounded)
+        ev = np.matmul(e.T, v1[b])  # E^T V, then the exp-sums l
         np.divide(ev[:, :cv], ev[:, cv:], out=out[b, s])
         np.log(ev[:, cv], out=lse[b, s])
         lse[b, s] += colmax[0]
 
     with _flush_to_zero():
-        for _ in _run_blocks(forward_block, tasks, scratch_sets(block_size, (width, cv + 1))):
+        for _ in _run_blocks(forward_block, tasks, workers):
             pass
 
     def bw(g):
@@ -437,26 +420,22 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
             gq, gk, gv = np.empty_like(qm), np.zeros_like(km), np.zeros_like(vm)
             k1, q1 = with_column(km, 1), with_column(qm, -lse)
 
-            def backward_block(task, scratch):
+            def backward_block(task):
                 b, s = task
-                scores, dp, part_v, part_k = scratch
-                qs = q1[b, s]
-                weights = scores[: n_keys * len(qs)].reshape(n_keys, len(qs))
-                np.exp(np.matmul(k1[b], qs.T, out=weights), out=weights)  # P
+                weights = np.matmul(k1[b], q1[b, s].T)
+                np.exp(weights, out=weights)  # P
                 gs = gm[b, s]
-                for lo, hi in chunks[len(qs)]:
+                part_v = np.empty((n_keys, cv), dtype)
+                for lo, hi in _key_chunks(n_keys, weights.shape[1]):
                     w = weights[lo:hi]
-                    dpc = dp[: w.size].reshape(w.shape)
-                    np.matmul(vm[b, lo:hi], gs.T, out=dpc)
+                    dp = np.matmul(vm[b, lo:hi], gs.T)
                     np.matmul(w, gs, out=part_v[lo:hi])
-                    dpc -= dots[b, s]
-                    w *= dpc
+                    dp -= dots[b, s]
+                    w *= dp
                 np.matmul(weights.T, km[b], out=gq[b, s])
-                np.matmul(weights, qm[b, s], out=part_k)
-                return part_v, part_k
+                return part_v, np.matmul(weights, qm[b, s])
 
-            sets = scratch_sets(block_size, chunk_size, (n_keys, cv), (n_keys, c))
-            blocks = _run_blocks(backward_block, tasks, sets)
+            blocks = _run_blocks(backward_block, tasks, workers)
             for (b, _), (part_v, part_k) in zip(tasks, blocks):
                 gv[b] += part_v
                 gk[b] += part_k

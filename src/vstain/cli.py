@@ -2,7 +2,8 @@
 
 Every command validates its inputs, writes only under --out, and exits
 0 on success, 2 on usage/config errors, 3 on data errors, 4 on numeric
-failures, printing a single-line `error: ...` diagnostic to stderr.
+failures and 130 when interrupted (Ctrl-C), printing a single-line
+`error: ...` diagnostic to stderr.
 All commands are reproducible from their flags plus --seed.
 """
 
@@ -251,6 +252,9 @@ def main(argv=None) -> int:
     except VstainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ one per worker of the pool; each window's distributions are added into
 the output on the calling thread, in window order, so the float32
 overlap sums get their addends in the same order on any number of
 workers. Before it returns, predict_image hands the heap's free pages
-back to the system: the windows' freed scratch would stay resident
+back to the system: the windows' freed temporaries would stay resident
 beside the output for as long as the caller holds it.
 
 Prediction runs with subnormals flushed in hardware
@@ -34,7 +34,7 @@ import numpy as np
 from . import _flush_to_zero, _release_free_heap
 from . import autograd as ag
 from . import kernels
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .multiscale import PatchSpec, extract_multiscale
 # predict_distributions stays importable from here: benchmarks/tracer.py
 # patches inference.predict_distributions by name.
@@ -89,10 +89,10 @@ def _add_window(net: Network, features: np.ndarray, oy: int, ox: int,
     """Add the (patch, patch, T, V) distributions of the window at (oy, ox),
     from its decoder features, into acc's pixels under it.
 
-    The head, the softmax and the add run in slabs of window rows, each
-    over its own scratch, so the window's logits are never held at once.
-    When the features and the head pass :func:`kernels.dots_bounded`, no
-    logit can be a NaN or an infinity, and the slabs check none of them.
+    The head, the softmax and the add run in slabs of window rows, so
+    the window's logits are never held at once. When the features and
+    the head pass :func:`kernels.dots_bounded`, no logit can be an
+    infinity, and the slabs check only their maxima for a NaN.
     """
     cfg = net.config
     patch, t, v = cfg.patch_size, cfg.task_count, cfg.value_classes
@@ -100,19 +100,12 @@ def _add_window(net: Network, features: np.ndarray, oy: int, ox: int,
     out = acc[oy : oy + patch, ox : ox + patch]
     bounded = kernels.dots_bounded(features, w.T, net.head_b.data)
 
-    def slab(lo, hi, scratch):
-        z = scratch[: (hi - lo) * patch * t * v].reshape(1, hi - lo, patch, t * v)
-        np.matmul(features[lo:hi], w, out=z[0])  # the 1x1 head, one row at a time
+    def slab(lo, hi):
+        z = np.matmul(features[lo:hi], w)[None]  # the 1x1 head, one row at a time
         z += net.head_b.data
-        # a NaN or an infinity shows in the max or the min
-        if not (bounded or (np.isfinite(z.max()) and np.isfinite(z.min()))):
-            raise NumericError("head: non-finite logits")
-        out[lo:hi] += predict_distributions_inplace(z, t, v)[0]
+        out[lo:hi] += predict_distributions_inplace(z, t, v, bounded)[0]
 
-    work = patch * patch * w.size
-    ag.split_rows(slab, patch, work,
-                  lambda rows: (np.empty(rows * patch * t * v, np.result_type(features, w)),),
-                  small=True)
+    ag.split_rows(slab, patch, patch * patch * w.size, small=True)
 
 
 def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray:
@@ -146,24 +139,22 @@ def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray
         t, v = cfg.task_count, cfg.value_classes
         acc = np.zeros((h, w, t, v), dtype=np.float32)
         windows = [(oy, ox) for oy in offsets_y for ox in offsets_x]
-        # one empty scratch set per worker: at most that many windows in flight
+        # at most one window in flight per worker
         workers = min(ag._workers(), len(windows)) if _windows_per_worker(cfg) else 1
-        features = ag._run_blocks(lambda window, _: _window_features(net, image, *window),
-                                  windows, [()] * workers)
+        features = ag._run_blocks(lambda window: _window_features(net, image, *window),
+                                  windows, workers)
         with closing(features):  # after an error, wait for the windows still running
             for oy, ox in windows:
                 # no name holds a window's features while the next forward runs
                 _add_window(net, next(features), oy, ox, acc)
 
-        def merge(lo, hi, sums):
+        def merge(lo, hi):
             """The sum over windows renormalised in float64, in place."""
             a = acc[lo:hi]
-            s = sums[: a.size // v].reshape(a.shape[:-1] + (1,))
-            np.divide(a, np.sum(a, axis=-1, keepdims=True, dtype=np.float64, out=s), out=a)
+            np.divide(a, np.sum(a, axis=-1, keepdims=True, dtype=np.float64), out=a)
 
         # with no overlap anywhere, each pixel is one softmax output already
         if coverage_map(h, w, patch, step).max() > 1:
-            ag.split_rows(merge, h, acc.size * ag.PASS_WORK,
-                          lambda rows: (np.empty(rows * w * t),))
+            ag.split_rows(merge, h, acc.size * ag.PASS_WORK)
     _release_free_heap()
     return acc

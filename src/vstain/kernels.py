@@ -66,32 +66,23 @@ def dots_bounded(a: np.ndarray, b: np.ndarray, offset: np.ndarray | None = None)
     return bool(bound < np.finfo(dtype).max / 4)
 
 
-def col_exp_shifted_inplace(x: np.ndarray, bounded: bool = False) -> np.ndarray:
-    """exp(x - column max) of a float array's columns (axis -2), written
-    over it; returns the column maxima (keepdims).
+def exp_shifted_inplace(x: np.ndarray, axis: int, error: str,
+                        bounded: bool = False) -> np.ndarray:
+    """exp(x - max) along `axis` of a float array, written over it;
+    returns the maxima (keepdims).
 
-    Raises NumericError on a NaN or an infinity in x: a NaN shows in its
-    column's max, an infinity in the max or the min. `bounded` says that
-    no entry can be infinite (see :func:`dots_bounded`), so the min pass
-    is skipped. Runs under the caller's subnormal flushing.
+    Raises NumericError(error) on a NaN or an infinity in x: a NaN shows
+    in the max along the axis, an infinity in the max or the min.
+    `bounded` says that no entry can be infinite (see
+    :func:`dots_bounded`), so the min pass is skipped. Runs under the
+    caller's subnormal flushing.
     """
-    colmax = np.max(x, axis=-2, keepdims=True)
-    if not (np.isfinite(colmax).all() and (bounded or np.isfinite(np.min(x, axis=-2)).all())):
-        raise NumericError("col_softmax: non-finite input")
-    x -= colmax
+    top = np.max(x, axis=axis, keepdims=True)
+    if not (np.isfinite(top).all() and (bounded or np.isfinite(np.min(x, axis=axis)).all())):
+        raise NumericError(error)
+    x -= top
     np.exp(x, out=x)
-    return colmax
-
-
-def col_softmax_inplace(x: np.ndarray) -> np.ndarray:
-    """:func:`col_softmax` of a float array, written over it; returns x.
-
-    Besides x, only the column statistics take memory.
-    """
-    with _flush_to_zero():
-        col_exp_shifted_inplace(x)
-        x /= np.sum(x, axis=-2, keepdims=True)
-    return x
+    return top
 
 
 def col_softmax(m: np.ndarray) -> np.ndarray:
@@ -107,7 +98,11 @@ def col_softmax(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim < 2:
         raise ShapeError(f"col_softmax: expected a matrix, got rank {m.ndim}")
-    return col_softmax_inplace(np.copy(m))
+    x = np.copy(m)
+    with _flush_to_zero():
+        exp_shifted_inplace(x, -2, "col_softmax: non-finite input")
+        x /= np.sum(x, axis=-2, keepdims=True)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -138,21 +133,17 @@ def _same_pad(x: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, int, int]
     return xp, out_h, out_w
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, lo: int, hi: int, out_w: int,
-            out: np.ndarray) -> np.ndarray:
-    """Gather the kxk patches of output rows [lo, hi) of a padded
-    (N, Hp, Wp, C) tensor into the flat buffer `out`.
-
-    Returns them as an (N, hi - lo, out_w, k, k, C) view of `out`.
-    """
+def _im2col(xp: np.ndarray, k: int, stride: int, lo: int, hi: int,
+            out_w: int) -> np.ndarray:
+    """The kxk patches of output rows [lo, hi) of a padded (N, Hp, Wp, C)
+    tensor, as a C-contiguous (N, hi - lo, out_w, k, k, C) array: a copy,
+    unless xp's own rows already lie that way (a 1x1 stride-1 kernel
+    over one contiguous image), when it is a read-only view of them."""
     band = xp[:, lo * stride : (hi - 1) * stride + k]
     windows = np.lib.stride_tricks.sliding_window_view(band, (k, k), axis=(1, 2))
     # windows: (N, rows, Wp-k+1, C, k, k)
     sub = windows[:, ::stride, : (out_w - 1) * stride + 1 : stride]
-    n, c = xp.shape[0], xp.shape[3]
-    cols = out[: n * (hi - lo) * out_w * k * k * c].reshape(n, hi - lo, out_w, k, k, c)
-    np.copyto(cols, sub.transpose(0, 1, 2, 4, 5, 3))
-    return cols
+    return np.ascontiguousarray(sub.transpose(0, 1, 2, 4, 5, 3))
 
 
 def _check_conv_args(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> None:
@@ -184,16 +175,13 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.n
     xp, out_h, out_w = _same_pad(x, k, stride)
     w2 = w.reshape(k * k * cin, -1)
     y = np.empty((n, out_h, out_w, w2.shape[1]), dtype=np.result_type(x, w2))
-    row = n * out_w * k * k * cin  # patch elements per output row
 
-    def piece(lo, hi, cols):
-        patches = _im2col(xp, k, stride, lo, hi, out_w, cols)
+    def piece(lo, hi):
+        patches = _im2col(xp, k, stride, lo, hi, out_w)
         np.matmul(patches.reshape(n, hi - lo, out_w, -1), w2, out=y[:, lo:hi])
         y[:, lo:hi] += b
 
-    work = out_h * row * w2.shape[1]
-    autograd.split_rows(piece, out_h, work, lambda rows: (np.empty(rows * row, xp.dtype),),
-                        small=True)
+    autograd.split_rows(piece, out_h, y.size * w2.shape[0], small=True)
     return y
 
 
@@ -216,14 +204,12 @@ def _conv2d_input_grad(
     kkc = k * k * cin
     xg = np.zeros((n, in_h + pt + pb, in_w + pl + pr, cin), dtype=np.result_type(grad, w))
     wt = w.reshape(kkc, cout).T
-    row = n * out_w * kkc  # column-gradient elements per output row
 
-    def piece(lo, hi, buf):
+    def piece(lo, hi):
         # output rows oy with a tap in [lo, hi): lo <= i + oy*stride < hi for some i < k
         f, l = max(0, -((k - 1 - lo) // stride)), min(out_h, -(-hi // stride))
-        gcols = buf[: (l - f) * row].reshape(n, l - f, out_w, k, k, cin)
         # one product over every batch element: a copy of grad's rows when n > 1
-        np.matmul(grad[:, f:l].reshape(-1, cout), wt, out=gcols.reshape(-1, kkc))
+        gcols = np.matmul(grad[:, f:l].reshape(-1, cout), wt).reshape(n, l - f, out_w, k, k, cin)
         for i in range(k):
             # output rows oy whose tap i lands in [lo, hi): lo <= i + oy*stride < hi
             first, last = max(f, -((i - lo) // stride)), min(l, -((i - hi) // stride))
@@ -234,9 +220,7 @@ def _conv2d_input_grad(
                 xg[:, rows, j : j + (out_w - 1) * stride + 1 : stride, :] += \
                     gcols[:, first - f : last - f, :, i, j, :]
 
-    autograd.split_rows(piece, xg.shape[1], n * out_h * out_w * kkc * cout,
-                        lambda rows: (np.empty(min(out_h, (rows + k + stride - 2) // stride)
-                                               * row, xg.dtype),), small=True)
+    autograd.split_rows(piece, xg.shape[1], n * out_h * out_w * kkc * cout, small=True)
     return xg[:, pt : pt + in_h, pl : pl + in_w, :]
 
 
@@ -248,8 +232,8 @@ def _conv2d_weight_grad(
 
     The gradient is cols.T @ grad, cols being the (N*out_h*out_w,
     k*k*Cin) im2col of x. Pieces of its rows each gather their own
-    (i, j, channel) columns of cols into scratch; the reduction over
-    output positions stays whole.
+    (i, j, channel) columns of cols; the reduction over output positions
+    stays whole.
     """
     n, cin = x.shape[0], x.shape[3]
     xp, out_h, out_w = _same_pad(x, k, stride)
@@ -257,8 +241,8 @@ def _conv2d_weight_grad(
     g2 = grad.reshape(m, -1)
     gw = np.empty((kkc, g2.shape[1]), dtype=np.result_type(xp, g2))
 
-    def piece(lo, hi, buf):
-        cols = buf[: m * (hi - lo)].reshape(n, out_h, out_w, hi - lo)
+    def piece(lo, hi):
+        cols = np.empty((n, out_h, out_w, hi - lo), xp.dtype)
         for tap in range(lo // cin, -(-hi // cin)):
             i, j = divmod(tap, k)
             c0, c1 = max(lo - tap * cin, 0), min(hi - tap * cin, cin)
@@ -267,8 +251,7 @@ def _conv2d_weight_grad(
                          j : j + (out_w - 1) * stride + 1 : stride, c0:c1])
         np.matmul(cols.reshape(m, hi - lo).T, g2, out=gw[lo:hi])
 
-    autograd.split_rows(piece, kkc, m * kkc * g2.shape[1],
-                        lambda rows: (np.empty(m * rows, xp.dtype),), small=True)
+    autograd.split_rows(piece, kkc, m * kkc * g2.shape[1], small=True)
     return gw.reshape(k, k, cin, -1)
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from . import gptt
+from . import gptt, kernels
 from .autograd import BnState, Variable
 from .kernels import he_init
 from .dense_block import DenseBlockParams, dense_forward, make_dense_block
@@ -273,23 +273,7 @@ def _allocate(config: NetworkConfig, rng: np.random.Generator, dtype) -> Network
     head_w, head_b = conv1x1(c, config.head_channels)
     net = Network(config, stem_w, stem_b, encoder, bottom_db, bottom_gst,
                   decoder, head_w, head_b)
-    _check_ledger(net)
     return net
-
-
-def _check_ledger(net: Network) -> None:
-    """Assert the allocated channel counts trace the configured ladder."""
-    cfg = net.config
-    for (db, gdt), target in zip(net.encoder, cfg.encoder_channels):
-        if db.out_channels != target or gdt.out_channels != target:
-            raise ConfigError("build: encoder stage channels disagree with config")
-    if net.bottom_db.out_channels != cfg.bottom_channels:
-        raise ConfigError("build: bottom channels disagree with config")
-    for (gut, db), target in zip(net.decoder, cfg.decoder_channels):
-        if db.out_channels != target:
-            raise ConfigError("build: decoder stage channels disagree with config")
-        if gut.out_channels != default_value_channels(GptVariant.UP, gut.in_channels):
-            raise ConfigError("build: up transformer channels inconsistent")
 
 
 def forward(net: Network, x: Variable, mode: str = "eval",
@@ -329,24 +313,27 @@ def forward(net: Network, x: Variable, mode: str = "eval",
 
 
 def predict_distributions_inplace(logits: np.ndarray, task_count: int,
-                                  value_classes: int) -> np.ndarray:
+                                  value_classes: int, bounded: bool = False) -> np.ndarray:
     """:func:`predict_distributions` written over the C-contiguous float
-    array `logits`; returns the (N,H,W,T,V) view of it."""
+    array `logits`; returns the (N,H,W,T,V) view of it. `bounded` says
+    that no logit can be infinite (see :func:`kernels.dots_bounded`)."""
     n, h, w, c = logits.shape
     if c != task_count * value_classes:
         raise ShapeError(
             f"predict_distributions: {c} channels != {task_count}*{value_classes}"
         )
     e = logits.reshape(n, h, w, task_count, value_classes)
-    e -= e.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
+    kernels.exp_shifted_inplace(e, -1, "head: non-finite logits", bounded)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
 def predict_distributions(logits: np.ndarray, task_count: int,
                           value_classes: int) -> np.ndarray:
-    """Softmax over the value-class axis: (N,H,W,T*V) -> (N,H,W,T,V)."""
+    """Softmax over the value-class axis: (N,H,W,T*V) -> (N,H,W,T,V).
+
+    Raises NumericError on a NaN or an infinity among the logits.
+    """
     return predict_distributions_inplace(np.array(logits), task_count, value_classes)
 
 
@@ -373,12 +360,13 @@ def distributions_to_image(probs: np.ndarray, task: int,
         classes = np.arange(v, dtype=np.float64)
         img = np.empty((n, h, w), dtype=np.float64)
 
-        def piece(lo, hi, row):  # one row at a time: no full-size float64
+        def piece(lo, hi):  # one row at a time: no full-size float64
+            row = np.empty((n, w, v))
             for r in range(lo, hi):
                 np.multiply(p[:, r], classes, out=row)
                 row.sum(axis=-1, out=img[:, r])
 
-        ag.split_rows(piece, h, p.size * ag.PASS_WORK, lambda _: (np.empty((n, w, v)),))
+        ag.split_rows(piece, h, p.size * ag.PASS_WORK)
         img = np.floor(img + 0.5)
     else:
         raise ShapeError(f"distributions_to_image: unknown reduction {reduction!r}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _flush_to_zero
 from . import autograd as ag
-from . import data_io, gptt
+from . import data_io, gptt, kernels
 from .autograd import Variable
 from .errors import (ConfigError, DataError, NumericError, ShapeError,
                      require_types)
@@ -101,8 +101,10 @@ def masked_cross_entropy(
     softmax in one exp of the logits less max + log(exp-sum), and adds
     its gradients slice by slice, in slice order. Forward and backward run
     with subnormals flushed in hardware (:func:`vstain._flush_to_zero`).
-    Raises NumericError on a non-finite labelled logit. With no active
-    cell the loss is an exact +0.0 with zero gradients.
+    Raises NumericError on a non-finite labelled logit; when the features
+    and the head pass :func:`kernels.dots_bounded`, no logit can be
+    infinite, and only each pixel's max logit is checked, for a NaN.
+    With no active cell the loss is an exact +0.0 with zero gradients.
     """
     x = features.data
     if x.ndim != 4:
@@ -153,20 +155,20 @@ def masked_cross_entropy(
         z += b_all.reshape(t, v)[tasks[i]]
         return z
 
-    def forward_piece(lo, hi, scratch):
+    bounded = kernels.dots_bounded(x, w_all.reshape(c, -1).T, b_all)
+
+    def forward_piece(lo, hi):
+        z = np.empty((min(hi - lo, h), w, v), dtype)  # one slice's rows at a time
         for i, ys in slice_rows(lo, hi):
-            z = head(i, ys, scratch[: (ys.stop - ys.start) * w * v].reshape(-1, w, v))
-            np.max(z, axis=-1, keepdims=True, out=zmax[i, ys])
-            # a NaN or an infinity shows in the max or the min
-            if not (np.isfinite(zmax[i, ys]).all() and np.isfinite(z.min())):
-                raise NumericError("cross entropy: non-finite logits")
-            z -= zmax[i, ys]
-            zt[i, ys] = np.take_along_axis(z, target(i, ys), axis=-1)
-            np.sum(np.exp(z, out=z), axis=-1, keepdims=True, out=sez[i, ys])
+            zs = head(i, ys, z[: ys.stop - ys.start])
+            zt[i, ys] = np.take_along_axis(zs, target(i, ys), axis=-1)
+            zmax[i, ys] = kernels.exp_shifted_inplace(zs, -1, "cross entropy: non-finite logits",
+                                                      bounded)
+            zt[i, ys] -= zmax[i, ys]
+            np.sum(zs, axis=-1, keepdims=True, out=sez[i, ys])
 
     with _flush_to_zero():
-        ag.split_rows(forward_piece, labelled * h, work,
-                      lambda n_rows: (np.empty(min(n_rows, h) * w * v, dtype),), small=True)
+        ag.split_rows(forward_piece, labelled * h, work, small=True)
         count = max(zt.size, 1)
         loss = (np.log(sez) - zt).sum() / count
 
@@ -181,7 +183,7 @@ def masked_cross_entropy(
             slice_work = h * w * c * v
             for i, (r, k) in enumerate(zip(rows, tasks)):
 
-                def input_piece(lo, hi, buf):  # image rows of the slice and of gx[r]
+                def input_piece(lo, hi):  # image rows of the slice and of gx[r]
                     # the forward's logits again, their softmax, then their gradient
                     d = head(i, slice(lo, hi), dz[lo:hi])
                     d -= lse[i, lo:hi]
@@ -189,20 +191,16 @@ def masked_cross_entropy(
                     tz = target(i, slice(lo, hi))
                     np.put_along_axis(d, tz, np.take_along_axis(d, tz, axis=-1) - 1, axis=-1)
                     d *= scale
-                    part = buf[: (hi - lo) * w * c].reshape(hi - lo, w, c)
-                    gx[r, lo:hi] += np.matmul(d, w_all.reshape(c, t, v)[:, k].T, out=part)
+                    gx[r, lo:hi] += np.matmul(d, w_all.reshape(c, t, v)[:, k].T)
 
-                ag.split_rows(input_piece, h, slice_work,
-                              lambda n_rows: (np.empty(n_rows * w * c, dtype),), small=True)
+                ag.split_rows(input_piece, h, slice_work, small=True)
 
-                def weight_piece(lo, hi, buf):  # columns [lo, hi) of the slice's V
+                def weight_piece(lo, hi):  # columns [lo, hi) of the slice's V
                     d = dz[..., lo:hi]
-                    gw[:, k, lo:hi] += np.matmul(x[r].reshape(-1, c).T, d.reshape(-1, hi - lo),
-                                                 out=buf[: c * (hi - lo)].reshape(c, hi - lo))
+                    gw[:, k, lo:hi] += np.matmul(x[r].reshape(-1, c).T, d.reshape(-1, hi - lo))
                     gb[k, lo:hi] += d.sum(axis=(0, 1))
 
-                ag.split_rows(weight_piece, v, slice_work,
-                              lambda cols: (np.empty(c * cols, dtype),))
+                ag.split_rows(weight_piece, v, slice_work)
             del dz  # before accumulate allocates the features' gradient
             ag.accumulate(features, gx)
             ag.accumulate(head_w, gw.reshape(w_all.shape))

@@ -325,6 +325,24 @@ def test_predict_non_finite_head_is_numeric_error_and_writes_nothing(pipeline, t
     assert not (tmp_path / "p").exists()
 
 
+def test_interrupted_command_exits_130_with_one_line(one_sample_manifest, tmp_path,
+                                                     capsys, monkeypatch):
+    # Ctrl-C raises KeyboardInterrupt wherever the main thread is, often
+    # inside a kernel deep in training
+    from vstain import training
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(training, "train", interrupted)
+    code = cli.main(["train", "--manifest", str(one_sample_manifest),
+                     "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 130
+    assert err == "error: interrupted\n"
+    assert "Traceback" not in err
+
+
 def test_train_to_non_finite_gradients_is_numeric_error_without_checkpoint(tmp_path):
     # a valid config whose learning rate blows the weights up: step 2's
     # gradients overflow, and the run once exited 0 with a checkpoint of

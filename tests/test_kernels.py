@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vstain
 from vstain import autograd as ag
 from vstain import kernels as K
 from vstain.errors import NumericError, ShapeError
@@ -75,14 +76,22 @@ def test_dots_bound_fails_on_overflow_infinity_and_nan(a, b):
 
 def test_bounded_shifted_exp_checks_only_the_column_max():
     x = np.float32([[0.0, 1.0, np.nan], [-np.inf, 3.0, 0.0]])
-    with pytest.raises(NumericError, match="col_softmax: non-finite input"):
-        K.col_exp_shifted_inplace(x.copy(), bounded=True)  # the NaN shows in the max
+    error = "col_softmax: non-finite input"
+    with pytest.raises(NumericError, match=error):
+        K.exp_shifted_inplace(x.copy(), -2, error, bounded=True)  # the NaN shows in the max
     ok = x[:, :2].copy()
-    colmax = K.col_exp_shifted_inplace(ok, bounded=True)  # -inf is left to the bound
+    colmax = K.exp_shifted_inplace(ok, -2, error, bounded=True)  # -inf is left to the bound
     assert np.array_equal(colmax, [[0.0, 3.0]])
     assert np.array_equal(ok, np.exp(x[:, :2] - colmax))
-    with pytest.raises(NumericError, match="col_softmax: non-finite input"):
-        K.col_exp_shifted_inplace(x[:, :2].copy())
+    with pytest.raises(NumericError, match=error):
+        K.exp_shifted_inplace(x[:, :2].copy(), -2, error)
+    # the same along rows, with the caller's error text
+    rows = x[:, :2].T.copy()
+    rowmax = K.exp_shifted_inplace(rows, -1, "head: non-finite logits", bounded=True)
+    assert np.array_equal(rowmax, [[0.0], [3.0]])
+    assert np.array_equal(rows, np.exp(x[:, :2].T - rowmax))
+    with pytest.raises(NumericError, match="head: non-finite logits"):
+        K.exp_shifted_inplace(x[:, :2].T.copy(), -1, "head: non-finite logits")
 
 
 def assert_same_bits(a, b):
@@ -113,7 +122,9 @@ def test_col_softmax_matches_oracle_on_both_sides_of_the_gate(name):
     expected = oracle_col_softmax(m)
     assert_same_bits(K.col_softmax(m), expected)
     x = m.copy()
-    assert K.col_softmax_inplace(x) is x
+    with vstain._flush_to_zero():
+        K.exp_shifted_inplace(x, -2, "col_softmax: non-finite input")
+        x /= np.sum(x, axis=-2, keepdims=True)
     assert_same_bits(x, expected)
 
 

@@ -300,12 +300,12 @@ def test_pool_blocks_run_under_the_callers_numpy_error_state(monkeypatch, fresh_
     new_pool(monkeypatch, 2)
     big = np.full(4, 1e30, dtype=np.float32)
 
-    def block(task, scratch):
+    def block(task):
         return np.geterr(), big * big - big * big  # overflow, then inf - inf
 
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning on a pool thread raises there
-        results = list(ag._run_blocks(block, range(4), [(), ()]))
+        results = list(ag._run_blocks(block, range(4), 2))
     assert all(state["over"] == state["invalid"] == "ignore" for state, _ in results)
     assert all(np.isnan(diff).all() for _, diff in results)
 
@@ -326,16 +326,42 @@ def test_pool_blocks_run_under_the_callers_subnormal_flushing(monkeypatch, fresh
 
     tiny = np.full(4, np.finfo(np.float32).tiny, np.float32)
 
-    def block(task, scratch):
+    def block(task):
         return vstain._flushing_to_zero(), tiny / np.float32(4)
 
     assert own_modes() == [False, False]  # both threads start here, without it
     for caller in (True, False, True):
         with vstain._flush_to_zero(caller):
-            results = list(ag._run_blocks(block, range(6), [(), ()]))
+            results = list(ag._run_blocks(block, range(6), 2))
         assert all(flushing == caller for flushing, _ in results)
         assert all((quarter == 0).all() == caller for _, quarter in results)
     assert own_modes() == [False, False]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_run_blocks_keeps_at_most_workers_tasks_alive(monkeypatch, fresh_pool, workers):
+    # a task is alive from its start until the caller takes its result:
+    # each pooled block's temporaries and result then exist at most once
+    # per worker. The pool has more threads than that, so only the bound
+    # holds the count down, and later tasks finish sooner.
+    new_pool(monkeypatch, 5)
+    lock, alive, most = threading.Lock(), [0], [0]
+
+    def block(task):
+        with lock:
+            alive[0] += 1
+            most[0] = max(most[0], alive[0])
+        time.sleep(0.002 * (12 - task))
+        return task
+
+    taken = []
+    for result in ag._run_blocks(block, list(range(12)), workers):
+        with lock:
+            alive[0] -= 1
+        taken.append(result)
+        time.sleep(0.01)  # a pool not held back starts more tasks meanwhile
+    assert taken == list(range(12))
+    assert most[0] <= workers
 
 
 @pytest.mark.skipif(vstain._libm is None, reason="the mode needs x86-64 with glibc")
@@ -374,13 +400,13 @@ def test_split_rows_covers_every_row_once_in_pieces(monkeypatch, fresh_pool):
         seen = np.zeros(100, int)
         pieces = []
 
-        def piece(lo, hi, buf):
-            assert buf.shape == (largest,) and hi - lo in (largest - 1, largest)
+        def piece(lo, hi):
+            assert hi - lo in (largest - 1, largest)
             seen[lo:hi] += 1
             pieces.append((lo, hi))
 
         work = 5 * ag.PIECE_WORK + 7
-        ag.split_rows(piece, 100, work, lambda rows: (np.empty(rows),), small)
+        ag.split_rows(piece, 100, work, small)
         assert np.all(seen == 1) and len(pieces) == count
     assert ag._pool is not None
 
