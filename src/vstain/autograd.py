@@ -272,17 +272,10 @@ def _run_blocks(block_fn, tasks: list, workers: int):
         wait(running)
 
 
-def _pieces(rows: int, work: int, small: bool) -> list[tuple[int, int]]:
-    """Row ranges [lo, hi) that split_rows cuts [0, rows) into.
-
-    Small pieces hold about PIECE_WORK each, otherwise there is one per
-    worker; either way the rows are cut evenly, so no piece holds less
-    than half of PIECE_WORK, or fewer than two rows, unless it is the
-    only one.
-    """
-    count = min(max(1, rows // 2), max(1, work // PIECE_WORK))
-    if not small:
-        count = min(count, ATTENTION_WORKERS)
+def _pieces(rows: int, count: int) -> list[tuple[int, int]]:
+    """[0, rows) cut evenly into max(1, min(rows // 2, count)) ranges
+    [lo, hi), so no range holds fewer than two rows unless there is one."""
+    count = max(1, min(rows // 2, count))
     return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 
@@ -294,22 +287,25 @@ def split_rows(piece_fn, rows: int, work: int, small: bool = False) -> None:
     allocates its own temporaries. `work` counts the multiply-adds of
     all rows, a pass over an array PASS_WORK per element. Below
     POOL_MIN_WORK, [0, rows) is one piece on the calling thread.
-    Otherwise the pieces of :func:`_pieces` run on the pool, at most one
-    per worker at once: small ones when a piece's temporaries grow with
-    its rows, one per worker otherwise. Called on a pool thread (from a
-    piece, or a window of predict), the same pieces run in turn on that
-    thread.
+    Otherwise the rows are cut by :func:`_pieces` into work // PIECE_WORK
+    pieces, at most ATTENTION_WORKERS unless `small` (when a piece's
+    temporaries grow with its rows), and the pieces run on the pool, at
+    most one per worker at once. Called on a pool thread (from a piece,
+    or a window of predict), the same pieces run in turn on that thread.
 
     A split product's pieces each hold at least PIECE_WORK / 2
     multiply-adds and at least two rows, which keeps them on OpenBLAS's
     blocked path, the one whose bits a cut of output rows or columns
-    does not change. A one-row product goes to GEMV instead, whose bits
-    differ from the same row of a larger product.
+    does not change. A one-row product goes to GEMV instead, and some
+    products under about 2^20 multiply-adds to OpenBLAS's small-matrix
+    kernel; the bits of both differ from the same rows of a larger
+    product.
     """
     if work < POOL_MIN_WORK:
         piece_fn(0, rows)
         return
-    pieces = _pieces(rows, work, small)
+    count = work // PIECE_WORK
+    pieces = _pieces(rows, count if small else min(count, ATTENTION_WORKERS))
     for _ in _run_blocks(lambda piece: piece_fn(*piece), pieces,
                          min(_workers(), len(pieces))):
         pass
@@ -317,15 +313,6 @@ def split_rows(piece_fn, rows: int, work: int, small: bool = False) -> None:
 
 # Weights per key chunk of attention's backward.
 KEY_CHUNK = 2 ** 16
-
-
-def _key_chunks(n_keys: int, width: int) -> list[tuple[int, int]]:
-    """Key-row ranges [lo, hi) that attention's backward cuts an
-    (n_keys, width) block of weights into: about KEY_CHUNK entries each,
-    cut evenly, so no range holds fewer than two rows unless there is
-    one key. The cut depends on the shape only."""
-    count = max(1, min(n_keys // 2, n_keys * width // KEY_CHUNK))
-    return [(n_keys * i // count, n_keys * (i + 1) // count) for i in range(count)]
 
 
 def attention(q: Variable, k: Variable, v: Variable) -> Variable:
@@ -355,8 +342,9 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     query's log-sum-exp, lse = m + log l. It recomputes a block's
     normalised weights P in one exp over one product: K with a column of
     ones times Q with a column of -lse gives S - lse. It then walks P's
-    key rows in chunks of :func:`_key_chunks`. For each chunk it
-    computes a small dP = V[chunk] g^T,
+    key rows in chunks of about KEY_CHUNK weights, cut by
+    :func:`_pieces`, which depend on the block's shape only. For each
+    chunk it computes a small dP = V[chunk] g^T,
     takes the value gradient's rows P[chunk] g from the weights first,
     and then writes the score gradient dS = P * (dP - D) over them.
     D_j = g_j . out_j is each query's row dot of its output gradient and
@@ -426,7 +414,7 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
                 np.exp(weights, out=weights)  # P
                 gs = gm[b, s]
                 part_v = np.empty((n_keys, cv), dtype)
-                for lo, hi in _key_chunks(n_keys, weights.shape[1]):
+                for lo, hi in _pieces(n_keys, weights.size // KEY_CHUNK):
                     w = weights[lo:hi]
                     dp = np.matmul(vm[b, lo:hi], gs.T)
                     np.matmul(w, gs, out=part_v[lo:hi])

@@ -89,15 +89,14 @@ def make_dense_block(
     c = c_in
     for _ in range(depth):
         layers.append(DenseLayer(
-            conv_w=ag.var(kernels.he_init(rng, (3, 3, c, growth), 9 * c, dtype),
-                          requires_grad=True),
+            conv_w=ag.var(kernels.he_init(rng, (3, 3, c, growth), dtype), requires_grad=True),
             conv_b=ag.var(np.zeros(growth, dtype=dtype), requires_grad=True),
             bn_gamma=ag.var(np.ones(growth, dtype=dtype), requires_grad=True),
             bn_beta=ag.var(np.zeros(growth, dtype=dtype), requires_grad=True),
             bn_state=BnState.create(growth, dtype),
         ))
         c += growth
-    out_w = ag.var(kernels.he_init(rng, (1, 1, c, c_out), c, dtype), requires_grad=True)
+    out_w = ag.var(kernels.he_init(rng, (1, 1, c, c_out), dtype), requires_grad=True)
     out_b = ag.var(np.zeros(c_out, dtype=dtype), requires_grad=True)
     return DenseBlockParams(layers, out_w, out_b, growth, dropout_rate)
 

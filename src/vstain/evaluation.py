@@ -229,8 +229,10 @@ def evaluate_predictions(
     For every task with ground truth in at least one test sample, the
     prediction images (named per :func:`prediction_filename`) are pooled
     with their truths; sample_size is clamped to the pooled pixel count.
-    Raises ConfigError for repetitions < 1.
+    Raises ConfigError for sample_size < 2 or repetitions < 1.
     """
+    if sample_size < 2:
+        raise ConfigError(f"evaluate: sample_size must be >= 2, got {sample_size}")
     if repetitions < 1:
         raise ConfigError(f"evaluate: repetitions must be >= 1, got {repetitions}")
     pred_dir = Path(pred_dir)

@@ -93,15 +93,14 @@ def make_gpt_layer(
     """Allocate and He-initialise one layer's parameters."""
     c_qk = qk_channels if qk_channels is not None else max(c_in // 2, 1)
     c_v = default_value_channels(variant, c_in)
-    fan = 9 * c_in
 
-    def conv_param(shape, fan_in):
-        return (ag.var(kernels.he_init(rng, shape, fan_in, dtype), requires_grad=True),
+    def conv_param(shape):
+        return (ag.var(kernels.he_init(rng, shape, dtype), requires_grad=True),
                 ag.var(np.zeros(shape[3], dtype=dtype), requires_grad=True))
 
-    gen_w, gen_b = conv_param((3, 3, c_in, c_qk), fan)
-    key_w, key_b = conv_param((1, 1, c_in, c_qk), c_in)
-    value_w, value_b = conv_param((1, 1, c_in, c_v), c_in)
+    gen_w, gen_b = conv_param((3, 3, c_in, c_qk))
+    key_w, key_b = conv_param((1, 1, c_in, c_qk))
+    value_w, value_b = conv_param((1, 1, c_in, c_v))
     return GptLayerParams(variant, gen_w, gen_b, key_w, key_b, value_w, value_b)
 
 

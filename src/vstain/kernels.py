@@ -344,8 +344,8 @@ def resize_bilinear(t: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 # misc
 # ---------------------------------------------------------------------------
 
-def he_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
-            dtype=np.float32) -> np.ndarray:
-    """He-style normal initialisation with ReLU gain."""
-    std = math.sqrt(2.0 / fan_in)
+def he_init(rng: np.random.Generator, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
+    """He-style normal initialisation with ReLU gain. The fan-in is the
+    product of every axis but the last (output channels) of `shape`."""
+    std = math.sqrt(2.0 / math.prod(shape[:-1]))
     return rng.normal(0.0, std, size=shape).astype(dtype)

@@ -237,7 +237,7 @@ def _allocate(config: NetworkConfig, rng: np.random.Generator, dtype) -> Network
     drop = config.dropout_rate
 
     def conv1x1(c_in, c_out):
-        return (ag.var(he_init(rng, (1, 1, c_in, c_out), c_in, dtype), requires_grad=True),
+        return (ag.var(he_init(rng, (1, 1, c_in, c_out), dtype), requires_grad=True),
                 ag.var(np.zeros(c_out, dtype=dtype), requires_grad=True))
 
     c = 3 * config.input_channels

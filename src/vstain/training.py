@@ -95,9 +95,11 @@ def masked_cross_entropy(
     (T * value_classes,); targets: (N, H, W, T) integer classes; mask:
     (N, T) booleans. Each labelled (sample, task) slice's logits are
     computed as x @ w[:, task] + b[task]; the full logits are never
-    formed. The forward keeps each labelled pixel's max logit, exp-sum
-    and shifted target logit; the backward computes one slice's logits
-    again at a time, by the forward's per-row products, takes their
+    formed. Forward and backward take the slices in order and cut each
+    slice's image rows into pieces by :func:`autograd.split_rows`, each
+    piece computing its own rows of logits. The forward keeps each labelled pixel's
+    max logit, exp-sum and shifted target logit; the backward computes
+    the logits again, by the forward's per-row products, takes their
     softmax in one exp of the logits less max + log(exp-sum), and adds
     its gradients slice by slice, in slice order. Forward and backward run
     with subnormals flushed in hardware (:func:`vstain._flush_to_zero`).
@@ -135,15 +137,7 @@ def masked_cross_entropy(
     # per labelled pixel: the max logit, the sum of exps of the shifted
     # logits, and the shifted target logit; the logits are not kept
     zmax, sez, zt = (np.empty((labelled, h, w, 1), dtype) for _ in range(3))
-    work = labelled * h * w * c * v  # multiply-adds of the head, and of each backward product
-
-    def slice_rows(lo, hi):
-        """(slice, row range) pairs of the flat rows [lo, hi) of the
-        labelled slices' (labelled * H) image rows, in slice order."""
-        for i in range(labelled):
-            y0, y1 = max(lo - i * h, 0), min(hi - i * h, h)
-            if y0 < y1:
-                yield i, slice(y0, y1)
+    slice_work = h * w * c * v  # multiply-adds of one slice's head, and of each backward product
 
     def target(i, ys):
         """Slice i's target classes on its image rows ys, as (rows, W, 1)."""
@@ -157,18 +151,18 @@ def masked_cross_entropy(
 
     bounded = kernels.dots_bounded(x, w_all.reshape(c, -1).T, b_all)
 
-    def forward_piece(lo, hi):
-        z = np.empty((min(hi - lo, h), w, v), dtype)  # one slice's rows at a time
-        for i, ys in slice_rows(lo, hi):
-            zs = head(i, ys, z[: ys.stop - ys.start])
-            zt[i, ys] = np.take_along_axis(zs, target(i, ys), axis=-1)
-            zmax[i, ys] = kernels.exp_shifted_inplace(zs, -1, "cross entropy: non-finite logits",
-                                                      bounded)
-            zt[i, ys] -= zmax[i, ys]
-            np.sum(zs, axis=-1, keepdims=True, out=sez[i, ys])
+    def forward_piece(i, lo, hi):  # image rows of slice i
+        ys = slice(lo, hi)
+        zs = head(i, ys, np.empty((hi - lo, w, v), dtype))
+        zt[i, ys] = np.take_along_axis(zs, target(i, ys), axis=-1)
+        zmax[i, ys] = kernels.exp_shifted_inplace(zs, -1, "cross entropy: non-finite logits",
+                                                  bounded)
+        zt[i, ys] -= zmax[i, ys]
+        np.sum(zs, axis=-1, keepdims=True, out=sez[i, ys])
 
     with _flush_to_zero():
-        ag.split_rows(forward_piece, labelled * h, work, small=True)
+        for i in range(labelled):
+            ag.split_rows(lambda lo, hi: forward_piece(i, lo, hi), h, slice_work, small=True)
         count = max(zt.size, 1)
         loss = (np.log(sez) - zt).sum() / count
 
@@ -180,7 +174,6 @@ def masked_cross_entropy(
             gb = np.zeros((t, v), dtype)
             dz = np.empty((h, w, v), dtype)  # one slice's logit gradient at a time
             lse = zmax + np.log(sez)  # each labelled pixel's log-sum-exp
-            slice_work = h * w * c * v
             for i, (r, k) in enumerate(zip(rows, tasks)):
 
                 def input_piece(lo, hi):  # image rows of the slice and of gx[r]

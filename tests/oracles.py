@@ -3,20 +3,17 @@
 The oracle_* reimplementations are deliberately written with plain
 python loops or plain numpy and never call the production kernels, so
 agreement is meaningful. `closure_arrays` lists what a tape node's
-backward keeps. Three reference chains reuse production ops around the
+backward keeps. Two reference chains reuse production ops around the
 step they stand in for: the batch norm, ReLU and dropout tape ops are
-the separate nodes that `autograd.bn_relu_dropout` fuses; the
+the separate nodes that `autograd.bn_relu_dropout` fuses, and the
 concatenating dense block is the reference for the channel buffer that
-`dense_block.dense_forward` fills in place; and
-`col_softmax_backward_inplace` is the softmax backward that attention
-ran before it took its column sums from the output.
+`dense_block.dense_forward` fills in place.
 
-The softmax oracles run under `vstain._flush_to_zero`, the hardware mode
-the production softmax runs under, so that their exps and column sums
+The softmax oracle runs under `vstain._flush_to_zero`, the hardware mode
+the production softmax runs under, so that its exps and column sums
 drop the same subnormals.
 """
 
-import math
 import struct
 import types
 
@@ -177,73 +174,6 @@ def oracle_col_softmax(m):
         np.exp(out, out=out)
         out /= np.sum(out, axis=-2, keepdims=True)
     return flush_subnormals(out)
-
-
-def oracle_col_softmax_backward(out, grad):
-    """Column softmax backward in one pass over the whole block: the
-    column sum of grad * out, then out * (grad - sum), then every result
-    smaller in magnitude than the dtype's smallest normal number set to
-    +0.0."""
-    inner = np.sum(grad * out, axis=-2, keepdims=True)
-    result = out * (grad - inner)
-    result[np.abs(result) < np.finfo(result.dtype).tiny] = 0
-    return result
-
-
-# Elements per row slab of col_softmax_backward_inplace.
-SOFTMAX_SLAB = 2 ** 16
-
-
-def _slab_rows(shape):
-    """Rows per slab of an (..., rows, cols) array, about SOFTMAX_SLAB
-    elements. A one-column array is one slab: numpy sums a single column
-    pairwise, but several columns row by row, which is what lets a column
-    sum be carried across slabs."""
-    rows, cols = shape[-2], shape[-1]
-    if cols == 1:
-        return rows
-    return max(1, SOFTMAX_SLAB * rows // math.prod(shape))
-
-
-def softmax_scratch_size(shape):
-    """Elements of the scratch buffer col_softmax_backward_inplace needs
-    on an array of `shape`: one row slab plus one row."""
-    return (_slab_rows(shape) + 1) * math.prod(shape) // shape[-2]
-
-
-def col_softmax_backward_inplace(out, grad, scratch):
-    """Gradient of col_softmax w.r.t. its input, given its output `out`
-    and the upstream `grad`, written over `grad`; returns grad. Attention
-    used this before its backward took the column sums from the output
-    (autograd.attention); it stays as the slab-by-slab reference.
-
-    Results with magnitude below the dtype's smallest normal number are
-    flushed to zero, as in the forward. `grad` has out's shape and dtype;
-    `scratch` is a flat buffer of at least softmax_scratch_size(out.shape)
-    elements. The column sum of grad * out is built slab by slab: numpy
-    sums axis -2 row by row, so summing each slab's products below the
-    running sum, kept in the slab scratch's first row, adds the same
-    numbers in the same order as one sum over all rows.
-    """
-    step = _slab_rows(out.shape)
-    slabs = [(..., slice(lo, lo + step), slice(None)) for lo in range(0, out.shape[-2], step)]
-    inner = None
-    for s in slabs:
-        w = out[s]
-        shape = w.shape[:-2] + (w.shape[-2] + 1, w.shape[-1])
-        acc = scratch[: math.prod(shape)].reshape(shape)
-        np.multiply(grad[s], w, out=acc[..., 1:, :])
-        if inner is None:
-            inner = np.sum(acc[..., 1:, :], axis=-2, keepdims=True)
-        else:
-            acc[..., :1, :] = inner
-            np.sum(acc, axis=-2, keepdims=True, out=inner)
-    for s in slabs:
-        gs = grad[s]
-        gs -= inner
-        gs *= out[s]
-        flush_subnormals(gs)  # keeps +0.0 for negative subnormals
-    return grad
 
 
 def oracle_expectation(probs, task):

@@ -266,6 +266,17 @@ def test_eval_repetitions_below_one_is_usage_error(pipeline, tmp_path, capsys,
     assert not (tmp_path / "rep").exists()
 
 
+@pytest.mark.parametrize("sample_size", ["1", "0", "-5"])
+def test_eval_sample_size_below_two_is_usage_error(pipeline, tmp_path, capsys, sample_size):
+    code = cli.main(["eval", "--manifest", str(pipeline / "data/manifest.json"),
+                     "--pred", str(pipeline / "pred"), "--out", str(tmp_path / "size"),
+                     "--sample-size", sample_size])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "size").exists()
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["synth", "--bogus"])

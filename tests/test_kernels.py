@@ -11,8 +11,7 @@ from vstain import kernels as K
 from vstain.errors import NumericError, ShapeError
 from vstain.multiscale import _reflect_indices
 
-from oracles import (col_softmax_backward_inplace, oracle_col_softmax,
-                     oracle_col_softmax_backward, softmax_scratch_size)
+from oracles import oracle_col_softmax
 
 rng = np.random.default_rng(1234)
 
@@ -210,62 +209,15 @@ def test_col_softmax_flushes_subnormals_forward_and_backward():
     scores = r.uniform(-120.0, 0.0, size=(4096, 64))
     scores[::2] *= 800.0
     scores = scores.astype(np.float32)
-    grad = r.normal(size=scores.shape).astype(np.float32)
     tiny = np.finfo(np.float32).tiny
 
-    # unflushed, both passes would land in the subnormal range
+    # unflushed, the forward would land in the subnormal range
     e = np.exp(scores - scores.max(axis=0))
     plain = e / e.sum(axis=0)
     assert subnormal(plain) > 0
     out = K.col_softmax(scores)
     assert subnormal(out) == 0
     assert np.all((out == plain) | (plain < tiny))
-
-    assert subnormal(out * (grad - (grad * out).sum(axis=0))) > 0
-    scratch = np.empty(softmax_scratch_size(out.shape), out.dtype)
-    assert subnormal(col_softmax_backward_inplace(out, grad, scratch)) == 0
-
-
-def softmax_backward_case(shape, dtype, seed):
-    r = np.random.default_rng(seed)
-    out = K.col_softmax((r.normal(size=shape) * 3).astype(dtype))
-    return out, r.normal(size=shape).astype(dtype)
-
-
-@pytest.mark.parametrize("shape, dtype", [
-    ((4096, 64), np.float32),     # four full slabs
-    ((70001, 3), np.float32),     # four slabs, the last one short
-    ((3, 900, 50), np.float32),   # batched, slabs cut across the batch
-    ((3000, 40), np.float64),
-    ((70001, 1), np.float32),     # one column: numpy sums it pairwise, in one slab
-])
-def test_col_softmax_backward_inplace_matches_oracle_across_slabs(shape, dtype):
-    out, grad = softmax_backward_case(shape, dtype, seed=sum(shape))
-    assert softmax_scratch_size(shape) < out.size or shape[-1] == 1
-    expected = oracle_col_softmax_backward(out, grad)
-    scratch = np.empty(softmax_scratch_size(shape), dtype)
-    result = col_softmax_backward_inplace(out, grad, scratch)
-    assert result is grad
-    assert_same_bits(result, expected)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_col_softmax_backward_flushes_negative_subnormals_to_plus_zero(dtype):
-    tiny = np.finfo(dtype).tiny
-    out, grad = softmax_backward_case((5000, 8), dtype, seed=5)
-    # weights just above tiny against gradients of +-0.25: their results
-    # are subnormal, half of them negative
-    out[::3] = tiny * 1.5
-    grad[:] = 0
-    grad[::3] = np.where(np.arange(8) % 2, 0.25, -0.25).astype(dtype)
-    expected = oracle_col_softmax_backward(out, grad)
-    raw = out * (grad - np.sum(grad * out, axis=0))
-    assert np.count_nonzero((raw < 0) & (raw > -tiny)) > 0
-    assert np.count_nonzero((raw > 0) & (raw < tiny)) > 0
-    result = col_softmax_backward_inplace(
-        out, grad, np.empty(softmax_scratch_size(out.shape), dtype))
-    assert_same_bits(result, expected)
-    assert not np.signbit(result[(raw < 0) & (raw > -tiny)]).any()
 
 
 # ---------------------------------------------------------------------------

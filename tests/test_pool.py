@@ -180,7 +180,7 @@ def test_small_windows_run_on_the_calling_thread(monkeypatch, fresh_pool):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_predict_holds_one_window_forward_per_worker(monkeypatch, fresh_pool, workers):
     """Predict holds the output, at most one window forward per worker
-    and one slab of scratch per worker; on one worker, no window's
+    and one slab of temporaries per worker; on one worker, no window's
     features outlive its add into the output."""
     new_pool(monkeypatch, workers)
     net = nw.build(nw.NetworkConfig(), np.random.default_rng(0))
@@ -189,7 +189,7 @@ def test_predict_holds_one_window_forward_per_worker(monkeypatch, fresh_pool, wo
     names = record_window_threads(monkeypatch)
     tracemalloc.start()
     try:
-        # one window forward on this thread, with every worker's scratch
+        # one window forward on this thread, with every worker's temporaries
         base = tracemalloc.get_traced_memory()[0]
         inference._window_features(net, image[:, :, None], 0, 0)
         window = tracemalloc.get_traced_memory()[1] - base
@@ -204,7 +204,7 @@ def test_predict_holds_one_window_forward_per_worker(monkeypatch, fresh_pool, wo
     assert {name.startswith("vstain-pool") for name in names} == {workers > 1}
     p, tv = cfg.patch_size, cfg.task_count * cfg.value_classes
     rows = max(hi - lo for lo, hi in
-               ag._pieces(p, p * p * cfg.decoder_channels[-1] * tv, small=True))
+               ag._pieces(p, p * p * cfg.decoder_channels[-1] * tv // ag.PIECE_WORK))
     slab = rows * p * tv * 4
     assert peak <= dist.nbytes + ag.ATTENTION_WORKERS * (window + slab) + (1 << 20)
 
@@ -418,7 +418,8 @@ def test_pieces_hold_two_rows_or_more_unless_there_is_one(monkeypatch, rows, sma
     # path's; rows of the head's weight gradient each hold 2^25 work
     monkeypatch.setattr(ag, "ATTENTION_WORKERS", 7)
     for work in (ag.POOL_MIN_WORK, 128 * 128 * 2048 * rows, 2 ** 40):
-        pieces = ag._pieces(rows, work, small)
+        count = work // ag.PIECE_WORK
+        pieces = ag._pieces(rows, count if small else min(count, ag.ATTENTION_WORKERS))
         assert [lo for lo, _ in pieces] == [0] + [hi for _, hi in pieces[:-1]]
         assert pieces[-1][1] == rows
         assert len(pieces) == 1 or min(hi - lo for lo, hi in pieces) >= 2
@@ -426,7 +427,7 @@ def test_pieces_hold_two_rows_or_more_unless_there_is_one(monkeypatch, rows, sma
 
 def test_conv_backward_holds_no_full_size_im2col():
     """dec3.db's widest 3x3 convolution: the backward holds its outputs,
-    the padded input and per-worker scratch, never a (N*H*W, 9*Cin)
+    the padded input and per-worker temporaries, never a (N*H*W, 9*Cin)
     im2col or column gradient."""
     x, w, g = case(10, (1, 128, 128, 147), (3, 3, 147, 16), (1, 128, 128, 16))
     n, h, wd, cin = x.shape
@@ -435,8 +436,8 @@ def test_conv_backward_holds_no_full_size_im2col():
     padded = n * (h + k - 1) * (wd + k - 1) * cin * 4
     # per piece: the column-gradient rows of its padded rows' taps, and
     # its own im2col columns
-    grid = ag._pieces(h + k - 1, work, small=True)
-    cols = ag._pieces(kkc, work, small=True)
+    grid = ag._pieces(h + k - 1, work // ag.PIECE_WORK)
+    cols = ag._pieces(kkc, work // ag.PIECE_WORK)
     scratch = 4 * max(
         min(ag.ATTENTION_WORKERS, len(grid)) * (max(hi - lo for lo, hi in grid) + k - 1)
         * n * wd * kkc,
@@ -462,7 +463,7 @@ def test_tiny_config_forward_leaves_the_pool_unstarted(fresh_pool):
 
 def test_predict_holds_no_window_logits(monkeypatch):
     """After the window's forward, predict_image holds the output, the
-    window's features and one slab of scratch per worker, never the
+    window's features and one slab of temporaries per worker, never the
     window's (patch^2, T*V) logits."""
     net = nw.build(nw.NetworkConfig(), np.random.default_rng(0))
     cfg = net.config
@@ -484,7 +485,7 @@ def test_predict_holds_no_window_logits(monkeypatch):
     p, tv = cfg.patch_size, cfg.task_count * cfg.value_classes
     features = p * p * cfg.decoder_channels[-1] * 4
     rows = max(hi - lo for lo, hi in
-               ag._pieces(p, p * p * cfg.decoder_channels[-1] * tv, small=True))
+               ag._pieces(p, p * p * cfg.decoder_channels[-1] * tv // ag.PIECE_WORK))
     slab = rows * p * tv * 4
     workers = min(ag.ATTENTION_WORKERS, p)
     assert peak <= dist.nbytes + features + workers * slab + (1 << 20)

@@ -184,8 +184,8 @@ def test_loss_recomputes_one_slice_of_logits_at_a_time():
                     requires_grad=True)
     head_b = ag.var(np.zeros(t * v, np.float32), requires_grad=True)
     targets = r.integers(0, v, size=(n, h, w, t))
-    # the forward's rows of logits are the largest per-worker scratch
-    forward = ag._pieces(t * h, t * h * w * c * v, small=True)
+    # the forward's rows of logits are the largest per-worker temporaries
+    forward = ag._pieces(h, h * w * c * v // ag.PIECE_WORK)
     rows = max(hi - lo for lo, hi in forward)
     scratch = min(ag.ATTENTION_WORKERS, len(forward)) * rows * w * v * 4
     tracemalloc.start()
@@ -204,7 +204,7 @@ def test_loss_recomputes_one_slice_of_logits_at_a_time():
 
 def test_unsplit_loss_forward_keeps_one_slice_of_exp_scratch():
     # configs/tiny.json's head at batch 4 stays under the pool's threshold,
-    # so the forward runs as one piece; its exp scratch holds one (H, W, V)
+    # so the forward runs as one piece; its exp temporaries hold one (H, W, V)
     # slice, not one per labelled slice beside the kept logits
     n, h, w, c, t, v = 4, 32, 32, 8, 2, 256
     r = np.random.default_rng(5)
