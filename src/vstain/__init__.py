@@ -1,8 +1,8 @@
 """Virtual staining of microscopy images with global pixel transformer layers.
 
-The public names below load lazily (PEP 562), so importing the package,
-or ``vstain.cli``, loads no numpy: the CLI sets the BLAS thread count in
-the environment before numpy and its BLAS are first loaded.
+Callers import the submodules (``from vstain import network``). Importing
+the package, or ``vstain.cli``, loads no numpy: the CLI sets the BLAS
+thread count in the environment before numpy and its BLAS are first loaded.
 
 Importing the package fixes glibc's mmap and trim thresholds and caps
 its arenas at one (see :func:`_fix_malloc_thresholds`);
@@ -12,7 +12,6 @@ and :func:`_set_flush_to_zero` sets that mode for the rest of a thread's life.
 """
 
 import ctypes
-import importlib
 import os
 from contextlib import contextmanager
 
@@ -137,22 +136,3 @@ def _x86_64_libm():
 
 _fix_malloc_thresholds()
 _libm = _x86_64_libm()
-
-_EXPORTS = {
-    "ConfigError": "errors", "DataError": "errors", "NumericError": "errors",
-    "ShapeError": "errors", "VstainError": "errors",
-    "NetworkConfig": "network", "build": "network", "forward": "network",
-    "load_checkpoint": "network", "save_checkpoint": "network",
-    "stage_ledger": "network",
-    "TrainConfig": "training", "train": "training",
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
-    globals()[name] = value
-    return value

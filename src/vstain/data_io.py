@@ -323,16 +323,23 @@ class SyntheticSceneSpec:
     tasks: tuple[str, ...] = TASK_NAMES
 
     def validate(self) -> None:
-        """Raise ConfigError unless 0 <= min <= max cells, noise >= 0 and
-        size >= 12 (cells keep a 6-pixel margin on each side)."""
+        """Raise ConfigError unless 0 <= min <= max cells, the noise is a
+        finite number >= 0, size >= 12 (cells keep a 6-pixel margin on each
+        side), seed >= 0 and the tasks are one or more of TASK_NAMES."""
         lo, hi = self.cell_count
         if not 0 <= lo <= hi:
             raise ConfigError(f"synthetic scene: cell count {self.cell_count} must "
                               "satisfy 0 <= min <= max")
-        if self.noise_level < 0:
-            raise ConfigError(f"synthetic scene: noise {self.noise_level} must be >= 0")
+        if not 0 <= self.noise_level < math.inf:  # written so that NaN fails
+            raise ConfigError(f"synthetic scene: noise {self.noise_level} is not a "
+                              "finite number >= 0")
         if self.size < 12:
             raise ConfigError(f"synthetic scene: size {self.size} must be >= 12")
+        if self.seed < 0:
+            raise ConfigError(f"synthetic scene: seed {self.seed} must be >= 0")
+        if not self.tasks or any(t not in TASK_NAMES for t in self.tasks):
+            raise ConfigError(f"synthetic scene: tasks {list(self.tasks)} are not one "
+                              f"or more of {TASK_NAMES}")
 
 
 @dataclass
@@ -355,8 +362,22 @@ def _cell_distance(size: int, cell: Cell) -> np.ndarray:
 
 def generate_synthetic(spec: SyntheticSceneSpec) -> SyntheticSample:
     """Render one scene. Identical specs produce identical samples.
-    Raises ConfigError for a spec :meth:`SyntheticSceneSpec.validate` rejects."""
+
+    Raises ConfigError for a spec :meth:`SyntheticSceneSpec.validate`
+    rejects, and for a scene this process cannot allocate, naming the
+    bytes its four float64 planes need.
+    """
     spec.validate()
+    try:
+        return _render(spec)
+    except MemoryError as exc:
+        need = 4 * 8 * spec.size ** 2
+        raise ConfigError(f"synthetic scene: a {spec.size}x{spec.size} scene needs at "
+                          f"least {need} bytes, more than this process could "
+                          "allocate") from exc
+
+
+def _render(spec: SyntheticSceneSpec) -> SyntheticSample:
     rng = np.random.default_rng(spec.seed)
     size = spec.size
     lo, hi = spec.cell_count
@@ -395,8 +416,6 @@ def generate_synthetic(spec: SyntheticSceneSpec) -> SyntheticSample:
     rendered = {"nuclei": nuclei, "viability": viability, "type": cell_type}
     targets = {}
     for t, name in enumerate(spec.tasks):
-        if name not in rendered:
-            raise DataError(f"unknown synthetic task {name!r}; choose from {TASK_NAMES}")
         targets[t] = np.clip(np.rint(rendered[name]), 0, 255).astype(np.float32)
     return SyntheticSample(
         image=image.astype(np.float32)[:, :, None],
@@ -417,16 +436,17 @@ def generate_dataset(
 ) -> Path:
     """Write PGM images, a scene record and manifest.json; returns the manifest path."""
     spec = SyntheticSceneSpec(size=size, cell_count=cell_count,
-                              noise_level=noise_level, tasks=tasks)
+                              noise_level=noise_level, seed=seed, tasks=tasks)
     spec.validate()  # before anything is written
     out_dir = Path(out_dir)
     images = out_dir / "images"
-    images.mkdir(parents=True, exist_ok=True)
     records = []
     scenes = {}
     for i in range(n_train + n_test):
         split = "train" if i < n_train else "test"
         sample = generate_synthetic(replace(spec, seed=seed * 100003 + i))
+        # made once a scene has rendered: a size no scene fits writes nothing
+        images.mkdir(parents=True, exist_ok=True)
         stem = f"s{i:03d}"
         save_pgm(images / f"{stem}_input.pgm", sample.image[:, :, 0])
         targets = {}
@@ -443,6 +463,7 @@ def generate_dataset(
         scenes[stem] = [vars(c) for c in sample.cells]
     manifest = Manifest(root=out_dir, samples=records, task_names=tasks)
     manifest_path = out_dir / "manifest.json"
+    out_dir.mkdir(parents=True, exist_ok=True)  # also for zero samples
     save_manifest(manifest_path, manifest)
     (out_dir / "scenes.json").write_text(json.dumps(scenes, indent=2, sort_keys=True) + "\n")
     return manifest_path

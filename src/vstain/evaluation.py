@@ -229,12 +229,14 @@ def evaluate_predictions(
     For every task with ground truth in at least one test sample, the
     prediction images (named per :func:`prediction_filename`) are pooled
     with their truths; sample_size is clamped to the pooled pixel count.
-    Raises ConfigError for sample_size < 2 or repetitions < 1.
+    Raises ConfigError for sample_size < 2, repetitions < 1 or seed < 0.
     """
     if sample_size < 2:
         raise ConfigError(f"evaluate: sample_size must be >= 2, got {sample_size}")
     if repetitions < 1:
         raise ConfigError(f"evaluate: repetitions must be >= 1, got {repetitions}")
+    if seed < 0:
+        raise ConfigError(f"evaluate: seed must be >= 0, got {seed}")
     pred_dir = Path(pred_dir)
     test = manifest.split("test")
     if not test:

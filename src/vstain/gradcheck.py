@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autograd as ag
 from .dense_block import dense_forward, make_dense_block
+from .errors import ConfigError
 from .gpt_layer import GptVariant, gpt_forward, make_gpt_layer
 from .network import NetworkConfig, build, forward
 from .training import masked_cross_entropy
@@ -39,6 +40,8 @@ def _away_from_kinks(rng: np.random.Generator, shape, margin: float = 0.05) -> n
 
 
 def run_suite(seed: int = 0) -> list[CheckRow]:
+    if seed < 0:
+        raise ConfigError(f"gradcheck: seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     rows: list[CheckRow] = []
 

@@ -231,49 +231,47 @@ def build(config: NetworkConfig, rng: np.random.Generator,
                           "process could allocate") from exc
 
 
-def _allocate(config: NetworkConfig, rng: np.random.Generator, dtype) -> Network:
-    k = config.growth_rate
-    qk = config.qk_channels
-    drop = config.dropout_rate
+def _plan(config: NetworkConfig):
+    """(input channels, spec) for every dense block and transformer layer
+    in the forward order of :meth:`Network.blocks`: spec is (depth, output
+    channels) for a dense block, the GptVariant for a transformer layer.
+    A decoder block also sees its skip (see :func:`forward`)."""
+    c, n = config.stem_channels, config.stages
+    for depth, target in zip(config.encoder_depths, config.encoder_channels):
+        yield c, (depth, target)
+        yield target, GptVariant.DOWN
+        c = target
+    yield c, (config.bottom_depth, config.bottom_channels)
+    yield config.bottom_channels, GptVariant.SAME
+    c = config.bottom_channels
+    for i, (depth, target) in enumerate(zip(config.decoder_depths, config.decoder_channels)):
+        yield c, GptVariant.UP
+        skip_c = config.encoder_channels[n - 2 - i if i < n - 1 else 0]
+        yield default_value_channels(GptVariant.UP, c) + skip_c, (depth, target)
+        c = target
 
+
+def _allocate(config: NetworkConfig, rng: np.random.Generator, dtype) -> Network:
     def conv1x1(c_in, c_out):
         return (ag.var(he_init(rng, (1, 1, c_in, c_out), dtype), requires_grad=True),
                 ag.var(np.zeros(c_out, dtype=dtype), requires_grad=True))
 
-    c = 3 * config.input_channels
-    stem_w, stem_b = conv1x1(c, config.stem_channels)
-    c = config.stem_channels
+    def block(c, spec):
+        if isinstance(spec, GptVariant):
+            return make_gpt_layer(rng, c, spec, config.qk_channels, dtype)
+        depth, target = spec
+        return make_dense_block(rng, c, depth, config.growth_rate, target,
+                                config.dropout_rate, dtype)
 
-    encoder = []
-    for depth, target in zip(config.encoder_depths, config.encoder_channels):
-        db = make_dense_block(rng, c, depth, k, target, drop, dtype)
-        gdt = make_gpt_layer(rng, target, GptVariant.DOWN, qk, dtype)
-        encoder.append((db, gdt))
-        c = target
-
-    bottom_db = make_dense_block(rng, c, config.bottom_depth,
-                                 k, config.bottom_channels, drop, dtype)
-    bottom_gst = make_gpt_layer(rng, config.bottom_channels, GptVariant.SAME, qk, dtype)
-    c = config.bottom_channels
-
-    n = config.stages
-    decoder = []
-    for i, (depth, target) in enumerate(zip(config.decoder_depths,
-                                            config.decoder_channels)):
-        gut = make_gpt_layer(rng, c, GptVariant.UP, qk, dtype)
-        if i < n - 1:
-            skip_c = config.encoder_channels[n - 2 - i]
-        else:
-            skip_c = config.encoder_channels[0]
-        cat = gut.out_channels + skip_c
-        db = make_dense_block(rng, cat, depth, k, target, drop, dtype)
-        decoder.append((gut, db))
-        c = target
-
-    head_w, head_b = conv1x1(c, config.head_channels)
-    net = Network(config, stem_w, stem_b, encoder, bottom_db, bottom_gst,
-                  decoder, head_w, head_b)
-    return net
+    # stem, then every block in forward order, then head: the He-init draw order
+    stem_w, stem_b = conv1x1(3 * config.input_channels, config.stem_channels)
+    made = (block(c, spec) for c, spec in _plan(config))
+    encoder = [(next(made), next(made)) for _ in range(config.stages)]
+    bottom_db, bottom_gst = next(made), next(made)
+    decoder = [(next(made), next(made)) for _ in range(config.stages)]
+    head_w, head_b = conv1x1(config.decoder_channels[-1], config.head_channels)
+    return Network(config, stem_w, stem_b, encoder, bottom_db, bottom_gst,
+                   decoder, head_w, head_b)
 
 
 def forward(net: Network, x: Variable, mode: str = "eval",
@@ -402,35 +400,24 @@ def checkpoint_elements(config: NetworkConfig, optimizer: bool = False) -> int:
     Counts, from the config alone, what :func:`checkpoint_tensors` holds:
     every parameter and batch-norm statistic, plus both Adam moments of
     every parameter when `optimizer` is set. The stage lists must have
-    equal lengths.
+    one equal length >= 1.
     """
-    k, n = config.growth_rate, config.stages
+    k = config.growth_rate
 
     def conv(c_in, c_out, taps=1):  # weight and bias
         return (taps * c_in + 1) * c_out
 
-    def dense(c, depth, target):  # layer l sees c + l*k channels
+    def block(c, spec):
+        if isinstance(spec, GptVariant):
+            qk = config.qk_channels if config.qk_channels is not None else max(c // 2, 1)
+            return conv(c, qk, 9) + conv(c, qk) + conv(c, default_value_channels(spec, c))
+        depth, target = spec  # dense layer l sees c + l*k channels
         return (depth * (conv(c, k, 9) + 2 * k) + 9 * k * k * depth * (depth - 1) // 2
                 + conv(c + depth * k, target))
 
-    def gpt(c, variant):
-        qk = config.qk_channels if config.qk_channels is not None else max(c // 2, 1)
-        return conv(c, qk, 9) + conv(c, qk) + conv(c, default_value_channels(variant, c))
-
-    params = conv(3 * config.input_channels, config.stem_channels)
-    c = config.stem_channels
-    for depth, target in zip(config.encoder_depths, config.encoder_channels):
-        params += dense(c, depth, target) + gpt(target, GptVariant.DOWN)
-        c = target
-    params += (dense(c, config.bottom_depth, config.bottom_channels)
-               + gpt(config.bottom_channels, GptVariant.SAME))
-    c = config.bottom_channels
-    for i, (depth, target) in enumerate(zip(config.decoder_depths, config.decoder_channels)):
-        skip_c = config.encoder_channels[n - 2 - i if i < n - 1 else 0]
-        params += gpt(c, GptVariant.UP) + dense(
-            default_value_channels(GptVariant.UP, c) + skip_c, depth, target)
-        c = target
-    params += conv(c, config.head_channels)
+    params = (conv(3 * config.input_channels, config.stem_channels)
+              + sum(block(c, spec) for c, spec in _plan(config))
+              + conv(config.decoder_channels[-1], config.head_channels))
     state = 2 * k * (sum(config.encoder_depths) + config.bottom_depth
                      + sum(config.decoder_depths))
     return params * (3 if optimizer else 1) + state

@@ -64,6 +64,8 @@ class TrainConfig:
             raise ConfigError(f"train config: eps {self.eps} is not a finite number > 0")
         if self.max_steps < 1 or self.checkpoint_interval < 1:
             raise ConfigError("train config: steps and interval must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"train config: seed {self.seed} must be >= 0")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":

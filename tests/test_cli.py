@@ -192,8 +192,9 @@ def test_config_value_of_wrong_type_is_usage_error(one_sample_manifest, tmp_path
 @pytest.mark.parametrize("train", [
     {"beta1": 1.0}, {"beta1": -0.5}, {"beta2": 1.5}, {"learning_rate": float("nan")},
     {"learning_rate": float("inf")}, {"eps": 0.0}, {"eps": -1.0}, {"eps": float("nan")},
+    {"seed": -1},
 ], ids=["beta1-one", "beta1-negative", "beta2-above-one", "lr-nan", "lr-inf", "eps-zero",
-        "eps-negative", "eps-nan"])
+        "eps-negative", "eps-nan", "seed-negative"])
 def test_adam_setting_out_of_range_is_usage_error_and_writes_nothing(one_sample_manifest,
                                                                      tmp_path, capsys, train):
     # json writes and reads NaN and Infinity as bare literals
@@ -244,7 +245,13 @@ def test_manifest_of_wrong_structure_is_data_error(tmp_path, capsys, doc):
     ["--cells=-1,3"],
     ["--noise", "-0.5"],
     ["--size", "11"],
-], ids=["cells-min-above-max", "cells-negative", "noise-negative", "size-below-12"])
+    ["--seed", "-1"],
+    ["--noise", "nan"],
+    ["--noise", "inf"],
+    ["--tasks", "foo"],
+    ["--tasks", ","],
+], ids=["cells-min-above-max", "cells-negative", "noise-negative", "size-below-12",
+        "seed-negative", "noise-nan", "noise-inf", "task-unknown", "tasks-empty"])
 def test_synth_bad_flag_is_usage_error(tmp_path, capsys, flags):
     code = cli.main(["synth", "--out", str(tmp_path / "d"), "--samples", "1",
                      "--test-samples", "0", *flags])
@@ -275,6 +282,24 @@ def test_eval_sample_size_below_two_is_usage_error(pipeline, tmp_path, capsys, s
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "size").exists()
+
+
+def test_eval_seed_below_zero_is_usage_error(pipeline, tmp_path, capsys):
+    code = cli.main(["eval", "--manifest", str(pipeline / "data/manifest.json"),
+                     "--pred", str(pipeline / "pred"), "--out", str(tmp_path / "seed"),
+                     "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "seed").exists()
+
+
+def test_gradcheck_seed_below_zero_is_usage_error(capsys):
+    code = cli.main(["gradcheck", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_unknown_flag_is_usage_error():
@@ -683,6 +708,17 @@ def test_config_too_large_for_memory_is_usage_error(one_sample_manifest, tmp_pat
     assert code == "2", err[-4000:]
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"{need} bytes" in err
+
+
+@pytest.mark.parametrize("size", ["1000000", "8192"])
+def test_synth_scene_too_large_for_memory_is_usage_error(tmp_path, size):
+    # 8192: one float64 plane (512 MiB) may fit under the cap, the scene does not
+    code, err = _capped_cli(["synth", "--out", str(tmp_path / "d"), "--samples", "1",
+                             "--test-samples", "0", "--size", size])
+    assert code == "2", err[-4000:]
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{4 * 8 * int(size) ** 2} bytes" in err
+    assert not (tmp_path / "d").exists()
 
 
 def test_checkpoint_config_too_large_for_memory_is_data_error(tmp_path):

@@ -156,8 +156,13 @@ def test_config_validation():
     {"encoder_channels": (8, 2**62, 8)},
     {"qk_channels": 2**64},
     {"task_count": 2**61},
-], ids=["growth", "channels", "qk", "tasks"])
+    {"bottom_depth": 2**40},
+    {"encoder_depths": (1, 2**40, 1)},
+    {"decoder_depths": (2**40, 1, 1)},
+], ids=["growth", "channels", "qk", "tasks", "bottom-depth", "encoder-depth",
+        "decoder-depth"])
 def test_config_too_large_for_arrays_is_config_error(fields):
+    # the depth cases stay fast only while the count is closed-form per block
     with pytest.raises(ConfigError, match="too large"):
         nw.NetworkConfig(**fields).validate()
 
