@@ -235,23 +235,13 @@ def main(argv=None) -> int:
         os.environ[key] = "1"
     args = _build_parser().parse_args(argv)
 
-    from .errors import (ConfigError, DataError, NumericError, ShapeError,
-                         VstainError)
+    from .errors import VstainError
 
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except VstainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130

@@ -16,7 +16,9 @@ bit-exactly. A manifest is a JSON file
     }
 
 with all paths relative to the manifest's directory. Absent task ids
-mean the sample carries no ground truth for that task.
+mean the sample carries no ground truth for that task. A split other
+than "train" or "test" is a DataError when the manifest loads; every
+other check on a sample is made by :func:`load_sample` as it reads it.
 
 The synthetic generator renders soft-edged elliptical cells with bright
 outlines into a noisy low-contrast image; targets are deterministic
@@ -231,60 +233,34 @@ def load_manifest(path: str | Path) -> Manifest:
             raise DataError(f"{path}: bad sample record {i} ({exc})") from exc
         if not all(isinstance(p, str) for p in [rec["input"], *targets.values()]):
             raise DataError(f"{path}: sample record {i} has a path that is not a string")
+        if samples[-1].split not in ("train", "test"):
+            raise DataError(f"{path}: sample record {i} has unknown split "
+                            f"{samples[-1].split!r}")
     names = doc.get("task_names", list(TASK_NAMES))
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise DataError(f"{path}: 'task_names' must be a list of strings")
     return Manifest(root=path.parent, samples=samples, task_names=tuple(names))
 
 
-def validate_manifest(manifest: Manifest, task_count: int | None = None) -> list[dict]:
-    """Machine-readable issue list; an empty list means the manifest is sound."""
-    issues: list[dict] = []
-    for i, rec in enumerate(manifest.samples):
-        input_path = manifest.root / rec.input_path
-        dims = None
-        if not input_path.exists():
-            issues.append({"sample": i, "file": str(input_path),
-                           "problem": "missing input file"})
-        else:
-            try:
-                dims = load_image(input_path).shape[:2]
-            except DataError as exc:
-                issues.append({"sample": i, "file": str(input_path),
-                               "problem": f"unreadable input: {exc}"})
-        for t, rel in sorted(rec.targets.items()):
-            if t < 0 or (task_count is not None and t >= task_count):
-                issues.append({"sample": i, "task": t,
-                               "problem": f"task id out of range [0, {task_count})"})
-            tpath = manifest.root / rel
-            if not tpath.exists():
-                issues.append({"sample": i, "task": t, "file": str(tpath),
-                               "problem": "missing target file"})
-                continue
-            try:
-                tdims = load_image(tpath).shape[:2]
-            except DataError as exc:
-                issues.append({"sample": i, "task": t, "file": str(tpath),
-                               "problem": f"unreadable target: {exc}"})
-                continue
-            if dims is not None and tdims != dims:
-                issues.append({
-                    "sample": i, "task": t,
-                    "problem": f"dimension mismatch: input {dims}, target {tdims}",
-                })
-        if rec.split not in ("train", "test"):
-            issues.append({"sample": i, "problem": f"unknown split {rec.split!r}"})
-    return issues
-
-
 @dataclass
 class LoadedSample:
     image: np.ndarray              # (H, W, C) float32, 0-255
     targets: dict[int, np.ndarray]  # task id -> (H, W) float32, 0-255
-    condition: str = ""
 
 
-def load_sample(manifest: Manifest, rec: SampleRecord) -> LoadedSample:
+def load_sample(manifest: Manifest, rec: SampleRecord,
+                task_count: int | None = None) -> LoadedSample:
+    """Read one record's input and targets, each file once.
+
+    Raises DataError for a task id outside [0, task_count) (any negative
+    id when task_count is None) before any file is read, for a missing or
+    unreadable file (the message names its path), and for a target that
+    is not single-channel or whose extents differ from the input's.
+    """
+    top = math.inf if task_count is None else task_count
+    for t in sorted(rec.targets):
+        if not 0 <= t < top:
+            raise DataError(f"{rec.input_path}: task id {t} out of range [0, {top})")
     image = load_image(manifest.root / rec.input_path)
     targets = {}
     for t, rel in sorted(rec.targets.items()):
@@ -296,7 +272,7 @@ def load_sample(manifest: Manifest, rec: SampleRecord) -> LoadedSample:
                 f"{rel}: target dims {arr.shape[:2]} != input dims {image.shape[:2]}"
             )
         targets[t] = arr[:, :, 0]
-    return LoadedSample(image=image, targets=targets, condition=rec.condition)
+    return LoadedSample(image=image, targets=targets)
 
 
 # ---------------------------------------------------------------------------

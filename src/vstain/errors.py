@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError and
-ShapeError -> 3, NumericError -> 4.
+Each class carries the exit code the CLI returns for it as
+`exit_code`: ConfigError 2, NumericError 4, and 3 for VstainError and
+the classes that inherit it unchanged (DataError, ShapeError).
 """
 
 import numbers
@@ -9,6 +10,7 @@ import numbers
 
 class VstainError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 3
 
 
 class ShapeError(VstainError):
@@ -17,6 +19,7 @@ class ShapeError(VstainError):
 
 class ConfigError(VstainError):
     """Invalid configuration values or combinations."""
+    exit_code = 2
 
 
 class DataError(VstainError):
@@ -25,6 +28,7 @@ class DataError(VstainError):
 
 class NumericError(VstainError):
     """Non-finite values or degenerate numeric input."""
+    exit_code = 4
 
 
 def require_types(section: str, obj, ints=(), reals=(), int_lists=()) -> None:
@@ -46,3 +50,15 @@ def require_types(section: str, obj, ints=(), reals=(), int_lists=()) -> None:
             value = getattr(obj, name)
             if not ok(value):
                 raise ConfigError(f"{section}: {name} must be {kind}, got {value!r}")
+
+
+def from_fields(cls, section: str, key: str, d):
+    """cls(**d) for a JSON object `d` whose fields are all fields of the
+    dataclass `cls`; otherwise a ConfigError naming `section` and, when
+    `d` is not an object, the config file's `key` for it."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section}: '{key}' must be a JSON object")
+    extra = set(d) - set(cls.__dataclass_fields__)
+    if extra:
+        raise ConfigError(f"{section}: unknown fields {sorted(extra)}")
+    return cls(**d)

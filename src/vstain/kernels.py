@@ -146,17 +146,18 @@ def _im2col(xp: np.ndarray, k: int, stride: int, lo: int, hi: int,
     return np.ascontiguousarray(sub.transpose(0, 1, 2, 4, 5, 3))
 
 
-def _check_conv_args(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> None:
+def _check_conv_args(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                     stride: int) -> None:
     if w.ndim != 4 or w.shape[0] != w.shape[1]:
-        raise ShapeError(f"conv2d: weights must be (k,k,Cin,Cout), got {w.shape}")
+        raise ShapeError(f"{op}: weights must be (k,k,Cin,Cout), got {w.shape}")
     if x.shape[3] != w.shape[2]:
         raise ShapeError(
-            f"conv2d: input has {x.shape[3]} channels, weights expect {w.shape[2]}"
+            f"{op}: input has {x.shape[3]} channels, weights expect {w.shape[2]}"
         )
     if b.shape != (w.shape[3],):
-        raise ShapeError(f"conv2d: bias must be ({w.shape[3]},), got {b.shape}")
+        raise ShapeError(f"{op}: bias must be ({w.shape[3]},), got {b.shape}")
     if stride not in (1, 2):
-        raise ShapeError(f"conv2d: stride must be 1 or 2, got {stride}")
+        raise ShapeError(f"{op}: stride must be 1 or 2, got {stride}")
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.ndarray:
@@ -169,7 +170,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.n
     x = check_tensor4(x, "conv2d input")
     w = np.asarray(w)
     b = np.asarray(b)
-    _check_conv_args(x, w, b, stride)
+    _check_conv_args("conv2d", x, w, b, stride)
     k = w.shape[0]
     n, cin = x.shape[0], x.shape[3]
     xp, out_h, out_w = _same_pad(x, k, stride)
@@ -275,14 +276,9 @@ def deconv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = check_tensor4(x, "deconv2d input")
     w = np.asarray(w)
     b = np.asarray(b)
-    if w.ndim != 4 or w.shape[0] != 3 or w.shape[1] != 3:
+    if w.ndim != 4 or w.shape[:2] != (3, 3):
         raise ShapeError(f"deconv2d: weights must be (3,3,Cin,Cout), got {w.shape}")
-    if x.shape[3] != w.shape[2]:
-        raise ShapeError(
-            f"deconv2d: input has {x.shape[3]} channels, weights expect {w.shape[2]}"
-        )
-    if b.shape != (w.shape[3],):
-        raise ShapeError(f"deconv2d: bias must be ({w.shape[3]},), got {b.shape}")
+    _check_conv_args("deconv2d", x, w, b, 2)  # the stride of the conv it is adjoint to
     wt = np.ascontiguousarray(w.transpose(0, 1, 3, 2))  # (3,3,Cout,Cin)
     out = _conv2d_input_grad(2 * x.shape[1], 2 * x.shape[2], wt, 2, x)
     return out + b

@@ -37,7 +37,7 @@ from . import gptt, kernels
 from .autograd import BnState, Variable
 from .kernels import he_init
 from .dense_block import DenseBlockParams, dense_forward, make_dense_block
-from .errors import ConfigError, DataError, ShapeError, require_types
+from .errors import ConfigError, DataError, ShapeError, from_fields, require_types
 from .gpt_layer import (GptLayerParams, GptVariant, default_value_channels,
                         gpt_forward, make_gpt_layer)
 
@@ -135,13 +135,7 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("config: 'network' must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"config: unknown fields {sorted(extra)}")
-        return cls(**d)
+        return from_fields(cls, "config", "network", d)
 
 
 def stage_ledger(config: NetworkConfig) -> list[tuple[str, int, int]]:

@@ -29,7 +29,7 @@ from . import autograd as ag
 from . import data_io, gptt, kernels
 from .autograd import Variable
 from .errors import (ConfigError, DataError, NumericError, ShapeError,
-                     require_types)
+                     from_fields, require_types)
 from .multiscale import sample_training_patch
 from .network import (NetworkConfig, build, forward, load_checkpoint,
                       save_checkpoint)
@@ -69,13 +69,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("train config: 'train' must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"train config: unknown fields {sorted(extra)}")
-        return cls(**d)
+        return from_fields(cls, "train config", "train", d)
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +275,17 @@ def train(
 ) -> TrainResult:
     """Run the loop: sample patches, forward, masked loss, backward, Adam.
 
-    Writes loss.csv plus periodic and final checkpoints under out_dir,
-    which is created only once the inputs and any resumed checkpoint have
-    been checked; a checkpoint past max_steps is a ConfigError. A
-    non-finite loss, a non-finite gradient before the Adam update or a
-    non-finite parameter or Adam moment after it aborts the step with a
-    NumericError and a diagnostic dump of the offending batch and of the
-    weights the step started from; no checkpoint of that step is
-    written. Fully reproducible from (manifest, configs, seed); resuming
-    from a checkpoint continues the identical stream.
+    Reads each training record once through :func:`data_io.load_sample`
+    (the test split is not read) and raises DataError when no training
+    sample has a target. Writes loss.csv plus periodic and final
+    checkpoints under out_dir, which is created only once the inputs and
+    any resumed checkpoint have been checked; a checkpoint past max_steps
+    is a ConfigError. A non-finite loss, a non-finite gradient before the
+    Adam update or a non-finite parameter, Adam moment or batch-norm
+    running statistic after it aborts the step with a NumericError and a diagnostic dump of the offending
+    batch and of the weights the step started from; no checkpoint of that
+    step is written. Fully reproducible from (manifest, configs, seed);
+    resuming from a checkpoint continues the identical stream.
     """
     train_config.validate()
     net_config.validate()
@@ -298,16 +294,15 @@ def train(
     records = manifest.split("train")
     if not records:
         raise DataError("train: manifest has no training samples")
-    issues = data_io.validate_manifest(manifest, task_count=net_config.task_count)
-    if issues:
-        raise DataError(f"train: manifest has issues, first: {issues[0]}")
-    samples = [data_io.load_sample(manifest, rec) for rec in records]
+    samples = [data_io.load_sample(manifest, rec, net_config.task_count) for rec in records]
     for rec, s in zip(records, samples):
         if s.image.shape[2] != net_config.input_channels:
             raise DataError(
                 f"{rec.input_path}: {s.image.shape[2]} channels, "
                 f"config expects {net_config.input_channels}"
             )
+    if not any(s.targets for s in samples):
+        raise DataError("train: no training sample has a target")
 
     init_ss, loop_ss = np.random.SeedSequence(train_config.seed).spawn(2)
     loop_rng = np.random.default_rng(loop_ss)
@@ -383,6 +378,10 @@ def train(
                 bad += [f"Adam moment {moment}/{name}"
                         for moment, arrays in (("m", opt.m), ("v", opt.v))
                         for name, a in arrays.items() if not np.isfinite(a).all()]
+                # and a batch's large activations a float32 running variance
+                bad += [f"batch-norm statistic {name}.{stat}"
+                        for name, st in net.named_state().items() for stat in ("mean", "var")
+                        if not np.isfinite(getattr(st, stat)).all()]
                 if bad:
                     for name, p in params.items():
                         p.data = before[name]  # dump the weights the step started from

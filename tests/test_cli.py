@@ -505,28 +505,46 @@ def test_train_to_an_overflowing_adam_moment_is_numeric_error(synth_32, tmp_path
         "checkpoint_000001.gptc", "diagnostic_step000002"]
 
 
+def test_train_to_an_overflowing_batch_norm_variance_is_numeric_error(synth_32, tmp_path,
+                                                                     capsys):
+    # step 2's weights and moments stay finite, but its batch variance
+    # overflows dec2's float32 running variance
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "network": {"patch_size": 8, "task_count": 2, "growth_rate": 1, "stem_channels": 2,
+                    "encoder_depths": [0, 2], "encoder_channels": [1, 4], "bottom_depth": 1,
+                    "bottom_channels": 1, "decoder_depths": [0, 2], "decoder_channels": [1, 1],
+                    "dropout_rate": 0.5},
+        "train": {"learning_rate": 100.0, "batch_size": 1, "max_steps": 2,
+                  "checkpoint_interval": 1, "seed": 2}}))
+    code = cli.main(["train", "--manifest", str(synth_32), "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "non-finite batch-norm statistic dec2.db.l1.bn.var after the update at step 2" in err
+    assert not (tmp_path / "run" / "checkpoint_000002.gptc").exists()
+
+
 def test_predict_to_overflowing_scores_is_numeric_error_without_warnings(synth_32,
                                                                           tmp_path):
-    # two steps at learning rate 10 leave finite weights whose attention
-    # scores overflow on the test image: predict once printed numpy's
-    # overflow warning before its one error line
-    cfg = {"network": {"patch_size": 16, "task_count": 2, "growth_rate": 2,
-                       "stem_channels": 4, "encoder_depths": [1, 1, 2],
-                       "encoder_channels": [2, 9, 11], "bottom_depth": 1,
-                       "bottom_channels": 18, "decoder_depths": [1, 0, 2],
-                       "decoder_channels": [2, 9, 11], "qk_channels": 3,
-                       "dropout_rate": 0.0},
-           "train": {"learning_rate": 10.0, "batch_size": 1, "max_steps": 2,
-                     "checkpoint_interval": 100, "seed": 0}}
-    (tmp_path / "config.json").write_text(json.dumps(cfg))
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["train", "--manifest", str(synth_32), "--config",
-                         str(tmp_path / "config.json"), "--out", str(tmp_path / "run")]) == 0
+    # finite weights whose attention scores overflow on the test image:
+    # predict once printed numpy's overflow warning before its one error
+    # line. Training refuses to save such a model when its batch-norm
+    # statistics overflow too, so the weights are scaled by hand.
+    config = nw.NetworkConfig(patch_size=16, task_count=2, growth_rate=2, stem_channels=4,
+                              encoder_depths=(1, 1, 2), encoder_channels=(2, 9, 11),
+                              bottom_depth=1, bottom_channels=18, decoder_depths=(1, 0, 2),
+                              decoder_channels=(2, 9, 11), qk_channels=3, dropout_rate=0.0)
+    net = nw.build(config, np.random.default_rng(0))
+    params = net.named_parameters()
+    for name in ("enc1.gdt.gen.w", "enc1.gdt.key.w"):
+        params[name].data *= np.float32(1e20)
+    nw.save_checkpoint(tmp_path / "checkpoint.gptc", net, step=0)
     manifest = dio.load_manifest(synth_32)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(vstain.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "vstain", "predict",
-                           "--checkpoint", str(tmp_path / "run" / "checkpoint_000002.gptc"),
+                           "--checkpoint", str(tmp_path / "checkpoint.gptc"),
                            "--image", str(manifest.root / manifest.split("test")[0].input_path),
                            "--out", str(tmp_path / "pred"), "--step", "8"],
                           env=env, capture_output=True, text=True, timeout=300)
@@ -582,6 +600,25 @@ def test_train_gptt_input_outside_0_255_is_data_error(tmp_path, capsys, value):
     assert code == 3
     assert err.startswith("error:") and err.count("\n") == 1
     assert "0-255" in err
+
+
+def test_train_split_without_targets_is_data_error_and_writes_nothing(tmp_path, capsys):
+    mpath = dio.generate_dataset(tmp_path / "d", 2, size=48, seed=0, n_test=1,
+                                 tasks=("nuclei", "viability"))
+    doc = json.loads(mpath.read_text())
+    for rec in doc["samples"]:
+        if rec["split"] == "train":
+            rec["targets"] = {}
+    mpath.write_text(json.dumps(doc))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    code = cli.main(["train", "--manifest", str(mpath), "--config", str(cfg),
+                     "--steps", "1", "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "no training sample has a target" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_eval_missing_predictions_is_data_error(pipeline, tmp_path, capsys):

@@ -98,32 +98,58 @@ def test_manifest_round_trip(tmp_path):
     assert len(manifest.split("train")) == 2
     assert len(manifest.split("test")) == 1
     assert manifest.task_names == ("nuclei", "viability")
-    assert dio.validate_manifest(manifest) == []
+    for rec in manifest.samples:
+        sample = dio.load_sample(manifest, rec, task_count=2)
+        assert set(sample.targets) == {0, 1}
+    dio.save_manifest(tmp_path / "again.json", manifest)
+    assert (tmp_path / "again.json").read_text() == mpath.read_text()
 
 
-def test_validate_reports_missing_target(tmp_path):
+def test_load_sample_reports_missing_target(tmp_path):
     mpath = write_dataset(tmp_path)
     manifest = dio.load_manifest(mpath)
-    (manifest.root / manifest.samples[0].targets[1]).unlink()
-    issues = dio.validate_manifest(manifest)
-    assert any(i.get("task") == 1 and "missing" in i["problem"] for i in issues)
-    assert all("sample" in i for i in issues)
+    rel = manifest.samples[0].targets[1]
+    (manifest.root / rel).unlink()
+    with pytest.raises(DataError, match=rel):
+        dio.load_sample(manifest, manifest.samples[0])
 
 
-def test_validate_reports_dimension_mismatch(tmp_path):
+def test_train_reports_dimension_mismatch(tmp_path):
+    from vstain import training
+    from vstain.network import NetworkConfig
+
     mpath = write_dataset(tmp_path)
     manifest = dio.load_manifest(mpath)
-    bad = manifest.root / manifest.samples[0].targets[0]
-    dio.save_pgm(bad, np.zeros((8, 8)))
-    issues = dio.validate_manifest(manifest)
-    assert any("dimension mismatch" in i["problem"] for i in issues)
+    rel = manifest.samples[1].targets[0]
+    dio.save_pgm(manifest.root / rel, np.zeros((8, 8)))
+    with pytest.raises(DataError, match=f"{rel}: target dims"):
+        training.train(manifest, NetworkConfig.tiny(patch_size=16),
+                       training.TrainConfig(max_steps=1), tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
-def test_validate_reports_out_of_range_task(tmp_path):
+@pytest.mark.parametrize("task", [1, -1])
+def test_load_sample_rejects_out_of_range_task_before_reading_targets(tmp_path, task):
     mpath = write_dataset(tmp_path)
     manifest = dio.load_manifest(mpath)
-    issues = dio.validate_manifest(manifest, task_count=1)
-    assert any(i.get("task") == 1 and "out of range" in i["problem"] for i in issues)
+    rec = manifest.samples[0]
+    rec.targets = {task if t == 1 else t: rel for t, rel in rec.targets.items()}
+    for rel in rec.targets.values():
+        (manifest.root / rel).unlink()  # reading a target would fail otherwise
+    with pytest.raises(DataError, match=rf"task id {task} out of range \[0, 1\)"):
+        dio.load_sample(manifest, rec, task_count=1)
+    if task < 0:
+        with pytest.raises(DataError, match="task id -1 out of range"):
+            dio.load_sample(manifest, rec)
+
+
+def test_load_manifest_rejects_unknown_split(tmp_path):
+    mpath = write_dataset(tmp_path)
+    doc = json.loads(mpath.read_text())
+    doc["samples"][2]["split"] = "val"
+    mpath.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="sample record 2 has unknown split 'val'"):
+        dio.load_manifest(mpath)
 
 
 def test_load_sample_checks_dims(tmp_path):

@@ -1,4 +1,4 @@
-"""Code names in README.md and in the package's docstrings still exist."""
+"""README.md's code names and exit codes and the docstrings' references still hold."""
 
 import ast
 import importlib
@@ -8,6 +8,7 @@ import types
 from pathlib import Path
 
 import vstain
+from vstain import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = {m.name for m in pkgutil.iter_modules(vstain.__path__) if m.name != "__main__"}
@@ -72,3 +73,15 @@ def test_docstring_references_exist():
                     missing.append(f"{path.name}: {name}")
     assert checked >= 30  # the pattern still finds them
     assert missing == []
+
+
+def test_readme_exit_codes_are_the_error_classes():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    listed = re.search(r"Exit codes: 0 success, (\d) usage/config error, (\d) data error, "
+                       r"(\d) numeric failure", text)
+    assert listed is not None
+    config, data, numeric = map(int, listed.groups())
+    assert errors.ConfigError.exit_code == config
+    assert (errors.VstainError.exit_code == errors.DataError.exit_code
+            == errors.ShapeError.exit_code == data)
+    assert errors.NumericError.exit_code == numeric

@@ -1,7 +1,10 @@
 """Masked loss semantics, Adam arithmetic, loop determinism and resume."""
 
+import json
 import math
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,6 +402,29 @@ def test_empty_manifest_rejected(tmp_path):
     _, ncfg, tcfg = tiny_setup(tmp_path)
     with pytest.raises(DataError):
         tr.train(manifest, ncfg, tcfg, tmp_path / "run")
+
+
+def test_train_reads_each_training_file_once_and_no_test_file(tmp_path, monkeypatch):
+    # the README walkthrough's dataset and config, one step
+    mpath = dio.generate_dataset(tmp_path / "data", n_train=4, n_test=1, size=128,
+                                 seed=7, tasks=("nuclei", "viability"))
+    manifest = dio.load_manifest(mpath)
+    doc = json.loads((Path(__file__).parents[1] / "configs/tiny.json").read_text())
+    ncfg = NetworkConfig.from_dict(doc["network"])
+    tcfg = tr.TrainConfig.from_dict({**doc["train"], "max_steps": 1})
+    reads = Counter()
+    load_image = dio.load_image
+
+    def counting(path):
+        reads[Path(path).relative_to(manifest.root).as_posix()] += 1
+        return load_image(path)
+
+    monkeypatch.setattr(dio, "load_image", counting)
+    tr.train(manifest, ncfg, tcfg, tmp_path / "run")
+    train_files = [path for rec in manifest.split("train")
+                   for path in [rec.input_path, *rec.targets.values()]]
+    assert len(train_files) == 12
+    assert reads == Counter(train_files)
 
 
 def test_loss_decreases_on_short_overfit(tmp_path):
