@@ -152,18 +152,12 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     from . import data_io, gptt
-    from .errors import DataError
     from .evaluation import prediction_filename
     from .inference import predict_image
     from .network import distributions_to_image, load_checkpoint
 
     net, _ = load_checkpoint(args.checkpoint)
     image = data_io.load_image(args.image)
-    if image.shape[0] < net.config.patch_size or image.shape[1] < net.config.patch_size:
-        raise DataError(
-            f"{args.image}: {image.shape[1]}x{image.shape[0]} smaller than "
-            f"patch size {net.config.patch_size}"
-        )
     dist = predict_image(net, image, step=args.step)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -35,7 +35,7 @@ from . import _flush_to_zero, _release_free_heap
 from . import autograd as ag
 from . import kernels
 from .errors import ConfigError, DataError, ShapeError
-from .multiscale import PatchSpec, extract_multiscale
+from .multiscale import extract_multiscale
 # predict_distributions stays importable from here: benchmarks/tracer.py
 # patches inference.predict_distributions by name.
 from .network import (Network, forward, predict_distributions,  # noqa: F401
@@ -43,13 +43,10 @@ from .network import (Network, forward, predict_distributions,  # noqa: F401
 
 
 def window_offsets(extent: int, patch: int, step: int) -> list[int]:
-    """Start offsets along one axis, final window clamped flush to the edge."""
-    if patch > extent:
-        raise DataError(f"tiling: image extent {extent} smaller than patch {patch}")
-    if step < 1:
-        raise ShapeError(f"tiling: step must be >= 1, got {step}")
-    if step > patch:
-        raise ShapeError(f"tiling: step {step} > patch {patch} would leave gaps")
+    """Start offsets along one axis, final window clamped flush to the edge.
+
+    Needs 1 <= step <= patch <= extent, which :func:`predict_image` checks.
+    """
     offsets = list(range(0, extent - patch + 1, step))
     if offsets[-1] + patch < extent:
         offsets.append(extent - patch)
@@ -70,7 +67,7 @@ def coverage_map(image_h: int, image_w: int, patch: int, step: int) -> np.ndarra
 def _window_features(net: Network, image: np.ndarray, oy: int, ox: int) -> np.ndarray:
     """The eval-mode decoder features (patch, patch, C) of the window at (oy, ox)."""
     patch = net.config.patch_size
-    inp = extract_multiscale(image, PatchSpec((ox + patch // 2, oy + patch // 2), patch))
+    inp = extract_multiscale(image, (ox + patch // 2, oy + patch // 2), patch)
     inp = inp.astype(np.float32) / 255.0
     with ag.no_grad():
         return forward(net, ag.var(inp[None]), mode="eval").data[0]
@@ -126,10 +123,12 @@ def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray
             f"checkpoint expects {cfg.input_channels}"
         )
     patch = cfg.patch_size
+    h, w = image.shape[:2]
+    if h < patch or w < patch:
+        raise DataError(f"predict_image: image {w}x{h} smaller than patch size {patch}")
     if not 1 <= step <= patch:
         raise ConfigError(f"predict_image: step must be in 1..{patch} (the patch "
                           f"size), got {step}")
-    h, w = image.shape[:2]
     offsets_y = window_offsets(h, patch, step)
     offsets_x = window_offsets(w, patch, step)
 

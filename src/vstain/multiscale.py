@@ -18,24 +18,10 @@ truth aligned with the scale-1 crop only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
 from .errors import DataError, ShapeError
-
-
-@dataclass
-class PatchSpec:
-    """center is (x, y) in full-image pixel coordinates (x = column)."""
-
-    center: tuple[int, int]
-    size: int = 128
-
-    def validate(self) -> None:
-        if self.size < 2 or self.size % 2 != 0:
-            raise ShapeError(f"patch size must be even and >= 2, got {self.size}")
 
 
 def _reflect_indices(start: int, length: int, extent: int) -> np.ndarray:
@@ -57,19 +43,22 @@ def _crop_reflect(image: np.ndarray, top: int, left: int, side: int) -> np.ndarr
     return image[rows][:, cols]
 
 
-def extract_multiscale(image: np.ndarray, spec: PatchSpec) -> np.ndarray:
-    """(H_img, W_img, C) -> (size, size, 3C) multi-scale input patch."""
+def extract_multiscale(image: np.ndarray, center: tuple[int, int],
+                       size: int) -> np.ndarray:
+    """(H_img, W_img, C) -> (size, size, 3C) multi-scale input patch.
+
+    center is (x, y) in full-image pixel coordinates (x = column); size
+    is the network's patch size, which its config keeps even.
+    """
     image = np.asarray(image)
     if image.ndim != 3:
         raise ShapeError(f"extract_multiscale: image must be (H,W,C), got {image.shape}")
-    spec.validate()
-    x, y = spec.center
+    x, y = center
     h_img, w_img = image.shape[:2]
     if not (0 <= x < w_img and 0 <= y < h_img):
         raise DataError(
-            f"extract_multiscale: center {spec.center} outside {w_img}x{h_img} image"
+            f"extract_multiscale: center {center} outside {w_img}x{h_img} image"
         )
-    size = spec.size
     channels = []
     for side in (size, 2 * size, size // 2):
         crop = _crop_reflect(image, y - side // 2, x - side // 2, side)
@@ -100,31 +89,28 @@ def sample_training_patch(
     The center is uniform over positions keeping the scale-1 crop in
     bounds; only the context crop may need reflection. Targets are the
     raw ground-truth patch aligned with the scale-1 crop.
+
+    Checks none of its inputs; :func:`vstain.training.train` checks them
+    once, before its first draw. The sample is one that
+    :func:`vstain.data_io.load_sample` loaded with `task_count` (every
+    task id in [0, task_count), every value in 0-255), and its image is
+    at least `patch_size` (even) on both axes.
     """
     image = sample.image
     h_img, w_img = image.shape[:2]
-    if h_img < patch_size or w_img < patch_size:
-        raise DataError(
-            f"sample image {w_img}x{h_img} smaller than patch {patch_size}"
-        )
     x_lo, x_hi = valid_center_range(w_img, patch_size)
     y_lo, y_hi = valid_center_range(h_img, patch_size)
     x = int(rng.integers(x_lo, x_hi + 1))
     y = int(rng.integers(y_lo, y_hi + 1))
-    spec = PatchSpec(center=(x, y), size=patch_size)
 
-    inp = extract_multiscale(image, spec).astype(np.float32) / 255.0
+    inp = extract_multiscale(image, (x, y), patch_size).astype(np.float32) / 255.0
 
     top = y - patch_size // 2
     left = x - patch_size // 2
     targets = np.zeros((patch_size, patch_size, task_count), dtype=np.int64)
     mask = np.zeros(task_count, dtype=bool)
     for t, target_image in sample.targets.items():
-        if not 0 <= t < task_count:
-            raise DataError(f"sample has task id {t}, model expects [0, {task_count})")
         crop = target_image[top : top + patch_size, left : left + patch_size]
         targets[:, :, t] = np.rint(crop).astype(np.int64)
         mask[t] = True
-    if targets.min() < 0 or targets.max() > 255:
-        raise DataError("target values outside 0-255")
     return inp, targets, mask

@@ -31,8 +31,8 @@ from .autograd import Variable
 from .errors import (ConfigError, DataError, NumericError, ShapeError,
                      from_fields, require_types)
 from .multiscale import sample_training_patch
-from .network import (NetworkConfig, build, forward, load_checkpoint,
-                      save_checkpoint)
+from .network import (NetworkConfig, build, checkpoint_tensors, forward,
+                      load_checkpoint, save_checkpoint)
 
 
 @dataclass
@@ -253,7 +253,6 @@ def adam_step(params: dict[str, Variable], state: AdamState,
 @dataclass
 class TrainResult:
     loss_log: list[tuple[int, float, float]]  # (step, loss, seconds)
-    checkpoints: list[Path]
     final_checkpoint: Path
     loss_csv: Path
 
@@ -275,34 +274,26 @@ def train(
 ) -> TrainResult:
     """Run the loop: sample patches, forward, masked loss, backward, Adam.
 
-    Reads each training record once through :func:`data_io.load_sample`
-    (the test split is not read) and raises DataError when no training
-    sample has a target. Writes loss.csv plus periodic and final
-    checkpoints under out_dir, which is created only once the inputs and
-    any resumed checkpoint have been checked; a checkpoint past max_steps
-    is a ConfigError. A non-finite loss, a non-finite gradient before the
-    Adam update or a non-finite parameter, Adam moment or batch-norm
-    running statistic after it aborts the step with a NumericError and a diagnostic dump of the offending
-    batch and of the weights the step started from; no checkpoint of that
-    step is written. Fully reproducible from (manifest, configs, seed);
-    resuming from a checkpoint continues the identical stream.
+    Builds or resumes the model first, so that a config error (a model
+    too large to allocate, a checkpoint past max_steps) is reported
+    before any image is read. Then reads each training record once
+    through :func:`data_io.load_sample` (the test split is not read) and
+    raises DataError, naming the file, for an image whose channels differ
+    from the config's or that is smaller than the patch on either axis,
+    and for a target whose largest rounded value is not below
+    value_classes; also when no training sample has a target. Writes loss.csv plus
+    periodic and final checkpoints under out_dir, which is created only
+    once all of these checks have passed. A non-finite loss, a non-finite
+    gradient before the Adam update or a non-finite value after it in any
+    tensor a checkpoint holds aborts the step with a NumericError and a
+    diagnostic dump of the offending batch and of the weights the step
+    started from; no checkpoint of that step is written. Fully
+    reproducible from (manifest, configs, seed); resuming from a
+    checkpoint continues the identical stream.
     """
     train_config.validate()
     net_config.validate()
     out_dir = Path(out_dir)
-
-    records = manifest.split("train")
-    if not records:
-        raise DataError("train: manifest has no training samples")
-    samples = [data_io.load_sample(manifest, rec, net_config.task_count) for rec in records]
-    for rec, s in zip(records, samples):
-        if s.image.shape[2] != net_config.input_channels:
-            raise DataError(
-                f"{rec.input_path}: {s.image.shape[2]} channels, "
-                f"config expects {net_config.input_channels}"
-            )
-    if not any(s.targets for s in samples):
-        raise DataError("train: no training sample has a target")
 
     init_ss, loop_ss = np.random.SeedSequence(train_config.seed).spawn(2)
     loop_rng = np.random.default_rng(loop_ss)
@@ -329,12 +320,31 @@ def train(
         if start_step > train_config.max_steps:
             raise ConfigError(f"resume: checkpoint is at step {start_step}, past "
                               f"max_steps {train_config.max_steps}")
+
+    records = manifest.split("train")
+    if not records:
+        raise DataError("train: manifest has no training samples")
+    samples = [data_io.load_sample(manifest, rec, net_config.task_count) for rec in records]
+    patch = net_config.patch_size
+    for rec, s in zip(records, samples):
+        h, w, c = s.image.shape
+        if c != net_config.input_channels:
+            raise DataError(f"{rec.input_path}: {c} channels, "
+                            f"config expects {net_config.input_channels}")
+        if h < patch or w < patch:
+            raise DataError(f"{rec.input_path}: {w}x{h} smaller than patch size {patch}")
+        for t, target in s.targets.items():
+            # np.rint is monotone: the largest class is the rounded maximum
+            if np.rint(target.max()) >= net_config.value_classes:
+                raise DataError(f"{rec.targets[t]}: target classes outside "
+                                f"[0, {net_config.value_classes})")
+    if not any(s.targets for s in samples):
+        raise DataError("train: no training sample has a target")
+
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    patch = net_config.patch_size
     tasks = net_config.task_count
     loss_log: list[tuple[int, float, float]] = []
-    checkpoints: list[Path] = []
     started = time.monotonic()
 
     def save(step: int) -> Path:
@@ -372,16 +382,10 @@ def train(
                     raise NumericError(f"train: non-finite gradient at step {step}")
                 before = {name: p.data for name, p in params.items()}
                 adam_step(params, opt, train_config)
-                # a large finite gradient can overflow Adam's running square v
-                bad = [f"parameter {name}" for name, p in params.items()
-                       if not np.isfinite(p.data).all()]
-                bad += [f"Adam moment {moment}/{name}"
-                        for moment, arrays in (("m", opt.m), ("v", opt.v))
-                        for name, a in arrays.items() if not np.isfinite(a).all()]
+                # a large finite gradient can overflow Adam's running square v,
                 # and a batch's large activations a float32 running variance
-                bad += [f"batch-norm statistic {name}.{stat}"
-                        for name, st in net.named_state().items() for stat in ("mean", "var")
-                        if not np.isfinite(getattr(st, stat)).all()]
+                bad = [name for name, a in checkpoint_tensors(net, {"m": opt.m, "v": opt.v})
+                       if not np.isfinite(a).all()]
                 if bad:
                     for name, p in params.items():
                         p.data = before[name]  # dump the weights the step started from
@@ -398,10 +402,9 @@ def train(
         loss_log.append((step, loss_value, time.monotonic() - started))
 
         if step % train_config.checkpoint_interval == 0 and step < train_config.max_steps:
-            checkpoints.append(save(step))
+            save(step)
 
     final = save(train_config.max_steps)
-    checkpoints.append(final)
     loss_csv = out_dir / "loss.csv"
     _write_loss_csv(loss_csv, loss_log)
-    return TrainResult(loss_log, checkpoints, final, loss_csv)
+    return TrainResult(loss_log, final, loss_csv)

@@ -444,7 +444,9 @@ def synth_32(tmp_path_factory):
     return out / "manifest.json"
 
 
-@settings(max_examples=40, deadline=None)
+# derandomized, so that every run draws the same examples; a failure
+# found by a draw stays as an @example
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(config=small_configs())
 @example(config={  # the learning-rate-1000 run that once exited 0 with NaN weights
     "network": {"patch_size": 32, "task_count": 2, "growth_rate": 1, "stem_channels": 1,
@@ -453,6 +455,13 @@ def synth_32(tmp_path_factory):
                 "qk_channels": 1},
     "train": {"learning_rate": 1000, "batch_size": 2, "max_steps": 2,
               "checkpoint_interval": 100, "seed": 0}})
+@example(config={  # the run that once exited 0 with inf in a batch-norm running variance
+    "network": {"patch_size": 8, "task_count": 2, "growth_rate": 1, "stem_channels": 2,
+                "encoder_depths": [0, 2], "encoder_channels": [1, 4], "bottom_depth": 1,
+                "bottom_channels": 1, "decoder_depths": [0, 2], "decoder_channels": [1, 1],
+                "dropout_rate": 0.5},
+    "train": {"learning_rate": 100.0, "batch_size": 1, "max_steps": 2,
+              "checkpoint_interval": 1, "seed": 2}})
 def test_small_valid_configs_train_and_predict_or_exit_with_a_documented_code(synth_32,
                                                                              config):
     # an exception out of cli.main would be a traceback from `vstain`
@@ -500,7 +509,7 @@ def test_train_to_an_overflowing_adam_moment_is_numeric_error(synth_32, tmp_path
     code = cli.main(["train", "--manifest", str(synth_32),
                      "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "run")])
     assert code == 4
-    assert "non-finite Adam moment v/" in capsys.readouterr().err
+    assert "non-finite adam.v/stem.w after the update at step 2" in capsys.readouterr().err
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
         "checkpoint_000001.gptc", "diagnostic_step000002"]
 
@@ -521,7 +530,7 @@ def test_train_to_an_overflowing_batch_norm_variance_is_numeric_error(synth_32, 
                      "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err
     assert code == 4
-    assert "non-finite batch-norm statistic dec2.db.l1.bn.var after the update at step 2" in err
+    assert "non-finite state/dec2.db.l1.bn.var after the update at step 2" in err
     assert not (tmp_path / "run" / "checkpoint_000002.gptc").exists()
 
 
@@ -618,6 +627,43 @@ def test_train_split_without_targets_is_data_error_and_writes_nothing(tmp_path, 
     assert code == 3
     assert err.startswith("error:") and err.count("\n") == 1
     assert "no training sample has a target" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_image_smaller_than_patch_is_data_error_and_writes_nothing(tmp_path, capsys):
+    # the small image was once found only when a draw first picked it,
+    # after six checkpoints of this run were written
+    mpath = dio.generate_dataset(tmp_path / "d", 2, size=48, seed=0, n_test=0,
+                                 tasks=("nuclei", "viability"))
+    dio.save_pgm(mpath.parent / "small.pgm", np.zeros((16, 16), np.uint8))
+    doc = json.loads(mpath.read_text())
+    doc["samples"].append({"input": "small.pgm", "targets": {}, "split": "train"})
+    mpath.write_text(json.dumps(doc))
+    config = json.loads(json.dumps(TINY_CONFIG))
+    config["train"].update(batch_size=1, checkpoint_interval=1)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code = cli.main(["train", "--manifest", str(mpath), "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "error: small.pgm: 16x16 smaller than patch size 32\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_target_class_past_value_classes_is_data_error_and_writes_nothing(
+        synth_32, tmp_path, capsys):
+    # the loss once found these targets at the first step, after --out was made
+    config = json.loads(json.dumps(TINY_CONFIG))
+    config["network"]["value_classes"] = 4
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code = cli.main(["train", "--manifest", str(synth_32), "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "target classes outside [0, 4)" in err
     assert not (tmp_path / "run").exists()
 
 

@@ -8,9 +8,9 @@ import pytest
 from vstain import autograd as ag
 from vstain import kernels as K
 from vstain import network as nw
-from vstain.errors import ConfigError, DataError, NumericError, ShapeError
+from vstain.errors import ConfigError, DataError, NumericError
 from vstain.inference import _add_window, coverage_map, predict_image, window_offsets
-from vstain.multiscale import PatchSpec, extract_multiscale
+from vstain.multiscale import extract_multiscale
 
 from oracles import oracle_logits
 
@@ -60,14 +60,11 @@ def test_coverage_at_least_one_everywhere_randomized():
         assert coverage_map(h, w, patch, step).min() >= 1
 
 
-def test_step_larger_than_patch_rejected():
-    with pytest.raises(ShapeError):
-        window_offsets(100, 32, 48)
-
-
 def test_image_smaller_than_patch_rejected():
-    with pytest.raises(DataError):
-        window_offsets(16, 32, 16)
+    net = small_net()
+    for h, w in ((16, 64), (64, 16)):
+        with pytest.raises(DataError, match=f"image {w}x{h} smaller than patch size 32"):
+            predict_image(net, np.zeros((h, w), np.float32), step=16)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +75,7 @@ def test_single_window_equals_direct_forward():
     net = small_net()
     image = (rng.random((32, 32, 1)) * 255).astype(np.float32)
     dist = predict_image(net, image, step=16)
-    inp = extract_multiscale(image, PatchSpec((16, 16), 32)).astype(np.float32) / 255.0
+    inp = extract_multiscale(image, (16, 16), 32).astype(np.float32) / 255.0
     with ag.no_grad():
         logits = oracle_logits(net, nw.forward(net, ag.var(inp[None]), "eval").data)
     direct = nw.predict_distributions(logits, 2, 256)[0]
@@ -124,7 +121,7 @@ def test_merge_order_independent():
     acc = np.zeros((48, 48, t, v), dtype=np.float64)
     cnt = np.zeros((48, 48), dtype=np.float64)
     for oy, ox in reversed(windows):
-        inp = extract_multiscale(image, PatchSpec((ox + 16, oy + 16), patch))
+        inp = extract_multiscale(image, (ox + 16, oy + 16), patch)
         with ag.no_grad():
             features = nw.forward(net, ag.var(inp.astype(np.float32)[None] / 255.0), "eval")
         probs = nw.predict_distributions(oracle_logits(net, features.data), t, v)[0]

@@ -5,10 +5,11 @@ import pytest
 from oracles import oracle_mirror_pad
 
 from vstain import kernels as K
-from vstain.data_io import LoadedSample
-from vstain.errors import DataError, ShapeError
-from vstain.multiscale import (PatchSpec, extract_multiscale,
-                               sample_training_patch, valid_center_range)
+from vstain import training as tr
+from vstain.data_io import LoadedSample, Manifest, SampleRecord, save_pgm
+from vstain.errors import ConfigError, DataError
+from vstain.multiscale import extract_multiscale, sample_training_patch, valid_center_range
+from vstain.network import NetworkConfig
 
 rng = np.random.default_rng(21)
 
@@ -21,28 +22,28 @@ def ramp_image(h, w, c=1):
 
 def test_constant_image_gives_constant_channels():
     img = np.full((256, 256, 1), 37.0, np.float32)
-    out = extract_multiscale(img, PatchSpec((128, 128), 64))
+    out = extract_multiscale(img, (128, 128), 64)
     assert out.shape == (64, 64, 3)
     assert np.array_equal(out, np.full((64, 64, 3), 37.0, np.float32))
 
 
 def test_center_crop_window_rule():
     img = ramp_image(512, 512)
-    out = extract_multiscale(img, PatchSpec((256, 256), 128))
+    out = extract_multiscale(img, (256, 256), 128)
     # scale-1 window: rows and cols 192..319 (center - 128//2, half open)
     assert np.array_equal(out[:, :, 0], img[192:320, 192:320, 0])
 
 
 def test_scale1_channel_is_bitwise_crop():
     img = (rng.random((300, 300, 2)) * 255).astype(np.float32)
-    out = extract_multiscale(img, PatchSpec((150, 140), 128))
+    out = extract_multiscale(img, (150, 140), 128)
     top, left = 140 - 64, 150 - 64
     assert np.array_equal(out[:, :, :2], img[top : top + 128, left : left + 128])
 
 
 def test_detail_channel_matches_independent_crop_resize():
     img = ramp_image(512, 512)
-    out = extract_multiscale(img, PatchSpec((256, 256), 128))
+    out = extract_multiscale(img, (256, 256), 128)
     inner = img[256 - 32 : 256 + 32, 256 - 32 : 256 + 32]
     expected = K.resize_bilinear(inner[None], 128, 128)[0]
     assert np.allclose(out[:, :, 2:3], expected)
@@ -50,7 +51,7 @@ def test_detail_channel_matches_independent_crop_resize():
 
 def test_context_channel_matches_independent_crop_resize():
     img = ramp_image(600, 600)
-    out = extract_multiscale(img, PatchSpec((300, 300), 128))
+    out = extract_multiscale(img, (300, 300), 128)
     outer = img[300 - 128 : 300 + 128, 300 - 128 : 300 + 128]
     expected = K.resize_bilinear(outer[None], 128, 128)[0]
     assert np.allclose(out[:, :, 1:2], expected)
@@ -58,7 +59,7 @@ def test_context_channel_matches_independent_crop_resize():
 
 def test_channel_count_is_three_c():
     img = rng.random((64, 64, 3)).astype(np.float32)
-    out = extract_multiscale(img, PatchSpec((32, 32), 16))
+    out = extract_multiscale(img, (32, 32), 16)
     assert out.shape == (16, 16, 9)
 
 
@@ -66,8 +67,8 @@ def test_border_context_matches_mirror_pad():
     # near-border center: the context crop region agrees with mirror_pad output
     img = (rng.random((80, 80, 1)) * 255).astype(np.float32)
     size = 32
-    spec = PatchSpec((16, 16), size)  # context crop extends 16 px past two borders
-    out = extract_multiscale(img, spec)
+    # context crop extends 16 px past two borders
+    out = extract_multiscale(img, (16, 16), size)
     padded = oracle_mirror_pad(img[None], size, 0, size, 0)[0]
     outer = padded[16 - size + size : 16 + size + size,
                    16 - size + size : 16 + size + size]
@@ -78,13 +79,15 @@ def test_border_context_matches_mirror_pad():
 def test_center_outside_image_rejected():
     img = np.zeros((32, 32, 1), np.float32)
     with pytest.raises(DataError):
-        extract_multiscale(img, PatchSpec((32, 10), 16))
+        extract_multiscale(img, (32, 10), 16)
 
 
 def test_odd_patch_size_rejected():
-    img = np.zeros((32, 32, 1), np.float32)
-    with pytest.raises(ShapeError):
-        extract_multiscale(img, PatchSpec((16, 16), 15))
+    # extract_multiscale takes the network's patch size, which its config keeps even
+    config = NetworkConfig(patch_size=15, encoder_depths=(1,), encoder_channels=(4,),
+                           decoder_depths=(1,), decoder_channels=(4,))
+    with pytest.raises(ConfigError, match="patch_size 15 must be divisible by 2"):
+        config.validate()
 
 
 def make_sample(h=64, w=64, tasks=(0, 2)):
@@ -129,10 +132,17 @@ def test_targets_align_with_scale1_crop_exactly():
                        sample.image[top : top + 32, left : left + 32, 0] / 255.0)
 
 
-def test_image_smaller_than_patch_rejected():
-    sample = make_sample(h=16, w=64)
-    with pytest.raises(DataError):
-        sample_training_patch(sample, np.random.default_rng(0), 32, 2)
+def test_image_smaller_than_patch_rejected(tmp_path):
+    # train checks every training image against the patch before its
+    # first draw and before --out exists
+    config = NetworkConfig.tiny(patch_size=32, task_count=1, value_classes=256)
+    for h, w in ((16, 64), (64, 16)):
+        save_pgm(tmp_path / "x.pgm", np.zeros((h, w), np.uint8))
+        save_pgm(tmp_path / "y.pgm", np.zeros((h, w), np.uint8))
+        manifest = Manifest(tmp_path, [SampleRecord("x.pgm", {0: "y.pgm"})])
+        with pytest.raises(DataError, match=f"x.pgm: {w}x{h} smaller than patch size 32"):
+            tr.train(manifest, config, tr.TrainConfig(max_steps=1), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
 
 def test_image_exactly_patch_size_single_center():
