@@ -60,6 +60,12 @@ def test_coverage_at_least_one_everywhere_randomized():
         assert coverage_map(h, w, patch, step).min() >= 1
 
 
+def test_step_larger_than_patch_rejected():
+    net = small_net()
+    with pytest.raises(ConfigError, match="step must be in 1..32"):
+        predict_image(net, np.zeros((100, 100), np.float32), step=48)
+
+
 def test_image_smaller_than_patch_rejected():
     net = small_net()
     for h, w in ((16, 64), (64, 16)):
