@@ -220,13 +220,6 @@ def _worker_pool() -> ThreadPoolExecutor:
     return _pool
 
 
-def _workers() -> int:
-    """Threads that work started here may use: ATTENTION_WORKERS, or one
-    on a pool thread, which runs the pieces of its own work in turn and
-    never waits on the pool, where it could hold the last free worker."""
-    return 1 if _thread.on_pool else ATTENTION_WORKERS
-
-
 def _forget_pool() -> None:
     global _pool
     _pool = None  # a forked child has none of the pool's threads
@@ -236,19 +229,26 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run_blocks(block_fn, tasks: list, workers: int):
+def _run_blocks(block_fn, tasks: list, pooled: bool = True):
     """Yield block_fn(task) for each task, in task order.
 
-    With one worker the tasks run on the calling thread. With more, they
-    run on the pool, at most `workers` alive at once: task i starts once
-    the caller has taken the result of task i - workers, so no more than
-    `workers` tasks' temporaries and results are held. numpy releases
-    the GIL inside BLAS and ufunc loops, so blocks run on several cores
-    at once. Each block runs in a copy of the caller's context, which
-    holds numpy's error state (``np.errstate``), and with the caller's
-    subnormal flushing (:func:`vstain._flush_to_zero`), on or off, so its
-    bits do not depend on the thread it runs on.
+    The one place that decides where pool work runs. When `pooled`, the
+    tasks run on the pool, at most workers = min(ATTENTION_WORKERS,
+    len(tasks)) alive at once: task i starts once the caller has taken
+    the result of task i - workers, so no more than `workers` tasks'
+    temporaries and results are held. numpy releases the GIL inside BLAS
+    and ufunc loops, so blocks run on several cores at once. Each block
+    runs in a copy of the caller's context, which holds numpy's error
+    state (``np.errstate``), and with the caller's subnormal flushing
+    (:func:`vstain._flush_to_zero`), on or off, so its bits do not depend
+    on the thread it runs on.
+
+    Not pooled, with one worker, or called on a pool thread (from a
+    piece, a block or a window of predict), the tasks run in turn on the
+    calling thread. A pool thread never waits on the pool: it could hold
+    the last free worker.
     """
+    workers = min(ATTENTION_WORKERS, len(tasks)) if pooled and not _thread.on_pool else 1
     if workers <= 1:
         for task in tasks:
             yield block_fn(task)
@@ -290,8 +290,7 @@ def split_rows(piece_fn, rows: int, work: int, small: bool = False) -> None:
     Otherwise the rows are cut by :func:`_pieces` into work // PIECE_WORK
     pieces, at most ATTENTION_WORKERS unless `small` (when a piece's
     temporaries grow with its rows), and the pieces run on the pool, at
-    most one per worker at once. Called on a pool thread (from a piece,
-    or a window of predict), the same pieces run in turn on that thread.
+    most one per worker at once (:func:`_run_blocks`).
 
     A split product's pieces each hold at least PIECE_WORK / 2
     multiply-adds and at least two rows, which keeps them on OpenBLAS's
@@ -306,8 +305,7 @@ def split_rows(piece_fn, rows: int, work: int, small: bool = False) -> None:
         return
     count = work // PIECE_WORK
     pieces = _pieces(rows, count if small else min(count, ATTENTION_WORKERS))
-    for _ in _run_blocks(lambda piece: piece_fn(*piece), pieces,
-                         min(_workers(), len(pieces))):
+    for _ in _run_blocks(lambda piece: piece_fn(*piece), pieces):
         pass
 
 
@@ -374,7 +372,7 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     step = max(1, ATTENTION_BLOCK_SCORES // n_keys)
     tasks = [(b, slice(lo, lo + step)) for b in range(n) for lo in range(0, n_queries, step)]
     dtype = np.result_type(qm, km, vm)
-    workers = min(_workers(), len(tasks)) if _pooled(n, n_queries, n_keys) else 1
+    pooled = _pooled(n, n_queries, n_keys)
 
     def with_column(m, column):
         """m (N, rows, C) with `column` (N, rows) appended as its last channel."""
@@ -398,7 +396,7 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
         lse[b, s] += colmax[0]
 
     with _flush_to_zero():
-        for _ in _run_blocks(forward_block, tasks, workers):
+        for _ in _run_blocks(forward_block, tasks, pooled):
             pass
 
     def bw(g):
@@ -423,7 +421,7 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
                 np.matmul(weights.T, km[b], out=gq[b, s])
                 return part_v, np.matmul(weights, qm[b, s])
 
-            blocks = _run_blocks(backward_block, tasks, workers)
+            blocks = _run_blocks(backward_block, tasks, pooled)
             for (b, _), (part_v, part_k) in zip(tasks, blocks):
                 gv[b] += part_v
                 gk[b] += part_k

@@ -2,7 +2,7 @@
 
 Every command validates its inputs, writes only under --out, and exits
 0 on success, 2 on usage/config errors, 3 on data errors, 4 on numeric
-failures and 130 when interrupted (Ctrl-C), printing a single-line
+failures and 130 when interrupted (Ctrl-C or SIGTERM), printing a single-line
 `error: ...` diagnostic to stderr.
 All commands are reproducible from their flags plus --seed.
 """
@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
+import threading
 from pathlib import Path
 
 
@@ -231,6 +233,11 @@ def main(argv=None) -> int:
 
     from .errors import VstainError
 
+    # SIGTERM ends a command as Ctrl-C does. Only the main thread may set
+    # a handler, and main also runs in-process, so the old one comes back.
+    on_main = threading.current_thread() is threading.main_thread()
+    if on_main:
+        old_handler = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return args.func(args)
     except VstainError as exc:
@@ -239,6 +246,9 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, old_handler)
 
 
 if __name__ == "__main__":

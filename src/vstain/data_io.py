@@ -57,52 +57,40 @@ def save_pgm(path: str | Path, image: np.ndarray) -> None:
     if np.any(image < 0) or np.any(image > 255):
         raise DataError("save_pgm: values outside 0-255")
     h, w = image.shape
-    payload = np.rint(image).astype(np.uint8).tobytes()
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + payload)
+    with gptt.replacing(path) as f:
+        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        f.write(np.rint(image).astype(np.uint8))
 
 
-def _parse_pgm_token(raw: bytes, pos: int, path: str) -> tuple[bytes, int]:
-    while pos < len(raw):
-        c = raw[pos : pos + 1]
-        if c == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(raw) and not raw[pos : pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise DataError(f"{path}: truncated header at byte {start}")
-    return raw[start:pos], pos
-
-
-def _parse_pgm_header(raw: bytes, path: str) -> tuple[int, int, int]:
-    """(width, height, payload offset) of the P5 header at the start of raw."""
-    if raw[:2] != b"P5":
-        raise DataError(f"{path}: not binary PGM (magic {raw[:2]!r} at byte 0)")
-    pos = 2
-    fields = []
+def _pgm_header(f, path: str) -> tuple[int, int, int]:
+    """(width, height, payload offset) of the P5 header that starts the
+    open binary file `f`, read from it a byte at a time."""
+    magic = f.read(2)
+    if magic != b"P5":
+        raise DataError(f"{path}: not binary PGM (magic {magic!r} at byte 0)")
+    fields, c = [], f.read(1)
     for _ in range(3):
-        token, pos = _parse_pgm_token(raw, pos, path)
+        while c == b"#" or c.isspace():  # whitespace, or a comment to its line's end
+            comment, c = c == b"#", f.read(1)
+            while comment and c not in (b"\n", b"\r", b""):
+                c = f.read(1)
+        token = bytearray()
+        while c and not c.isspace():
+            token += c
+            c = f.read(1)
+        if not token:
+            raise DataError(f"{path}: truncated header at byte {f.tell()}")
         try:
             fields.append(int(token))
         except ValueError:
-            raise DataError(f"{path}: bad header token {token!r} at byte {pos}") from None
+            raise DataError(f"{path}: bad header token {bytes(token)!r} at byte "
+                            f"{f.tell() - len(c)}") from None
     w, h, maxval = fields
     if maxval != 255:
         raise DataError(f"{path}: maxval {maxval} unsupported, expected 255")
     if w < 1 or h < 1:
         raise DataError(f"{path}: bad extents {w}x{h}")
-    return w, h, pos + 1  # single whitespace byte after maxval
-
-
-# Bytes of a PGM file read at first for its header; a longer header (a
-# long comment) is read again in four times as many.
-PGM_HEADER_READ = 4096
+    return w, h, f.tell() - len(c) + 1  # single whitespace byte after maxval
 
 
 def load_pgm(path: str | Path) -> np.ndarray:
@@ -114,21 +102,8 @@ def load_pgm(path: str | Path) -> np.ndarray:
     path = Path(path)
     try:
         with open(path, "rb") as f:
+            w, h, pos = _pgm_header(f, str(path))
             size = f.seek(0, io.SEEK_END)
-            n = PGM_HEADER_READ
-            while True:
-                f.seek(0)
-                raw = f.read(n)
-                whole = len(raw) >= size
-                try:
-                    w, h, pos = _parse_pgm_header(raw, str(path))
-                except DataError:
-                    if whole:
-                        raise
-                else:  # done once the whitespace byte ending maxval has been read
-                    if whole or pos <= len(raw):
-                        break
-                n *= 4
             expected = pos + w * h
             if size != expected:
                 raise DataError(

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO
 
@@ -34,6 +36,26 @@ def _check_shape(t: np.ndarray) -> None:
         raise DataError(f"gptt: unsupported rank {t.ndim}")
     if any(d > 0xFFFFFFFF or d < 1 for d in t.shape):
         raise DataError(f"gptt: extent out of u32 range in {t.shape}")
+
+
+@contextmanager
+def replacing(path: str | Path):
+    """Yield a binary file to write `path`'s new contents into.
+
+    The file is a temporary one beside `path`, which replaces `path` in
+    one step once the body returns. After an error or an interrupt the
+    temporary file is removed, and `path` keeps what it held: no reader
+    ever finds a truncated file under a final name.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_gptt(f: BinaryIO, t: np.ndarray) -> None:
@@ -89,7 +111,7 @@ def read_gptt(f: BinaryIO, source: str = "<bytes>") -> np.ndarray:
 def save_gptt(path: str | Path, t: np.ndarray) -> None:
     t = np.asarray(t)
     _check_shape(t)  # a bad shape neither creates nor truncates the file
-    with open(path, "wb") as f:
+    with replacing(path) as f:
         write_gptt(f, t)
 
 

@@ -39,7 +39,7 @@ from .multiscale import extract_multiscale
 # predict_distributions stays importable from here: benchmarks/tracer.py
 # patches inference.predict_distributions by name.
 from .network import (Network, forward, predict_distributions,  # noqa: F401
-                      attention_shapes, predict_distributions_inplace)
+                      predict_distributions_inplace)
 
 
 def window_offsets(extent: int, patch: int, step: int) -> list[int]:
@@ -75,10 +75,13 @@ def _window_features(net: Network, image: np.ndarray, oy: int, ox: int) -> np.nd
 
 def _windows_per_worker(cfg) -> bool:
     """Whether predict runs its window forwards one per pool worker: when
-    an attention layer of one window runs its blocks on the pool. Smaller
-    windows ran no faster on the pool, and each window in flight there
-    holds its forward's memory."""
-    return any(ag._pooled(1, *shape) for shape in attention_shapes(cfg))
+    an attention layer of one window runs its blocks on the pool. The
+    largest layers, whatever the stage count, are enc1's (p^2 keys by
+    p^2/4 queries) and the last decoder's (the transpose), so they decide.
+    Smaller windows ran no faster on the pool, and each window in flight
+    there holds its forward's memory."""
+    p = cfg.patch_size
+    return ag._pooled(1, p * p // 4, p * p)
 
 
 def _add_window(net: Network, features: np.ndarray, oy: int, ox: int,
@@ -139,9 +142,8 @@ def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray
         acc = np.zeros((h, w, t, v), dtype=np.float32)
         windows = [(oy, ox) for oy in offsets_y for ox in offsets_x]
         # at most one window in flight per worker
-        workers = min(ag._workers(), len(windows)) if _windows_per_worker(cfg) else 1
         features = ag._run_blocks(lambda window: _window_features(net, image, *window),
-                                  windows, workers)
+                                  windows, _windows_per_worker(cfg))
         with closing(features):  # after an error, wait for the windows still running
             for oy, ox in windows:
                 # no name holds a window's features while the next forward runs

@@ -158,14 +158,6 @@ def stage_ledger(config: NetworkConfig) -> list[tuple[str, int, int]]:
     return rows
 
 
-def attention_shapes(config: NetworkConfig) -> list[tuple[int, int]]:
-    """(query positions, key positions) of each transformer layer's
-    attention on one patch, in forward order: each layer attends from the
-    extent of the ledger row before it (its keys) to its own (its queries)."""
-    rows = stage_ledger(config)[:-1]  # stem .. last decoder stage
-    return [(s * s, prev * prev) for (_, prev, _), (_, s, _) in zip(rows, rows[1:])]
-
-
 @dataclass
 class Network:
     config: NetworkConfig
@@ -440,7 +432,7 @@ def save_checkpoint(
         "tensors": [name for name, _ in entries],
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with gptt.replacing(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(hbytes)))
         f.write(hbytes)

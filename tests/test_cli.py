@@ -4,9 +4,11 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +379,23 @@ def test_interrupted_command_exits_130_with_one_line(one_sample_manifest, tmp_pa
     assert code == 130
     assert err == "error: interrupted\n"
     assert "Traceback" not in err
+
+
+def test_sigterm_exits_130_with_one_line():
+    # a service manager's stop ends a command as Ctrl-C does; gradcheck
+    # runs for several seconds, so the signal lands inside its work
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(vstain.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "vstain", "gradcheck"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    time.sleep(1)
+    proc.send_signal(signal.SIGTERM)
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 130, err[-2000:]
+    assert err == "error: interrupted\n"
 
 
 def test_train_to_non_finite_gradients_is_numeric_error_without_checkpoint(tmp_path):

@@ -47,7 +47,7 @@ def test_pgm_comments_in_header(tmp_path):
 
 def test_pgm_header_longer_than_the_first_read(tmp_path):
     path = tmp_path / "long.pgm"
-    comment = b"# " + b"x" * (3 * dio.PGM_HEADER_READ) + b"\n"
+    comment = b"# " + b"x" * 12288 + b"\n"
     path.write_bytes(b"P5\n" + comment + b"2 1\n" + comment + b"255\n\x07\x09")
     assert np.array_equal(dio.load_pgm(path), [[7.0, 9.0]])
 

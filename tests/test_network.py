@@ -44,9 +44,17 @@ def test_default_stage_ledger_matches_table():
     assert nw.stage_ledger(nw.NetworkConfig()) == TABLE_ROWS
 
 
-@pytest.mark.parametrize("patch", [16, 32])
-def test_attention_shapes_are_the_forwards(monkeypatch, patch):
-    cfg, net = tiny_net(patch_size=patch)
+@pytest.mark.parametrize("stages", [1, 2, 3])
+@pytest.mark.parametrize("patch", [16, 32, 64, 128])
+def test_the_largest_attention_layer_decides_the_window_gate(monkeypatch, patch, stages):
+    # enc1 attends from p^2 keys to p^2/4 queries and the last decoder
+    # the other way round; every deeper layer holds fewer scores
+    cfg = nw.NetworkConfig(task_count=1, value_classes=2, patch_size=patch, growth_rate=2,
+                           stem_channels=4, encoder_depths=(0,) * stages,
+                           encoder_channels=(4,) * stages, bottom_depth=0,
+                           bottom_channels=4, decoder_depths=(0,) * stages,
+                           decoder_channels=(4,) * stages)
+    net = nw.build(cfg, np.random.default_rng(0))
     shapes, attention = [], ag.attention
 
     def recording_attention(q, k, v):
@@ -57,11 +65,10 @@ def test_attention_shapes_are_the_forwards(monkeypatch, patch):
     x = ag.var(np.random.default_rng(1).random((1, patch, patch, 3)).astype(np.float32))
     with ag.no_grad():
         nw.forward(net, x, "eval")
-    assert shapes == nw.attention_shapes(cfg)
-    # the default model's enc1.gdt and dec3.gut: 128^2 keys by 64^2 queries
-    # and 64^2 keys by 128^2 queries
-    default = nw.attention_shapes(nw.NetworkConfig())
-    assert (default[0], default[-1]) == ((64 ** 2, 128 ** 2), (128 ** 2, 64 ** 2))
+    assert len(shapes) == 2 * stages + 1
+    assert max(queries * keys for queries, keys in shapes) == patch ** 4 // 4
+    assert inference._windows_per_worker(cfg) == any(ag._pooled(1, *s) for s in shapes)
+    assert inference._windows_per_worker(cfg) == (patch == 128)
 
 
 def test_default_build_is_fast_and_consistent():
@@ -343,6 +350,33 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     nw.save_checkpoint(a, net, step=1)
     nw.save_checkpoint(b, net, step=1)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("error", [OSError("no space left on device"), KeyboardInterrupt()])
+@pytest.mark.parametrize("older", [False, True])
+def test_interrupted_save_leaves_no_partial_file(monkeypatch, tmp_path, error, older):
+    # the third tensor's write fails: nothing but a whole older file may
+    # stay under the final name, and no temporary file stays beside it
+    _, net = tiny_net()
+    path = tmp_path / "net.gptc"
+    if older:
+        nw.save_checkpoint(path, net, step=1)
+    before = path.read_bytes() if older else None
+    calls, write = [], gptt.write_gptt
+
+    def failing_write(f, t):
+        calls.append(1)
+        if len(calls) == 3:
+            raise error
+        write(f, t)
+
+    monkeypatch.setattr(gptt, "write_gptt", failing_write)
+    with pytest.raises(type(error)):
+        nw.save_checkpoint(path, net, step=2)
+    assert len(calls) == 3
+    assert [p.name for p in tmp_path.iterdir()] == (["net.gptc"] if older else [])
+    if older:
+        assert path.read_bytes() == before
 
 
 def test_checkpoint_corruption_detected(tmp_path):

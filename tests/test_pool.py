@@ -305,7 +305,7 @@ def test_pool_blocks_run_under_the_callers_numpy_error_state(monkeypatch, fresh_
 
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning on a pool thread raises there
-        results = list(ag._run_blocks(block, range(4), 2))
+        results = list(ag._run_blocks(block, range(4)))
     assert all(state["over"] == state["invalid"] == "ignore" for state, _ in results)
     assert all(np.isnan(diff).all() for _, diff in results)
 
@@ -332,7 +332,7 @@ def test_pool_blocks_run_under_the_callers_subnormal_flushing(monkeypatch, fresh
     assert own_modes() == [False, False]  # both threads start here, without it
     for caller in (True, False, True):
         with vstain._flush_to_zero(caller):
-            results = list(ag._run_blocks(block, range(6), 2))
+            results = list(ag._run_blocks(block, range(6)))
         assert all(flushing == caller for flushing, _ in results)
         assert all((quarter == 0).all() == caller for _, quarter in results)
     assert own_modes() == [False, False]
@@ -345,6 +345,8 @@ def test_run_blocks_keeps_at_most_workers_tasks_alive(monkeypatch, fresh_pool, w
     # per worker. The pool has more threads than that, so only the bound
     # holds the count down, and later tasks finish sooner.
     new_pool(monkeypatch, 5)
+    ag._worker_pool()
+    monkeypatch.setattr(ag, "ATTENTION_WORKERS", workers)
     lock, alive, most = threading.Lock(), [0], [0]
 
     def block(task):
@@ -355,7 +357,7 @@ def test_run_blocks_keeps_at_most_workers_tasks_alive(monkeypatch, fresh_pool, w
         return task
 
     taken = []
-    for result in ag._run_blocks(block, list(range(12)), workers):
+    for result in ag._run_blocks(block, list(range(12))):
         with lock:
             alive[0] -= 1
         taken.append(result)
