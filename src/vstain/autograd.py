@@ -123,7 +123,7 @@ def backward(loss: Variable) -> None:
     node drops its .grad, closure and parent links, so the tape shrinks
     as the walk proceeds and afterwards only leaves hold gradients.
     Leaves that never entered the graph keep whatever .grad they already
-    hold (zero them with :func:`zero_grad` first).
+    hold (drop it with :func:`zero_grad` first).
     """
     if loss.data.ndim != 0:
         raise ShapeError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
@@ -142,8 +142,10 @@ def backward(loss: Variable) -> None:
 
 
 def zero_grad(variables) -> None:
+    """Drop each gradient: :func:`accumulate` allocates it on first use,
+    and :func:`grad_of` reads a missing one as zeros."""
     for v in variables:
-        v.grad = np.zeros_like(v.data)
+        v.grad = None
 
 
 def grad_of(v: Variable) -> np.ndarray:
@@ -339,19 +341,21 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     Backward (after FlashAttention's, arXiv:2205.14135) keeps each
     query's log-sum-exp, lse = m + log l. It recomputes a block's
     normalised weights P in one exp over one product: K with a column of
-    ones times Q with a column of -lse gives S - lse. It then walks P's
-    key rows in chunks of about KEY_CHUNK weights, cut by
-    :func:`_pieces`, which depend on the block's shape only. For each
-    chunk it computes a small dP = V[chunk] g^T,
-    takes the value gradient's rows P[chunk] g from the weights first,
-    and then writes the score gradient dS = P * (dP - D) over them.
+    ones times Q with a column of -lse gives S - lse. That Q operand is
+    built for one block at a time, so no copy of the whole query tensor
+    is held. It then walks P's key rows in chunks of about KEY_CHUNK
+    weights, cut by :func:`_pieces`, which depend on the block's shape
+    only. For each chunk it computes a small dP = V[chunk] g^T, takes
+    the value gradient's rows P[chunk] g from the weights first, and
+    then writes the score gradient dS = P * (dP - D) over them.
     D_j = g_j . out_j is each query's row dot of its output gradient and
-    the forward output, computed once for all blocks: it equals the
-    column sum of P * dP, which would need dP whole. D is summed in
-    float64, where float32 products are exact, and rounded once, which
-    makes the query and key gradients of float32 attention slightly
-    closer to float64 ones than a float32 sum. The query and key
-    gradients are then dS^T K and dS Q.
+    the forward output, computed once for all blocks from the output as
+    this node holds it (a dense block may have moved it into its buffer,
+    :class:`ChannelBuffer`); it equals the column sum of P * dP, which
+    would need dP whole. D is summed in float64, where float32 products
+    are exact, and rounded once, which makes the query and key gradients
+    of float32 attention slightly closer to float64 ones than a float32
+    sum. The query and key gradients are then dS^T K and dS Q.
     """
     for name, t in (("q", q), ("k", k), ("v", v)):
         if t.data.ndim != 4:
@@ -375,8 +379,8 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     pooled = _pooled(n, n_queries, n_keys)
 
     def with_column(m, column):
-        """m (N, rows, C) with `column` (N, rows) appended as its last channel."""
-        out = np.empty(m.shape[:2] + (m.shape[2] + 1,), dtype)
+        """m (..., rows, C) with `column` (..., rows) appended as its last channel."""
+        out = np.empty(m.shape[:-1] + (m.shape[-1] + 1,), dtype)
         out[..., :-1] = m
         out[..., -1] = column
         return out
@@ -402,13 +406,16 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     def bw(g):
         with _flush_to_zero():
             gm = g.reshape(n, n_queries, cv)
-            dots = np.einsum("nqc,nqc->nq", gm, out, dtype=np.float64).astype(gm.dtype)  # D
+            # D, from the output as the node holds it now: a dense block may
+            # have moved it into its buffer, and a reshape would copy it
+            dots = np.einsum("nhwc,nhwc->nhw", g, result.data,
+                             dtype=np.float64).astype(gm.dtype).reshape(n, n_queries)
             gq, gk, gv = np.empty_like(qm), np.zeros_like(km), np.zeros_like(vm)
-            k1, q1 = with_column(km, 1), with_column(qm, -lse)
+            k1 = with_column(km, 1)
 
             def backward_block(task):
                 b, s = task
-                weights = np.matmul(k1[b], q1[b, s].T)
+                weights = np.matmul(k1[b], with_column(qm[b, s], -lse[b, s]).T)
                 np.exp(weights, out=weights)  # P
                 gs = gm[b, s]
                 part_v = np.empty((n_keys, cv), dtype)
@@ -429,7 +436,8 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
             accumulate(k, gk.reshape(k.data.shape))
             accumulate(v, gv.reshape(v.data.shape))
 
-    return make_op(out.reshape(n, hq, wq, cv), (q, k, v), bw)
+    result = make_op(out.reshape(n, hq, wq, cv), (q, k, v), bw)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -463,19 +471,22 @@ def deconv2d(x: Variable, w: Variable, b: Variable) -> Variable:
 class ChannelBuffer:
     """A dense block's feature maps side by side in one (N, H, W, C) array.
 
-    The block's inputs are copied in first. Each layer then writes its
-    output into the next free channels (:meth:`free`) and appends it
-    (:meth:`append`), and each convolution reads the channels filled so
-    far in place (:func:`buffer_conv2d`), so no layer's input is ever
-    copied. In backward the convolutions run latest first, and each adds
-    its input gradient into one gradient array of the buffer's shape;
-    every layer output's gradient is its slice of that array, complete
-    once the convolutions reading it have run. So each element receives
-    the same addends in the same order as when every layer concatenated
-    its input and output into a new array: a single input then takes its
-    slice and the first convolution's gradient as two additions, and
-    several inputs, which were concatenated first, take their slices of
-    the sum.
+    The block's inputs are copied in first. An input that an op made
+    (not a leaf) then has its data rebound to its channels of the
+    buffer, so the buffer holds the only copy; a leaf keeps its own
+    array, which its caller owns (a finite-difference check writes into
+    it in place). Each layer then writes its output into the next free
+    channels (:meth:`free`) and appends it (:meth:`append`), and each
+    convolution reads the channels filled so far in place
+    (:func:`buffer_conv2d`), so no layer's input is ever copied. In
+    backward the convolutions run latest first, and each adds its input
+    gradient into one gradient array of the buffer's shape; every layer
+    output's gradient is its slice of that array, complete once the
+    convolutions reading it have run. So each element receives the same
+    addends in the same order as when every layer concatenated its input
+    and output into a new array: a single input then takes its slice and
+    the first convolution's gradient as two additions, and several
+    inputs, which were concatenated first, take their slices of the sum.
     """
 
     def __init__(self, inputs: list[Variable], channels: int):
@@ -489,7 +500,12 @@ class ChannelBuffer:
         self.bounds = [0]
         self.grad: np.ndarray | None = None
         for x in inputs:
-            self.free(x.data.shape[3])[...] = x.data
+            view = self.free(x.data.shape[3])
+            view[...] = x.data
+            # an op output is then held here only, in its own dtype; a
+            # leaf's array is its caller's
+            if x._backward is not None and x.data.dtype == view.dtype:
+                x.data = view
             self.append(x)
         self.inputs = len(inputs)
 

@@ -257,14 +257,6 @@ class TrainResult:
     loss_csv: Path
 
 
-def _write_loss_csv(path: Path, rows: list[tuple[int, float, float]]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss", "seconds"])
-        for step, loss, seconds in rows:
-            writer.writerow([step, f"{loss:.9g}", f"{seconds:.3f}"])
-
-
 def train(
     manifest: data_io.Manifest,
     net_config: NetworkConfig,
@@ -283,13 +275,15 @@ def train(
     and for a target whose largest rounded value is not below
     value_classes; also when no training sample has a target. Writes loss.csv plus
     periodic and final checkpoints under out_dir, which is created only
-    once all of these checks have passed. A non-finite loss, a non-finite
-    gradient before the Adam update or a non-finite value after it in any
-    tensor a checkpoint holds aborts the step with a NumericError and a
-    diagnostic dump of the offending batch and of the weights the step
-    started from; no checkpoint of that step is written. Fully
-    reproducible from (manifest, configs, seed); resuming from a
-    checkpoint continues the identical stream.
+    once all of these checks have passed; loss.csv gets its header before
+    the first step and each step's row, flushed, as the step finishes, so
+    a run stopped by an error or a signal keeps its finished steps' rows.
+    A non-finite loss, a non-finite gradient before the Adam update or a
+    non-finite value after it in any tensor a checkpoint holds aborts the
+    step with a NumericError and a diagnostic dump of the offending batch
+    and of the weights the step started from; no checkpoint or row of
+    that step is written. Fully reproducible from (manifest, configs,
+    seed); resuming from a checkpoint continues the identical stream.
     """
     train_config.validate()
     net_config.validate()
@@ -354,57 +348,62 @@ def train(
                         rng_state=loop_rng.bit_generator.state)
         return path
 
-    for step in range(start_step + 1, train_config.max_steps + 1):
-        xs, ts, ms = [], [], []
-        for _ in range(train_config.batch_size):
-            idx = int(loop_rng.integers(len(samples)))
-            inp, targets, mask = sample_training_patch(samples[idx], loop_rng, patch, tasks)
-            xs.append(inp)
-            ts.append(targets)
-            ms.append(mask)
-        x = ag.var(np.stack(xs).astype(np.float32))
-        targets = np.stack(ts)
-        mask = np.stack(ms)
+    loss_csv = out_dir / "loss.csv"
+    with loss_csv.open("w", newline="") as log:
+        writer = csv.writer(log)
+        writer.writerow(["step", "loss", "seconds"])
+        for step in range(start_step + 1, train_config.max_steps + 1):
+            xs, ts, ms = [], [], []
+            for _ in range(train_config.batch_size):
+                idx = int(loop_rng.integers(len(samples)))
+                inp, targets, mask = sample_training_patch(samples[idx], loop_rng, patch, tasks)
+                xs.append(inp)
+                ts.append(targets)
+                ms.append(mask)
+            x = ag.var(np.stack(xs).astype(np.float32))
+            targets = np.stack(ts)
+            mask = np.stack(ms)
 
-        try:
-            # the finite checks are the signal: the overflowing or invalid
-            # products before them print no numpy warnings
-            with np.errstate(over="ignore", invalid="ignore"), _flush_to_zero():
-                features = forward(net, x, mode="train", rng=loop_rng)
-                loss = masked_cross_entropy(features, net.head_w, net.head_b, targets, mask,
-                                            net_config.value_classes)
-                loss_value = float(loss.data)
-                if not np.isfinite(loss_value):
-                    raise NumericError(f"train: non-finite loss at step {step}")
-                ag.zero_grad(params.values())
-                ag.backward(loss)
-                if not math.isfinite(grad_norm(params)):
-                    raise NumericError(f"train: non-finite gradient at step {step}")
-                before = {name: p.data for name, p in params.items()}
-                adam_step(params, opt, train_config)
-                # a large finite gradient can overflow Adam's running square v,
-                # and a batch's large activations a float32 running variance
-                bad = [name for name, a in checkpoint_tensors(net, {"m": opt.m, "v": opt.v})
-                       if not np.isfinite(a).all()]
-                if bad:
-                    for name, p in params.items():
-                        p.data = before[name]  # dump the weights the step started from
-                    raise NumericError(f"train: non-finite {bad[0]} after the update at "
-                                       f"step {step}")
-                del before
-        except NumericError as exc:
-            dump = out_dir / f"diagnostic_step{step:06d}"
-            dump.mkdir(exist_ok=True)
-            gptt.save_gptt(dump / "input.gptt", x.data.astype(np.float32))
-            gptt.save_gptt(dump / "targets.gptt", targets.astype(np.float32))
-            save_checkpoint(dump / "state.gptc", net, step=step)
-            raise NumericError(f"{exc}; offending batch dumped to {dump}") from exc
-        loss_log.append((step, loss_value, time.monotonic() - started))
+            try:
+                # the finite checks are the signal: the overflowing or invalid
+                # products before them print no numpy warnings
+                with np.errstate(over="ignore", invalid="ignore"), _flush_to_zero():
+                    features = forward(net, x, mode="train", rng=loop_rng)
+                    loss = masked_cross_entropy(features, net.head_w, net.head_b, targets, mask,
+                                                net_config.value_classes)
+                    loss_value = float(loss.data)
+                    if not np.isfinite(loss_value):
+                        raise NumericError(f"train: non-finite loss at step {step}")
+                    ag.zero_grad(params.values())
+                    ag.backward(loss)
+                    if not math.isfinite(grad_norm(params)):
+                        raise NumericError(f"train: non-finite gradient at step {step}")
+                    before = {name: p.data for name, p in params.items()}
+                    adam_step(params, opt, train_config)
+                    # a large finite gradient can overflow Adam's running square v,
+                    # and a batch's large activations a float32 running variance
+                    bad = [name for name, a in checkpoint_tensors(net, {"m": opt.m, "v": opt.v})
+                           if not np.isfinite(a).all()]
+                    if bad:
+                        for name, p in params.items():
+                            p.data = before[name]  # dump the weights the step started from
+                        raise NumericError(f"train: non-finite {bad[0]} after the update at "
+                                           f"step {step}")
+                    del before
+            except NumericError as exc:
+                dump = out_dir / f"diagnostic_step{step:06d}"
+                dump.mkdir(exist_ok=True)
+                gptt.save_gptt(dump / "input.gptt", x.data.astype(np.float32))
+                gptt.save_gptt(dump / "targets.gptt", targets.astype(np.float32))
+                save_checkpoint(dump / "state.gptc", net, step=step)
+                raise NumericError(f"{exc}; offending batch dumped to {dump}") from exc
+            seconds = time.monotonic() - started
+            loss_log.append((step, loss_value, seconds))
+            writer.writerow([step, f"{loss_value:.9g}", f"{seconds:.3f}"])
+            log.flush()  # a stopped run keeps the rows of its finished steps
 
-        if step % train_config.checkpoint_interval == 0 and step < train_config.max_steps:
-            save(step)
+            if step % train_config.checkpoint_interval == 0 and step < train_config.max_steps:
+                save(step)
 
     final = save(train_config.max_steps)
-    loss_csv = out_dir / "loss.csv"
-    _write_loss_csv(loss_csv, loss_log)
     return TrainResult(loss_log, final, loss_csv)

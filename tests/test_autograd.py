@@ -74,6 +74,18 @@ def test_unused_leaf_keeps_zero_gradient():
     assert np.array_equal(used.grad, np.ones(2))
 
 
+def test_zero_grad_allocates_nothing_until_a_gradient_arrives():
+    leaves = [ag.var(rng.normal(size=(3,)), requires_grad=True) for _ in range(2)]
+    for v in leaves:
+        v.grad = np.ones(3)
+    ag.zero_grad(leaves)
+    assert all(v.grad is None for v in leaves)
+    ag.backward(ag.dot_sum(leaves[0], np.full(3, 2.0)))
+    assert np.array_equal(leaves[0].grad, np.full(3, 2.0))
+    assert leaves[1].grad is None  # never reached
+    assert np.array_equal(ag.grad_of(leaves[1]), np.zeros(3))
+
+
 def test_identical_tapes_identical_gradients():
     x0 = rng.normal(size=(1, 3, 3, 2))
     k = rng.normal(size=(1, 3, 3, 2))
@@ -415,6 +427,26 @@ def test_pooled_attention_backward_keeps_one_score_block_per_worker(monkeypatch,
         tracemalloc.stop()
     block_bytes = block_scores * np.dtype(np.float32).itemsize
     assert peak <= (workers + 1) * block_bytes
+
+
+def test_attention_backward_holds_no_copy_of_the_whole_query(monkeypatch, fresh_pool):
+    # 4096 queries of 256 channels over 64 keys: the query tensor is 4 MB
+    # and each 256-query block of scores 64 KB. With the query itself
+    # taking no gradient, the one query-sized array backward needs is the
+    # query gradient; a whole [Q, -lse] operand would be a second one
+    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", 2 ** 14)
+    monkeypatch.setattr(ag, "ATTENTION_WORKERS", 2)
+    q, k, v, probe = attention_case(8, queries=(64, 64), keys=(8, 8), c=256, cv=2,
+                                    dtype=np.float32)
+    kv, vv = ag.var(k, requires_grad=True), ag.var(v, requires_grad=True)
+    loss = ag.dot_sum(ag.attention(ag.var(q), kv, vv), probe)
+    tracemalloc.start()
+    try:
+        ag.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * q.nbytes
 
 
 def unfolded(a):

@@ -530,7 +530,9 @@ def test_train_to_an_overflowing_adam_moment_is_numeric_error(synth_32, tmp_path
     assert code == 4
     assert "non-finite adam.v/stem.w after the update at step 2" in capsys.readouterr().err
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
-        "checkpoint_000001.gptc", "diagnostic_step000002"]
+        "checkpoint_000001.gptc", "diagnostic_step000002", "loss.csv"]
+    rows = (tmp_path / "run" / "loss.csv").read_text().splitlines()
+    assert rows[0] == "step,loss,seconds" and [r.split(",")[0] for r in rows[1:]] == ["1"]
 
 
 def test_train_to_an_overflowing_batch_norm_variance_is_numeric_error(synth_32, tmp_path,

@@ -57,6 +57,29 @@ def test_spatial_size_preserved():
         assert dense_forward(x, db, "eval").data.shape == (1, h, w, 5)
 
 
+def test_dense_block_holds_an_op_output_only_in_its_buffer():
+    # in train mode an op output's data moves into the block's buffer; a
+    # leaf keeps the caller's array
+    db = make_dense_block(np.random.default_rng(6), 5, 2, 3, 4)
+    r = np.random.default_rng(7)
+    x = ag.var(r.normal(size=(2, 6, 6, 3)).astype(np.float32), requires_grad=True)
+    w = ag.var(r.normal(size=(1, 1, 3, 2)).astype(np.float32))
+    op = ag.conv2d(x, w, ag.var(np.zeros(2, np.float32)))
+    leaf_array = r.normal(size=(2, 6, 6, 3)).astype(np.float32)
+    leaf_values = leaf_array.copy()
+    leaf = ag.var(leaf_array, requires_grad=True)
+    op_values = op.data.copy()
+    out = dense_forward([op, leaf], db, "train", r)
+    buffer = op.data.base
+    assert buffer is not None and buffer.shape == (2, 6, 6, db.concat_channels)
+    assert np.array_equal(op.data, op_values)
+    assert leaf.data is leaf_array and np.array_equal(leaf_array, leaf_values)
+    assert np.array_equal(buffer[..., 2:5], leaf_values)
+    ag.backward(ag.dot_sum(out, r.normal(size=out.data.shape)))
+    assert leaf.data is leaf_array and np.array_equal(leaf_array, leaf_values)
+    assert np.array_equal(op.data, op_values) and op.data.base is buffer
+
+
 def test_eval_mode_deterministic():
     db = make_dense_block(np.random.default_rng(6), 4, 2, 3, 6)
     x = ag.var(rng.normal(size=(2, 6, 6, 4)).astype(np.float32))

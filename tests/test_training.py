@@ -397,6 +397,31 @@ def test_resume_replays_identical_stream(tmp_path):
     assert resumed.final_checkpoint.read_bytes() == full.final_checkpoint.read_bytes()
 
 
+@pytest.mark.parametrize("error", [NumericError, KeyboardInterrupt])
+def test_a_stopped_run_keeps_the_rows_of_its_finished_steps(tmp_path, monkeypatch, error):
+    manifest, ncfg, tcfg = tiny_setup(tmp_path, steps=5, interval=5)
+    steps = []
+    grad_norm = tr.grad_norm
+
+    def stopping_at_step_3(params):
+        steps.append(len(steps) + 1)
+        if steps[-1] == 3:
+            raise error("stopped at step 3")
+        return grad_norm(params)
+
+    monkeypatch.setattr(tr, "grad_norm", stopping_at_step_3)
+    with pytest.raises(error):
+        tr.train(manifest, ncfg, tcfg, tmp_path / "stopped")
+    monkeypatch.undo()
+    full = tr.train(manifest, ncfg, tcfg, tmp_path / "full")
+    rows = full.loss_csv.read_text().splitlines()
+    assert rows == ["step,loss,seconds"] + [f"{s},{l:.9g},{t:.3f}" for s, l, t in full.loss_log]
+    stopped = (tmp_path / "stopped" / "loss.csv").read_text().splitlines()
+    assert len(stopped) == 3
+    assert [row.rsplit(",", 1)[0] for row in stopped] == [row.rsplit(",", 1)[0]
+                                                          for row in rows[:3]]
+
+
 def test_empty_manifest_rejected(tmp_path):
     manifest = dio.Manifest(root=tmp_path, samples=[])
     _, ncfg, tcfg = tiny_setup(tmp_path)
@@ -469,7 +494,8 @@ def test_non_finite_parameter_after_update_dumps_the_step_start(tmp_path):
             pytest.raises(NumericError, match="non-finite param/stem.w after the update at step 1; .*dumped"):
         tr.train(manifest, ncfg, tcfg, tmp_path / "run")
     run = tmp_path / "run"
-    assert sorted(p.name for p in run.iterdir()) == ["diagnostic_step000001"]
+    assert sorted(p.name for p in run.iterdir()) == ["diagnostic_step000001", "loss.csv"]
+    assert (run / "loss.csv").read_text().splitlines() == ["step,loss,seconds"]
     dumped, _ = load_checkpoint(run / "diagnostic_step000001" / "state.gptc")
     init_ss, _ = np.random.SeedSequence(tcfg.seed).spawn(2)
     start = build(ncfg, np.random.default_rng(init_ss)).named_parameters()
