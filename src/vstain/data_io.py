@@ -54,7 +54,7 @@ def save_pgm(path: str | Path, image: np.ndarray) -> None:
         image = image[:, :, 0]
     if image.ndim != 2:
         raise DataError(f"save_pgm: expected (H,W), got {image.shape}")
-    if np.any(image < 0) or np.any(image > 255):
+    if not np.all((image >= 0) & (image <= 255)):  # NaN fails too
         raise DataError("save_pgm: values outside 0-255")
     h, w = image.shape
     with gptt.replacing(path) as f:
@@ -206,6 +206,9 @@ def load_manifest(path: str | Path) -> Manifest:
             ))
         except (KeyError, ValueError) as exc:
             raise DataError(f"{path}: bad sample record {i} ({exc})") from exc
+        odd = [t for t in rec.get("targets", {}) if str(int(t)) != t]  # "01" is task 1 too
+        if odd:
+            raise DataError(f"{path}: sample record {i} has non-canonical task key {odd[0]!r}")
         if not all(isinstance(p, str) for p in [rec["input"], *targets.values()]):
             raise DataError(f"{path}: sample record {i} has a path that is not a string")
         if samples[-1].split not in ("train", "test"):

@@ -133,17 +133,12 @@ def _same_pad(x: np.ndarray, k: int, stride: int) -> tuple[np.ndarray, int, int]
     return xp, out_h, out_w
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, lo: int, hi: int,
-            out_w: int) -> np.ndarray:
-    """The kxk patches of output rows [lo, hi) of a padded (N, Hp, Wp, C)
-    tensor, as a C-contiguous (N, hi - lo, out_w, k, k, C) array: a copy,
-    unless xp's own rows already lie that way (a 1x1 stride-1 kernel
-    over one contiguous image), when it is a read-only view of them."""
-    band = xp[:, lo * stride : (hi - 1) * stride + k]
-    windows = np.lib.stride_tricks.sliding_window_view(band, (k, k), axis=(1, 2))
-    # windows: (N, rows, Wp-k+1, C, k, k)
-    sub = windows[:, ::stride, : (out_w - 1) * stride + 1 : stride]
-    return np.ascontiguousarray(sub.transpose(0, 1, 2, 4, 5, 3))
+def _tap(a: np.ndarray, i: int, j: int, lo: int, hi: int, out_w: int,
+         stride: int) -> np.ndarray:
+    """Tap (i, j)'s strided view of a padded (N, Hp, Wp, C) array at a
+    convolution's output rows [lo, hi): (N, hi - lo, out_w, C), no copy."""
+    return a[:, i + lo * stride : i + (hi - 1) * stride + 1 : stride,
+             j : j + (out_w - 1) * stride + 1 : stride]
 
 
 def _check_conv_args(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -164,25 +159,28 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.n
     """2-D convolution with "same" zero padding.
 
     x: (N, H, W, Cin), w: (k, k, Cin, Cout), b: (Cout,).
-    Output: (N, ceil(H/stride), ceil(W/stride), Cout). Pieces of output
-    rows gather their own patches and run their own per-row products.
+    Output: (N, ceil(H/stride), ceil(W/stride), Cout). Each piece of
+    output rows adds its taps' products with w[i, j] (:func:`_tap`) in
+    (i, j) order into its rows of the output, then the bias.
     """
     x = check_tensor4(x, "conv2d input")
     w = np.asarray(w)
     b = np.asarray(b)
     _check_conv_args("conv2d", x, w, b, stride)
     k = w.shape[0]
-    n, cin = x.shape[0], x.shape[3]
     xp, out_h, out_w = _same_pad(x, k, stride)
-    w2 = w.reshape(k * k * cin, -1)
-    y = np.empty((n, out_h, out_w, w2.shape[1]), dtype=np.result_type(x, w2))
+    y = np.empty((x.shape[0], out_h, out_w, w.shape[3]), dtype=np.result_type(x, w))
 
     def piece(lo, hi):
-        patches = _im2col(xp, k, stride, lo, hi, out_w)
-        np.matmul(patches.reshape(n, hi - lo, out_w, -1), w2, out=y[:, lo:hi])
-        y[:, lo:hi] += b
+        out = y[:, lo:hi]
+        np.matmul(_tap(xp, 0, 0, lo, hi, out_w, stride), w[0, 0], out=out)
+        scratch = np.empty_like(out) if k > 1 else None
+        for tap in range(1, k * k):
+            i, j = divmod(tap, k)
+            out += np.matmul(_tap(xp, i, j, lo, hi, out_w, stride), w[i, j], out=scratch)
+        out += b
 
-    autograd.split_rows(piece, out_h, y.size * w2.shape[0], small=True)
+    autograd.split_rows(piece, out_h, y.size * k * k * x.shape[3], small=True)
     return y
 
 
@@ -191,37 +189,34 @@ def _conv2d_input_grad(
 ) -> np.ndarray:
     """Adjoint of conv2d in its input: scatter `grad` back onto an (in_h, in_w) grid.
 
-    Pieces of padded rows each compute the column-gradient rows
-    (grad @ w.T, one row per output position) of the output rows whose
-    taps land in them, and add those taps in (i, j) order, so every
+    Each piece of padded rows adds, tap by tap in (i, j) order, the
+    product of `grad`'s output rows whose tap lands in it with w[i, j]^T
+    into that tap's view of the padded gradient (:func:`_tap`), so every
     element receives its addends in the same order however the rows are
-    cut. Neighbouring pieces compute the rows they share once each.
+    cut. The products of one tap row i share one scratch array.
     """
     k = w.shape[0]
     cin, cout = w.shape[2], w.shape[3]
     n, out_h, out_w = grad.shape[:3]
     _, pt, pb = same_pad_amounts(in_h, k, stride)
     _, pl, pr = same_pad_amounts(in_w, k, stride)
-    kkc = k * k * cin
     xg = np.zeros((n, in_h + pt + pb, in_w + pl + pr, cin), dtype=np.result_type(grad, w))
-    wt = w.reshape(kkc, cout).T
 
     def piece(lo, hi):
-        # output rows oy with a tap in [lo, hi): lo <= i + oy*stride < hi for some i < k
-        f, l = max(0, -((k - 1 - lo) // stride)), min(out_h, -(-hi // stride))
-        # one product over every batch element: a copy of grad's rows when n > 1
-        gcols = np.matmul(grad[:, f:l].reshape(-1, cout), wt).reshape(n, l - f, out_w, k, k, cin)
         for i in range(k):
             # output rows oy whose tap i lands in [lo, hi): lo <= i + oy*stride < hi
-            first, last = max(f, -((i - lo) // stride)), min(l, -((i - hi) // stride))
+            first, last = max(0, -((i - lo) // stride)), min(out_h, -((i - hi) // stride))
             if first >= last:
                 continue
-            rows = slice(i + first * stride, i + (last - 1) * stride + 1, stride)
+            # one product per batch element over all these rows: a view of grad's rows
+            g = grad[:, first:last].reshape(n, -1, cout)
+            scratch = np.empty((n, g.shape[1], cin), xg.dtype)
             for j in range(k):
-                xg[:, rows, j : j + (out_w - 1) * stride + 1 : stride, :] += \
-                    gcols[:, first - f : last - f, :, i, j, :]
+                np.matmul(g, w[i, j].T, out=scratch)
+                view = _tap(xg, i, j, first, last, out_w, stride)
+                view += scratch.reshape(view.shape)
 
-    autograd.split_rows(piece, xg.shape[1], n * out_h * out_w * kkc * cout, small=True)
+    autograd.split_rows(piece, xg.shape[1], n * out_h * out_w * k * k * cin * cout, small=True)
     return xg[:, pt : pt + in_h, pl : pl + in_w, :]
 
 
@@ -231,10 +226,10 @@ def _conv2d_weight_grad(
     """Gradient w.r.t. the (k, k, Cin, Cout) weights of a conv2d of `x`,
     given upstream grad (N, out_h, out_w, Cout) on its output.
 
-    The gradient is cols.T @ grad, cols being the (N*out_h*out_w,
-    k*k*Cin) im2col of x. Pieces of its rows each gather their own
-    (i, j, channel) columns of cols; the reduction over output positions
-    stays whole.
+    Row (i, j, c) of the (k*k*Cin, Cout) gradient is channel c of tap
+    (i, j)'s view of padded x (:func:`_tap`) times grad. Pieces of these
+    rows each gather their own rows into one array for one product; the
+    reduction over output positions stays whole.
     """
     n, cin = x.shape[0], x.shape[3]
     xp, out_h, out_w = _same_pad(x, k, stride)
@@ -248,8 +243,7 @@ def _conv2d_weight_grad(
             i, j = divmod(tap, k)
             c0, c1 = max(lo - tap * cin, 0), min(hi - tap * cin, cin)
             np.copyto(cols[..., tap * cin + c0 - lo : tap * cin + c1 - lo],
-                      xp[:, i : i + (out_h - 1) * stride + 1 : stride,
-                         j : j + (out_w - 1) * stride + 1 : stride, c0:c1])
+                      _tap(xp, i, j, 0, out_h, out_w, stride)[..., c0:c1])
         np.matmul(cols.reshape(m, hi - lo).T, g2, out=gw[lo:hi])
 
     autograd.split_rows(piece, kkc, m * kkc * g2.shape[1], small=True)

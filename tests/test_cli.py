@@ -131,6 +131,23 @@ def test_inspect_corrupt_header_is_data_error(pipeline, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("edit", ["version-2", "trailing-bytes"])
+def test_inspect_other_version_or_trailing_bytes_is_data_error(pipeline, tmp_path, capsys,
+                                                               edit):
+    raw = bytearray((pipeline / "run" / "checkpoint_000015.gptc").read_bytes())
+    if edit == "version-2":
+        raw[4:8] = (2).to_bytes(4, "little")
+    else:
+        raw += bytes(3)
+    bad = tmp_path / "bad.gptc"
+    bad.write_bytes(bytes(raw))
+    assert cli.main(["inspect", "--checkpoint", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert ("unsupported checkpoint version 2" if edit == "version-2"
+            else f"3 trailing bytes at {len(raw) - 3}") in err
+
+
 def test_missing_manifest_is_data_error(tmp_path, capsys):
     code = cli.main(["train", "--manifest", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "run")])
@@ -147,10 +164,12 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("raw", [b"\xff{}", b"[" * 100_000], ids=["not-utf8", "nested"])
+@pytest.mark.parametrize("raw", [b"\xff{}", b"[" * 100_000, None],
+                         ids=["not-utf8", "nested", "missing"])
 def test_unreadable_config_is_data_error(tmp_path, capsys, raw):
     cfg = tmp_path / "bad.json"
-    cfg.write_bytes(raw)
+    if raw is not None:
+        cfg.write_bytes(raw)
     code = cli.main(["train", "--manifest", str(tmp_path / "none.json"),
                      "--config", str(cfg), "--out", str(tmp_path / "run")])
     err = capsys.readouterr().err
@@ -177,9 +196,12 @@ def one_sample_manifest(tmp_path_factory):
     {"train": {"seed": 1.5}},
     {"train": {"learning_rate": "fast"}},
     {"train": {"beta1": None}},
+    [{"network": {}}],
+    {"network": {}, "optimizer": {}},
 ], ids=["patch-str", "tasks-bool", "depth-entry-str", "channels-not-list",
         "dropout-str", "qk-float", "network-not-object", "batch-str",
-        "steps-bool", "seed-float", "lr-str", "beta1-null"])
+        "steps-bool", "seed-float", "lr-str", "beta1-null", "config-array",
+        "unknown-section"])
 def test_config_value_of_wrong_type_is_usage_error(one_sample_manifest, tmp_path,
                                                    capsys, doc):
     cfg = tmp_path / "bad.json"
@@ -208,6 +230,18 @@ def test_adam_setting_out_of_range_is_usage_error_and_writes_nothing(one_sample_
     assert code == 2, err
     assert err.startswith("error:") and err.count("\n") == 1
     assert next(iter(train)) in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_seed_flag_overrides_the_config_seed(one_sample_manifest, tmp_path, capsys):
+    # the config's seed 5 is valid; the flag's -1 replaces it and is checked
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    code = cli.main(["train", "--manifest", str(one_sample_manifest), "--config", str(cfg),
+                     "--seed", "-1", "--steps", "1", "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: train config: seed -1 must be >= 0\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -242,6 +276,20 @@ def test_manifest_of_wrong_structure_is_data_error(tmp_path, capsys, doc):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("keys", [("1", "01"), ("1_0",)], ids=["1-and-01", "1_0"])
+def test_manifest_target_key_not_written_as_saved_is_data_error(tmp_path, capsys, keys):
+    # int() reads "01" as task 1, so one of two files for task 1 was
+    # dropped, and "1_0" as task 10
+    mpath = tmp_path / "manifest.json"
+    targets = {key: f"t{i}.pgm" for i, key in enumerate(keys)}
+    mpath.write_text(json.dumps({"samples": [{"input": "a.pgm", "targets": targets}]}))
+    code = cli.main(["train", "--manifest", str(mpath), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"sample record 0 has non-canonical task key {keys[-1]!r}" in err
+
+
 @pytest.mark.parametrize("flags", [
     ["--cells", "8,3"],
     ["--cells=-1,3"],
@@ -252,8 +300,13 @@ def test_manifest_of_wrong_structure_is_data_error(tmp_path, capsys, doc):
     ["--noise", "inf"],
     ["--tasks", "foo"],
     ["--tasks", ","],
+    ["--cells", "3"],
+    ["--cells", "a,b"],
+    ["--samples", "0"],
+    ["--test-samples", "-1"],
 ], ids=["cells-min-above-max", "cells-negative", "noise-negative", "size-below-12",
-        "seed-negative", "noise-nan", "noise-inf", "task-unknown", "tasks-empty"])
+        "seed-negative", "noise-nan", "noise-inf", "task-unknown", "tasks-empty",
+        "cells-one-value", "cells-not-int", "samples-zero", "test-samples-negative"])
 def test_synth_bad_flag_is_usage_error(tmp_path, capsys, flags):
     code = cli.main(["synth", "--out", str(tmp_path / "d"), "--samples", "1",
                      "--test-samples", "0", *flags])
@@ -632,6 +685,25 @@ def test_train_gptt_input_outside_0_255_is_data_error(tmp_path, capsys, value):
     assert "0-255" in err
 
 
+def test_train_input_of_another_channel_count_is_data_error_and_writes_nothing(tmp_path,
+                                                                              capsys):
+    from vstain import gptt
+    mpath = dio.generate_dataset(tmp_path / "d", 1, size=48, seed=0, n_test=0,
+                                 tasks=("nuclei", "viability"))
+    doc = json.loads(mpath.read_text())
+    doc["samples"][0]["input"] = "two.gptt"
+    mpath.write_text(json.dumps(doc))
+    gptt.save_gptt(mpath.parent / "two.gptt", np.full((48, 48, 2), 128.0, np.float32))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    code = cli.main(["train", "--manifest", str(mpath), "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "error: two.gptt: 2 channels, config expects 1\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_split_without_targets_is_data_error_and_writes_nothing(tmp_path, capsys):
     mpath = dio.generate_dataset(tmp_path / "d", 2, size=48, seed=0, n_test=1,
                                  tasks=("nuclei", "viability"))
@@ -693,6 +765,29 @@ def test_eval_missing_predictions_is_data_error(pipeline, tmp_path, capsys):
                      "--pred", str(tmp_path), "--out", str(tmp_path / "rep")])
     assert code == 3
     assert "missing prediction" in capsys.readouterr().err
+
+
+def test_eval_manifest_without_test_split_is_data_error(one_sample_manifest, tmp_path,
+                                                        capsys):
+    code = cli.main(["eval", "--manifest", str(one_sample_manifest),
+                     "--pred", str(tmp_path), "--out", str(tmp_path / "rep")])
+    assert code == 3
+    assert capsys.readouterr().err == "error: evaluate: manifest has no test samples\n"
+    assert not (tmp_path / "rep").exists()
+
+
+def test_eval_prediction_of_other_extents_is_data_error(pipeline, tmp_path, capsys):
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for p in (pipeline / "pred").glob("*.pgm"):
+        (pred / p.name).write_bytes(p.read_bytes())
+    small = sorted(pred.glob("*_task0_expectation.pgm"))[0]
+    dio.save_pgm(small, np.zeros((40, 48)))
+    code = cli.main(["eval", "--manifest", str(pipeline / "data/manifest.json"),
+                     "--pred", str(pred), "--out", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"error: evaluate: {small} is (40, 48), truth is (48, 48)\n"
 
 
 # Runs one CLI command, then prints the thread count the loaded OpenBLAS
@@ -770,6 +865,21 @@ def test_resume_past_max_steps_is_usage_error_and_writes_nothing(tmp_path, capsy
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert "step 4" in err
+    assert not (tmp_path / "again").exists()
+
+
+def test_resume_with_another_config_is_data_error_and_writes_nothing(tmp_path, capsys):
+    args = _resume_run(tmp_path)
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg["network"]["dropout_rate"] = 0.25
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(cfg))
+    args[args.index("--config") + 1] = str(other)
+    capsys.readouterr()
+    code = cli.main(args + ["--out", str(tmp_path / "again")])
+    assert code == 3
+    assert (capsys.readouterr().err
+            == "error: resume: checkpoint config differs from requested config\n")
     assert not (tmp_path / "again").exists()
 
 

@@ -1,6 +1,7 @@
 """File formats, manifests, and the synthetic scene generator."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,25 @@ def test_pgm_round_trip(tmp_path):
     assert np.array_equal(back, img)
     dio.save_pgm(tmp_path / "y.pgm", back)
     assert (tmp_path / "y.pgm").read_bytes() == path.read_bytes()
+
+
+def test_save_pgm_rejects_nan_and_leaves_no_file(tmp_path):
+    image = np.full((4, 4), 7.0)
+    image[1, 2] = np.nan
+    path = tmp_path / "x.pgm"
+    with pytest.raises(DataError, match="outside 0-255"):
+        dio.save_pgm(path, image)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_pgm_squeezes_one_channel_and_rejects_other_ranks(tmp_path):
+    image = np.arange(12, dtype=np.float32).reshape(3, 4, 1)
+    dio.save_pgm(tmp_path / "a.pgm", image)
+    assert np.array_equal(dio.load_pgm(tmp_path / "a.pgm"), image[:, :, 0])
+    for shape in [(3, 4, 2), (12,), (1, 3, 4, 1)]:
+        with pytest.raises(DataError, match=re.escape(f"expected (H,W), got {shape}")):
+            dio.save_pgm(tmp_path / "b.pgm", np.zeros(shape))
+    assert not (tmp_path / "b.pgm").exists()
 
 
 def test_pgm_rejects_other_maxval(tmp_path):

@@ -427,6 +427,21 @@ def test_pieces_hold_two_rows_or_more_unless_there_is_one(monkeypatch, rows, sma
         assert len(pieces) == 1 or min(hi - lo for lo, hi in pieces) >= 2
 
 
+def test_conv_forward_holds_no_patch_matrix():
+    """dec3.db's widest 3x3 convolution: the forward holds its output, the
+    padded input and one piece of output rows of scratch per worker, never
+    a (rows, W, 9*Cin) copy of the input's patches."""
+    x, w, b = case(10, (1, 128, 128, 147), (3, 3, 147, 16), (16,))
+    padded = x.shape[0] * (x.shape[1] + 2) * (x.shape[2] + 2) * x.shape[3] * 4
+    tracemalloc.start()
+    try:
+        y = K.conv2d(x, w, b, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < y.nbytes + padded + (1 << 20)
+
+
 def test_conv_backward_holds_no_full_size_im2col():
     """dec3.db's widest 3x3 convolution: the backward holds its outputs,
     the padded input and per-worker temporaries, never a (N*H*W, 9*Cin)
@@ -436,8 +451,10 @@ def test_conv_backward_holds_no_full_size_im2col():
     k, cout = w.shape[0], w.shape[3]
     m, kkc, work = n * h * wd, k * k * cin, n * h * wd * k * k * cin * cout
     padded = n * (h + k - 1) * (wd + k - 1) * cin * 4
-    # per piece: the column-gradient rows of its padded rows' taps, and
-    # its own im2col columns
+    # per piece, the larger of: the (rows + k - 1, W, k*k*Cin) column
+    # gradient the input gradient once held, which bounds the (rows, W, Cin)
+    # scratch of one tap row it holds now; and the weight gradient's
+    # gathered (N*H*W, rows) columns
     grid = ag._pieces(h + k - 1, work // ag.PIECE_WORK)
     cols = ag._pieces(kkc, work // ag.PIECE_WORK)
     scratch = 4 * max(
