@@ -73,9 +73,6 @@ def sampled_pearson(
     """
     if not pred_images or len(pred_images) != len(truth_images):
         raise DataError("sampled_pearson: empty or mismatched image sets")
-    for p, t in zip(pred_images, truth_images):
-        if np.asarray(p).shape != np.asarray(t).shape:
-            raise ShapeError("sampled_pearson: prediction/truth dims differ")
     pred = np.concatenate([np.asarray(p, dtype=np.float64).reshape(-1)
                            for p in pred_images])
     truth = np.concatenate([np.asarray(t, dtype=np.float64).reshape(-1)
@@ -119,10 +116,6 @@ def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionResult:
     """10x10 confusion matrix of binned values plus bin/overall accuracies."""
     pred = np.asarray(pred, dtype=np.float64).reshape(-1)
     truth = np.asarray(truth, dtype=np.float64).reshape(-1)
-    if pred.shape != truth.shape:
-        raise ShapeError(f"confusion: length mismatch {pred.size} vs {truth.size}")
-    if pred.size == 0:
-        raise ShapeError("confusion: empty input")
     for name, arr in (("pred", pred), ("truth", truth)):
         if arr.min() < 0 or arr.max() > 255:
             raise DataError(f"confusion: {name} values outside 0-255")

@@ -34,7 +34,7 @@ import numpy as np
 from . import _flush_to_zero, _release_free_heap
 from . import autograd as ag
 from . import kernels
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError
 from .multiscale import extract_multiscale
 # predict_distributions stays importable from here: benchmarks/tracer.py
 # patches inference.predict_distributions by name.
@@ -117,8 +117,6 @@ def predict_image(net: Network, image: np.ndarray, step: int = 64) -> np.ndarray
     image = np.asarray(image)
     if image.ndim == 2:
         image = image[:, :, None]
-    if image.ndim != 3:
-        raise ShapeError(f"predict_image: image must be (H,W,C), got {image.shape}")
     cfg = net.config
     if image.shape[2] != cfg.input_channels:
         raise DataError(

@@ -33,16 +33,6 @@ from . import _flush_to_zero, autograd
 from .errors import NumericError, ShapeError
 
 
-def check_tensor4(t: np.ndarray, name: str = "tensor") -> np.ndarray:
-    """Validate a rank-4 (N, H, W, C) tensor with extents >= 1."""
-    t = np.asarray(t)
-    if t.ndim != 4:
-        raise ShapeError(f"{name}: expected rank-4 (N,H,W,C), got rank {t.ndim}")
-    if any(d < 1 for d in t.shape):
-        raise ShapeError(f"{name}: all extents must be >= 1, got {t.shape}")
-    return t
-
-
 # ---------------------------------------------------------------------------
 # softmax
 # ---------------------------------------------------------------------------
@@ -141,18 +131,11 @@ def _tap(a: np.ndarray, i: int, j: int, lo: int, hi: int, out_w: int,
              j : j + (out_w - 1) * stride + 1 : stride]
 
 
-def _check_conv_args(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                     stride: int) -> None:
-    if w.ndim != 4 or w.shape[0] != w.shape[1]:
-        raise ShapeError(f"{op}: weights must be (k,k,Cin,Cout), got {w.shape}")
+def _check_conv_args(op: str, x: np.ndarray, w: np.ndarray) -> None:
     if x.shape[3] != w.shape[2]:
         raise ShapeError(
             f"{op}: input has {x.shape[3]} channels, weights expect {w.shape[2]}"
         )
-    if b.shape != (w.shape[3],):
-        raise ShapeError(f"{op}: bias must be ({w.shape[3]},), got {b.shape}")
-    if stride not in (1, 2):
-        raise ShapeError(f"{op}: stride must be 1 or 2, got {stride}")
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.ndarray:
@@ -163,10 +146,10 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.n
     output rows adds its taps' products with w[i, j] (:func:`_tap`) in
     (i, j) order into its rows of the output, then the bias.
     """
-    x = check_tensor4(x, "conv2d input")
+    x = np.asarray(x)
     w = np.asarray(w)
     b = np.asarray(b)
-    _check_conv_args("conv2d", x, w, b, stride)
+    _check_conv_args("conv2d", x, w)
     k = w.shape[0]
     xp, out_h, out_w = _same_pad(x, k, stride)
     y = np.empty((x.shape[0], out_h, out_w, w.shape[3]), dtype=np.result_type(x, w))
@@ -267,12 +250,10 @@ def deconv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     "same" conv2d that maps (2H, 2W, Cout) to (H, W, Cin) with the
     channel-transposed weights, which pins the cropping convention.
     """
-    x = check_tensor4(x, "deconv2d input")
+    x = np.asarray(x)
     w = np.asarray(w)
     b = np.asarray(b)
-    if w.ndim != 4 or w.shape[:2] != (3, 3):
-        raise ShapeError(f"deconv2d: weights must be (3,3,Cin,Cout), got {w.shape}")
-    _check_conv_args("deconv2d", x, w, b, 2)  # the stride of the conv it is adjoint to
+    _check_conv_args("deconv2d", x, w)
     wt = np.ascontiguousarray(w.transpose(0, 1, 3, 2))  # (3,3,Cout,Cin)
     out = _conv2d_input_grad(2 * x.shape[1], 2 * x.shape[2], wt, 2, x)
     return out + b
@@ -311,9 +292,7 @@ def resize_bilinear(t: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
     Resizing to the identical extents returns a copy of the input values.
     """
-    t = check_tensor4(t, "resize input")
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(f"resize: output extents must be >= 1, got {out_h}x{out_w}")
+    t = np.asarray(t)
     n, h, w, c = t.shape
     if (out_h, out_w) == (h, w):
         return t.copy()

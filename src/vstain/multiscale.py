@@ -21,14 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .errors import DataError, ShapeError
+from .errors import DataError
 
 
 def _reflect_indices(start: int, length: int, extent: int) -> np.ndarray:
-    """Fold arbitrary indices into [0, extent) by border-exclusive reflection."""
+    """Fold arbitrary indices into [0, extent), extent >= 2, by border-exclusive
+    reflection."""
     idx = np.arange(start, start + length)
-    if extent == 1:
-        return np.zeros(length, dtype=np.int64)
     period = 2 * (extent - 1)
     idx = np.mod(idx, period)
     return np.where(idx >= extent, period - idx, idx)
@@ -51,8 +50,6 @@ def extract_multiscale(image: np.ndarray, center: tuple[int, int],
     is the network's patch size, which its config keeps even.
     """
     image = np.asarray(image)
-    if image.ndim != 3:
-        raise ShapeError(f"extract_multiscale: image must be (H,W,C), got {image.shape}")
     x, y = center
     h_img, w_img = image.shape[:2]
     if not (0 <= x < w_img and 0 <= y < h_img):

@@ -301,12 +301,7 @@ def predict_distributions_inplace(logits: np.ndarray, task_count: int,
     """:func:`predict_distributions` written over the C-contiguous float
     array `logits`; returns the (N,H,W,T,V) view of it. `bounded` says
     that no logit can be infinite (see :func:`kernels.dots_bounded`)."""
-    n, h, w, c = logits.shape
-    if c != task_count * value_classes:
-        raise ShapeError(
-            f"predict_distributions: {c} channels != {task_count}*{value_classes}"
-        )
-    e = logits.reshape(n, h, w, task_count, value_classes)
+    e = logits.reshape(*logits.shape[:3], task_count, value_classes)
     kernels.exp_shifted_inplace(e, -1, "head: non-finite logits", bounded)
     e /= e.sum(axis=-1, keepdims=True)
     return e

@@ -28,8 +28,7 @@ from . import _flush_to_zero
 from . import autograd as ag
 from . import data_io, gptt, kernels
 from .autograd import Variable
-from .errors import (ConfigError, DataError, NumericError, ShapeError,
-                     from_fields, require_types)
+from .errors import ConfigError, DataError, NumericError, from_fields, require_types
 from .multiscale import sample_training_patch
 from .network import (NetworkConfig, build, checkpoint_tensors, forward,
                       load_checkpoint, save_checkpoint)
@@ -50,8 +49,9 @@ class TrainConfig:
         require_types("train config", self,
                       ints=("batch_size", "max_steps", "checkpoint_interval", "seed"),
                       reals=("learning_rate", "beta1", "beta2", "eps"))
-        if self.batch_size < 1:
-            raise ConfigError(f"train config: batch_size {self.batch_size} < 1")
+        for name in ("batch_size", "max_steps", "checkpoint_interval"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"train config: {name} {getattr(self, name)} < 1")
         # written so that NaN fails each test
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(f"train config: learning_rate {self.learning_rate} is not "
@@ -62,8 +62,6 @@ class TrainConfig:
                                   "in [0, 1)")
         if not 0 < self.eps < math.inf:
             raise ConfigError(f"train config: eps {self.eps} is not a finite number > 0")
-        if self.max_steps < 1 or self.checkpoint_interval < 1:
-            raise ConfigError("train config: steps and interval must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"train config: seed {self.seed} must be >= 0")
 
@@ -105,22 +103,10 @@ def masked_cross_entropy(
     With no active cell the loss is an exact +0.0 with zero gradients.
     """
     x = features.data
-    if x.ndim != 4:
-        raise ShapeError(f"cross entropy: features must be rank 4, got {x.shape}")
-    n, h, w, c = x.shape
+    _, h, w, c = x.shape
     targets = np.asarray(targets)
     mask = np.asarray(mask, dtype=bool)
-    if targets.ndim != 4 or targets.shape[:3] != (n, h, w):
-        raise ShapeError(f"cross entropy: targets {targets.shape} do not match features")
     t = targets.shape[3]
-    if (head_w.data.shape != (1, 1, c, t * value_classes)
-            or head_b.data.shape != (t * value_classes,)):
-        raise ShapeError(
-            f"cross entropy: head {head_w.data.shape} + {head_b.data.shape} does not "
-            f"map {c} channels to {t} tasks * {value_classes} classes"
-        )
-    if mask.shape != (n, t):
-        raise ShapeError(f"cross entropy: mask {mask.shape}, expected ({n}, {t})")
     if targets.min() < 0 or targets.max() >= value_classes:
         raise DataError(
             f"cross entropy: target classes outside [0, {value_classes})"

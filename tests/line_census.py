@@ -12,10 +12,12 @@ themselves from startup: `sys.settrace` and `threading.settrace` record
 the lines each frame under src/vstain runs, and each process writes
 its lines to a shared directory when it exits. A process that ends by
 `os._exit` or a signal it does not handle writes nothing. Then every
-line of src/vstain that compiles to code and never ran is printed, file
-by file, with its source. The exit code is pytest's. Only the standard
-library is used; a traced run of the whole suite takes about twice as
-long as an untraced one, so a test with a time limit may fail under it.
+line of src/vstain that compiles to code, never ran and is not in
+ALLOWED is printed, file by file, with its source. The exit code is
+pytest's when that is not 0, else 1 when any line was printed. Only the
+standard library is used; a traced run of the whole suite takes about
+twice as long as an untraced one, so a test with a time limit may fail
+under it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,32 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vstain"
+
+# Lines that may never run, keyed by (file, function, stripped source);
+# "<module>" is a module's top level. Each value says why no test runs it.
+ALLOWED = {
+    ("__init__.py", "_set_flush_to_zero", "return"):
+        "no x86-64 glibc libm: a platform fallback",
+    ("__init__.py", "_x86_64_libm", "except OSError:"):
+        "libm.so.6 cannot be loaded on x86-64 glibc: a platform fallback",
+    ("__init__.py", "_x86_64_libm", "return None"):
+        "libm.so.6 cannot be loaded on x86-64 glibc: a platform fallback",
+    ("autograd.py", "<module>", "else os.cpu_count() or 1)"):
+        "no os.sched_getaffinity: a platform fallback",
+    ("autograd.py", "_forget_pool",
+     "_pool = None  # a forked child has none of the pool's threads"):
+        "runs only in a forked child, which ends by os._exit and writes no lines",
+    ("cli.py", "<module>", "sys.exit(main())"):
+        "runs only as `python -m vstain.cli`; `python -m vstain` enters by __main__.py",
+    ("data_io.py", "load_pgm", 'raise DataError(f"{path}: truncated payload at byte {pos}")'):
+        "the file shrinks between its size and its read: a race no test can time",
+    ("gptt.py", "read_gptt",
+     'raise DataError(f"{source}: truncated payload at byte {header_end}")'):
+        "the file shrinks between its size and its read: a race no test can time",
+    ("kernels.py", "col_softmax",
+     'raise ShapeError(f"col_softmax: expected a matrix, got rank {m.ndim}")'):
+        "only benchmarks/tracer.py and the tests call col_softmax, never below rank 2",
+}
 
 SITECUSTOMIZE = '''
 import atexit, json, os, sys, threading, uuid
@@ -70,12 +98,14 @@ sys.settrace(_global)
 '''
 
 
-def code_lines(path: Path) -> set[int]:
-    """Line numbers that hold at least one instruction of the module."""
-    lines, todo = set(), [compile(path.read_text(), str(path), "exec")]
+def code_lines(path: Path) -> dict[int, str]:
+    """The function (its qualified name) of each line number that holds
+    at least one instruction of the module."""
+    lines, todo = {}, [compile(path.read_text(), str(path), "exec")]
     while todo:
         code = todo.pop()
-        lines.update(line for _, _, line in code.co_lines() if line is not None)
+        lines.update((line, code.co_qualname) for _, _, line in code.co_lines()
+                     if line)  # line 0 is no source line
         todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
     return lines
 
@@ -100,18 +130,23 @@ def main(argv: list[str]) -> int:
                 ran.setdefault(name, set()).update(lines)
 
     print(f"\nline census: {len(dumps)} traced processes")
-    total = 0
+    total = allowed = 0
     for path in sorted(PACKAGE.rglob("*.py")):
-        missed = sorted(code_lines(path) - ran.get(str(path.resolve()), set()))
-        if not missed:
-            continue
-        total += len(missed)
+        functions = code_lines(path)
         source = path.read_text().splitlines()
-        print(f"{path.relative_to(ROOT)}: {len(missed)} lines never ran")
-        for line in missed:
-            print(f"  {line:5d}  {source[line - 1].strip()}")
-    print(f"{total} lines never ran")
-    return code
+        ran_here = ran.get(str(path.resolve()), set())
+        missed = [line for line in sorted(functions) if line not in ran_here]
+        unlisted = [line for line in missed if (path.name, functions[line],
+                                                source[line - 1].strip()) not in ALLOWED]
+        allowed += len(missed) - len(unlisted)
+        if not unlisted:
+            continue
+        total += len(unlisted)
+        print(f"{path.relative_to(ROOT)}: {len(unlisted)} lines never ran")
+        for line in unlisted:
+            print(f"  {line:5d}  {functions[line]}: {source[line - 1].strip()}")
+    print(f"{total} lines never ran, besides {allowed} allowed ones")
+    return code or int(total > 0)
 
 
 if __name__ == "__main__":

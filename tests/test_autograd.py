@@ -220,6 +220,24 @@ def test_bn_relu_dropout_rejects_bad_arguments():
     ag.bn_relu_dropout(ag.var(x), c, c, ag.BnState.create(1), "eval", 0.5, None)
 
 
+def test_batch_norm_uses_the_documented_momentum_and_epsilon():
+    # README: "batch norm uses momentum 0.9 and epsilon 1e-5"; channel 1's
+    # batch variance is 1e-4, so a change of epsilon moves its output
+    x = np.stack([np.linspace(-2.0, 3.0, 8), 0.01 + 0.01 * np.resize([-1.0, 1.0], 8)],
+                 axis=-1).reshape(2, 2, 2, 2)
+    mean, var = x.mean(axis=(0, 1, 2)), x.var(axis=(0, 1, 2))
+    assert np.isclose(var[1], 1e-4)
+    gamma, beta = np.array([1.5, 0.5]), np.array([0.25, 0.1])
+    state = ag.BnState.create(2, np.float64)
+    out = ag.bn_relu_dropout(ag.var(x), ag.var(gamma), ag.var(beta), state, "train", 0.0,
+                             None).data
+    assert np.allclose(state.mean, 0.9 * 0.0 + 0.1 * mean, rtol=1e-12, atol=0)
+    assert np.allclose(state.var, 0.9 * 1.0 + 0.1 * var, rtol=1e-12, atol=0)
+    expected = np.maximum(gamma * (x - mean) / np.sqrt(var + 1e-5) + beta, 0)
+    assert np.allclose(out, expected, rtol=1e-12, atol=1e-15)
+    assert (out > 0).any() and (out == 0).any()
+
+
 def test_no_grad_suppresses_tape():
     x = ag.var(np.ones(3), requires_grad=True)
     with ag.no_grad():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import vstain
 from vstain import cli
 from vstain import data_io as dio
+from vstain import evaluation, gradcheck
 from vstain import network as nw
 
 TINY_CONFIG = {
@@ -216,9 +217,9 @@ def test_config_value_of_wrong_type_is_usage_error(one_sample_manifest, tmp_path
 @pytest.mark.parametrize("train", [
     {"beta1": 1.0}, {"beta1": -0.5}, {"beta2": 1.5}, {"learning_rate": float("nan")},
     {"learning_rate": float("inf")}, {"eps": 0.0}, {"eps": -1.0}, {"eps": float("nan")},
-    {"seed": -1},
+    {"seed": -1}, {"batch_size": 0}, {"checkpoint_interval": 0},
 ], ids=["beta1-one", "beta1-negative", "beta2-above-one", "lr-nan", "lr-inf", "eps-zero",
-        "eps-negative", "eps-nan", "seed-negative"])
+        "eps-negative", "eps-nan", "seed-negative", "batch-zero", "interval-zero"])
 def test_adam_setting_out_of_range_is_usage_error_and_writes_nothing(one_sample_manifest,
                                                                      tmp_path, capsys, train):
     # json writes and reads NaN and Infinity as bare literals
@@ -230,6 +231,32 @@ def test_adam_setting_out_of_range_is_usage_error_and_writes_nothing(one_sample_
     assert code == 2, err
     assert err.startswith("error:") and err.count("\n") == 1
     assert next(iter(train)) in err
+    assert not (tmp_path / "run").exists()
+
+
+# the test above overrides max_steps by --steps and writes no network section
+@pytest.mark.parametrize("section, fields, message", [
+    ("train", {"max_steps": 0}, "train config: max_steps 0 < 1"),
+    ("network", {"bottom_depth": -1}, "config: negative dense block depth"),
+    ("network", {"decoder_depths": [1, -1, 1]}, "config: negative dense block depth"),
+    ("network", {"encoder_channels": [4, 0, 8]}, "config: stage channel targets must be >= 1"),
+    ("network", {"dropout_rate": 1.0}, "config: dropout_rate 1.0 not in [0, 1)"),
+    ("network", {"qk_channels": 0}, "config: qk_channels must be >= 1 when set"),
+    ("network", dict.fromkeys(("encoder_depths", "encoder_channels", "decoder_depths",
+                               "decoder_channels"), []),
+     "config: need at least one encoder stage"),
+], ids=["steps-zero", "bottom-depth-negative", "stage-depth-negative", "stage-channels-zero",
+        "dropout-one", "qk-zero", "no-stage"])
+def test_config_value_out_of_range_is_usage_error_and_writes_nothing(
+        one_sample_manifest, tmp_path, capsys, section, fields, message):
+    config = json.loads(json.dumps(TINY_CONFIG))
+    config[section].update(fields)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    code = cli.main(["train", "--manifest", str(one_sample_manifest), "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -355,6 +382,33 @@ def test_gradcheck_seed_below_zero_is_usage_error(capsys):
     assert code == 2
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_gradcheck_prints_one_row_per_check_and_exits_0(monkeypatch, capsys):
+    suite, rows = gradcheck.run_suite, []
+    monkeypatch.setattr(gradcheck, "run_suite", lambda seed: rows.extend(suite(seed)) or rows)
+    assert cli.main(["gradcheck", "--seed", "0"]) == 0
+    assert len(rows) > 10
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0].split() == ["check", "max", "rel", "err", "tol", "result"]
+    assert [line.split()[0] for line in lines[1:-1]] == [r.name for r in rows]
+    assert all(line.endswith("  PASS") for line in lines[1:-1])
+    assert lines[-1] == f"{len(rows)}/{len(rows)} checks passed"
+    assert captured.err == ""
+
+
+def test_gradcheck_with_a_failing_check_exits_4(monkeypatch, capsys):
+    rows = [gradcheck.CheckRow("kernel/ok", 1e-9, 1e-6),
+            gradcheck.CheckRow("kernel/broken", 0.5, 1e-6)]
+    monkeypatch.setattr(gradcheck, "run_suite", lambda seed: rows)
+    assert cli.main(["gradcheck", "--seed", "0"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == [
+        f"{'kernel/ok':34s} {1e-9:12.3e} {1e-6:8.0e}  PASS",
+        f"{'kernel/broken':34s} {0.5:12.3e} {1e-6:8.0e}  FAIL",
+        "1/2 checks passed"]
+    assert captured.err == "error: gradcheck: some checks failed\n"
 
 
 def test_unknown_flag_is_usage_error():
@@ -608,6 +662,30 @@ def test_train_to_an_overflowing_batch_norm_variance_is_numeric_error(synth_32, 
     assert not (tmp_path / "run" / "checkpoint_000002.gptc").exists()
 
 
+def test_train_to_a_non_finite_loss_is_numeric_error_with_a_dump(synth_32, tmp_path, capsys):
+    # finite logits whose head bias holds +-3e38 on task 0's classes:
+    # a target logit less the max logit overflows to -inf
+    config = nw.NetworkConfig.from_dict(TINY_CONFIG["network"])
+    net = nw.build(config, np.random.default_rng(0))
+    bias = net.head_b.data.reshape(config.task_count, config.value_classes)
+    bias[0] = np.float32(-3e38)
+    bias[0, -1] = np.float32(3e38)
+    nw.save_checkpoint(tmp_path / "start.gptc", net, step=0)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    code = cli.main(["train", "--manifest", str(synth_32), "--config", str(cfg),
+                     "--resume", str(tmp_path / "start.gptc"), "--steps", "1",
+                     "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    dump = tmp_path / "run" / "diagnostic_step000001"
+    assert code == 4
+    assert err == (f"error: train: non-finite loss at step 1; offending batch dumped to "
+                   f"{dump}\n")
+    assert sorted(p.name for p in dump.iterdir()) == ["input.gptt", "state.gptc",
+                                                       "targets.gptt"]
+    assert not (tmp_path / "run" / "checkpoint_000001.gptc").exists()
+
+
 def test_predict_to_overflowing_scores_is_numeric_error_without_warnings(synth_32,
                                                                           tmp_path):
     # finite weights whose attention scores overflow on the test image:
@@ -685,23 +763,40 @@ def test_train_gptt_input_outside_0_255_is_data_error(tmp_path, capsys, value):
     assert "0-255" in err
 
 
-def test_train_input_of_another_channel_count_is_data_error_and_writes_nothing(tmp_path,
-                                                                              capsys):
+@pytest.mark.parametrize("role, shape, message", [
+    ("input", (48, 48, 2), "bad.gptt: 2 channels, config expects 1"),
+    ("input", (48, 48, 1, 1), "{dir}/bad.gptt: expected rank 2 or 3 tensor, got rank 4"),
+    ("target", (48, 48, 2), "bad.gptt: target must be single-channel, got (48, 48, 2)"),
+    ("input", None, "{dir}/bad.gptt: [Errno 2] No such file or directory: '{dir}/bad.gptt'"),
+], ids=["input-two-channels", "input-rank-4", "target-two-channels", "input-missing"])
+def test_train_bad_or_missing_gptt_is_data_error_and_writes_nothing(
+        tmp_path, capsys, role, shape, message):
     from vstain import gptt
     mpath = dio.generate_dataset(tmp_path / "d", 1, size=48, seed=0, n_test=0,
                                  tasks=("nuclei", "viability"))
     doc = json.loads(mpath.read_text())
-    doc["samples"][0]["input"] = "two.gptt"
+    if role == "input":
+        doc["samples"][0]["input"] = "bad.gptt"
+    else:
+        doc["samples"][0]["targets"]["0"] = "bad.gptt"
     mpath.write_text(json.dumps(doc))
-    gptt.save_gptt(mpath.parent / "two.gptt", np.full((48, 48, 2), 128.0, np.float32))
+    if shape is not None:
+        gptt.save_gptt(mpath.parent / "bad.gptt", np.full(shape, 128.0, np.float32))
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(TINY_CONFIG))
     code = cli.main(["train", "--manifest", str(mpath), "--config", str(cfg),
                      "--out", str(tmp_path / "run")])
-    err = capsys.readouterr().err
     assert code == 3
-    assert err == "error: two.gptt: 2 channels, config expects 1\n"
+    assert capsys.readouterr().err == f"error: {message.format(dir=mpath.parent)}\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_inspect_missing_checkpoint_is_data_error(tmp_path, capsys):
+    path = tmp_path / "none.gptc"
+    assert cli.main(["inspect", "--checkpoint", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert "No such file or directory" in err
 
 
 def test_train_split_without_targets_is_data_error_and_writes_nothing(tmp_path, capsys):
@@ -774,6 +869,29 @@ def test_eval_manifest_without_test_split_is_data_error(one_sample_manifest, tmp
     assert code == 3
     assert capsys.readouterr().err == "error: evaluate: manifest has no test samples\n"
     assert not (tmp_path / "rep").exists()
+
+
+def test_eval_names_a_task_past_the_manifests_task_names_by_its_id(tmp_path, capsys):
+    # perfect predictions: each truth saved under its prediction name
+    mpath = dio.generate_dataset(tmp_path / "d", 0, size=32, seed=2,
+                                 tasks=("nuclei", "viability"))
+    doc = json.loads(mpath.read_text())
+    doc["task_names"] = ["nuclei"]
+    mpath.write_text(json.dumps(doc))
+    manifest = dio.load_manifest(mpath)
+    rec = manifest.split("test")[0]
+    for t, path in rec.targets.items():
+        dio.save_pgm(tmp_path / evaluation.prediction_filename(rec.input_path, t,
+                                                               "expectation"),
+                     dio.load_pgm(manifest.root / path))
+    code = cli.main(["eval", "--manifest", str(mpath), "--pred", str(tmp_path),
+                     "--out", str(tmp_path / "rep"), "--sample-size", "100"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "task 0 (nuclei): pearson 1.0000" in out
+    assert "task 1 (task1): pearson 1.0000" in out
+    report = json.loads((tmp_path / "rep" / "report.json").read_text())
+    assert [report["tasks"][t]["name"] for t in ("0", "1")] == ["nuclei", "task1"]
 
 
 def test_eval_prediction_of_other_extents_is_data_error(pipeline, tmp_path, capsys):

@@ -161,6 +161,13 @@ def test_bad_shape_leaves_no_file(tmp_path):
     assert not path.exists()
 
 
+def test_rank_0_is_data_error_and_leaves_no_file(tmp_path):
+    path = tmp_path / "t.gptt"
+    with pytest.raises(DataError, match="^gptt: unsupported rank 0$"):
+        gptt.save_gptt(path, np.float32(1.0))
+    assert not path.exists()
+
+
 def test_save_writes_from_the_array_buffer(tmp_path):
     arr = np.ones((4096, 4096), np.float32)  # 64 MiB
     tracemalloc.start()

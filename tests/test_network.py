@@ -328,6 +328,11 @@ def test_render_bad_task():
         nw.distributions_to_image(probs, 2, "argmax")
 
 
+def test_render_unknown_reduction():
+    with pytest.raises(ShapeError, match="unknown reduction 'median'"):
+        nw.distributions_to_image(np.zeros((1, 1, 1, 2, 4)), 0, "median")
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     cfg, net = tiny_net(seed=3)
     x = ag.var(np.random.default_rng(4).normal(size=(1, 16, 16, 3)).astype(np.float32))
