@@ -151,7 +151,7 @@ def grad_of(v: Variable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def dot_sum(a: Variable, weights: np.ndarray) -> Variable:
-    """sum(a * weights) with constant weights; a scalar probe for tests."""
+    """sum(a * weights) with constant weights: gradcheck's and the tests' scalar probe."""
     weights = np.asarray(weights)
 
     def bw(g):
@@ -164,37 +164,18 @@ def dot_sum(a: Variable, weights: np.ndarray) -> Variable:
 # attention
 # ---------------------------------------------------------------------------
 
-# Score entries (keys x queries) computed at once by :func:`attention`.
-# Query blocks hold max(1, ATTENTION_BLOCK_SCORES // n_keys) positions,
-# so block boundaries depend on the key count only, never on the batch.
+# Default score entries (keys x queries) that :func:`attention` computes
+# at once. Query blocks hold max(1, block_scores // n_keys) positions, so
+# block boundaries depend on the key count only, never on the batch.
 ATTENTION_BLOCK_SCORES = 2 ** 22
-# Threads of the one worker pool that runs large products and row passes
-# (attention's query blocks first among them): every CPU this process may
-# run on. Every piece writes its own rows or columns of the result, and
-# parts that must be added are added by the caller in piece order, so the
-# bits do not depend on this number.
-ATTENTION_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count() or 1)
-# Multiply-adds below which split_rows runs its work as one piece on the
-# calling thread: the pool's hand-offs would cost more than a second core
-# saves.
-POOL_MIN_WORK = 2 ** 26
+# Every CPU this process may run on: the default worker count of a Pool.
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
 # Multiply-adds that one element of a pass over an array counts as, in
 # the work of a row pass. On one core of a 2-vCPU Xeon (SkylakeX kernels,
 # OpenBLAS 0.3.31), a float32 add or exp pass took 0.45-1.0 ns per
 # element and the model's BLAS products 0.036-0.064 ns per multiply-add.
 PASS_WORK = 16
-# Work of one piece when split_rows cuts small pieces.
-PIECE_WORK = POOL_MIN_WORK // 4
-
-_pool: ThreadPoolExecutor | None = None
-
-
-def _pooled(n: int, n_queries: int, n_keys: int) -> bool:
-    """Whether attention over n batch elements of n_keys x n_queries
-    scores runs its query blocks on the pool: when it holds at least two
-    full blocks of scores."""
-    return n * n_queries * n_keys >= 2 * ATTENTION_BLOCK_SCORES
 
 
 def _mark_pool_thread() -> None:
@@ -204,44 +185,64 @@ def _mark_pool_thread() -> None:
     _set_flush_to_zero(False)
 
 
-def _worker_pool() -> ThreadPoolExecutor:
-    """The pool, started on first use with ATTENTION_WORKERS threads."""
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(ATTENTION_WORKERS, thread_name_prefix="vstain-pool",
-                                   initializer=_mark_pool_thread)
-    return _pool
+class Pool:
+    """Worker threads for large products and row passes, and when to use
+    them; the one in use is the module's :data:`pool`. At most `workers`
+    (every CPU by default) run at once. :func:`split_rows` keeps work
+    under `min_work` multiply-adds on the calling thread, where hand-offs
+    cost more than a second core saves, and cuts small pieces of `piece_work`."""
+
+    def __init__(self, workers: int = _CPUS, min_work: int = 2 ** 26, piece_work: int = 2 ** 24):
+        self.workers, self.min_work, self.piece_work = workers, min_work, piece_work
+        self.executor: ThreadPoolExecutor | None = None
+
+    def start(self) -> ThreadPoolExecutor:
+        """The executor, started on first use."""
+        if self.executor is None:
+            self.executor = ThreadPoolExecutor(self.workers, thread_name_prefix="vstain-pool",
+                                               initializer=_mark_pool_thread)
+        return self.executor
 
 
-def _forget_pool() -> None:
-    global _pool
-    _pool = None  # a forked child has none of the pool's threads
+pool = Pool()
+
+
+def _forget_executor() -> None:
+    pool.executor = None  # a forked child has none of the pool's threads
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_forget_executor)
+
+
+def _pooled(n: int, n_queries: int, n_keys: int, block_scores: int) -> bool:
+    """Whether attention over n batch elements of n_keys x n_queries
+    scores in blocks of `block_scores` runs its query blocks on the pool:
+    when it holds at least two full blocks of scores."""
+    return n * n_queries * n_keys >= 2 * block_scores
 
 
 def _run_blocks(block_fn, tasks: list, pooled: bool = True):
     """Yield block_fn(task) for each task, in task order.
 
-    The one place that decides where pool work runs. When `pooled`, the
-    tasks run on the pool, at most workers = min(ATTENTION_WORKERS,
-    len(tasks)) alive at once: task i starts once the caller has taken
-    the result of task i - workers, so no more than `workers` tasks'
-    temporaries and results are held. numpy releases the GIL inside BLAS
-    and ufunc loops, so blocks run on several cores at once. Each block
-    runs in a copy of the caller's context, which holds numpy's error
-    state (``np.errstate``), and with the caller's subnormal flushing
-    (:func:`vstain._flush_to_zero`), on or off, so its bits do not depend
-    on the thread it runs on.
+    The one place that decides where pool work runs, under the :data:`pool`
+    it reads once. When `pooled`, the tasks run on the pool, at most
+    workers = min(pool.workers, len(tasks)) alive at once: task i starts
+    once the caller has taken the result of task i - workers, so no more
+    than `workers` tasks' temporaries and results are held. numpy
+    releases the GIL inside BLAS and ufunc loops, so blocks run on
+    several cores at once. Each block runs in a copy of the caller's
+    context, which holds numpy's error state (``np.errstate``), and with
+    the caller's subnormal flushing (:func:`vstain._flush_to_zero`), on
+    or off, so its bits do not depend on the thread it runs on.
 
     Not pooled, with one worker, or called on a pool thread (from a
     piece, a block or a window of predict), the tasks run in turn on the
     calling thread. A pool thread never waits on the pool: it could hold
     the last free worker.
     """
-    workers = min(ATTENTION_WORKERS, len(tasks)) if pooled and not _thread.on_pool else 1
+    current = pool
+    workers = min(current.workers, len(tasks)) if pooled and not _thread.on_pool else 1
     if workers <= 1:
         for task in tasks:
             yield block_fn(task)
@@ -252,13 +253,13 @@ def _run_blocks(block_fn, tasks: list, pooled: bool = True):
         with _flush_to_zero(flush):
             return block_fn(task)
 
-    pool = _worker_pool()
+    executor = current.start()
     running: deque[Future] = deque()
     try:
         for task in tasks:
             if len(running) == workers:
                 yield running.popleft().result()
-            running.append(pool.submit(contextvars.copy_context().run, run, task))
+            running.append(executor.submit(contextvars.copy_context().run, run, task))
         while running:
             yield running.popleft().result()
     finally:  # after an error, leave no block writing into the arrays
@@ -278,26 +279,27 @@ def split_rows(piece_fn, rows: int, work: int, small: bool = False) -> None:
     Each piece must write only its own rows (or columns) of the result,
     so that the result does not depend on how the rows are cut, and
     allocates its own temporaries. `work` counts the multiply-adds of
-    all rows, a pass over an array PASS_WORK per element. Below
-    POOL_MIN_WORK, [0, rows) is one piece on the calling thread.
-    Otherwise the rows are cut by :func:`_pieces` into work // PIECE_WORK
-    pieces, at most ATTENTION_WORKERS unless `small` (when a piece's
-    temporaries grow with its rows), and the pieces run on the pool, at
-    most one per worker at once (:func:`_run_blocks`).
+    all rows, a pass over an array PASS_WORK per element. Under the
+    module's :data:`pool`: below its `min_work`, [0, rows) is one piece
+    on the calling thread. Otherwise the rows are cut by :func:`_pieces`
+    into work // piece_work pieces, at most `workers` unless `small`
+    (when a piece's temporaries grow with its rows), and the pieces run
+    on the pool, at most one per worker at once (:func:`_run_blocks`).
 
-    A split product's pieces each hold at least PIECE_WORK / 2
-    multiply-adds and at least two rows, which keeps them on OpenBLAS's
-    blocked path, the one whose bits a cut of output rows or columns
-    does not change. A one-row product goes to GEMV instead, and some
-    products under about 2^20 multiply-adds to OpenBLAS's small-matrix
-    kernel; the bits of both differ from the same rows of a larger
-    product.
+    At the default settings a split product's pieces each hold at least
+    piece_work / 2 multiply-adds and at least two rows, which keeps them
+    on OpenBLAS's blocked path, the one whose bits a cut of output rows
+    or columns does not change. A one-row product goes to GEMV instead,
+    and some products under about 2^20 multiply-adds to OpenBLAS's
+    small-matrix kernel; the bits of both differ from the same rows of a
+    larger product.
     """
-    if work < POOL_MIN_WORK:
+    settings = pool
+    if work < settings.min_work:
         piece_fn(0, rows)
         return
-    count = work // PIECE_WORK
-    pieces = _pieces(rows, count if small else min(count, ATTENTION_WORKERS))
+    count = work // settings.piece_work
+    pieces = _pieces(rows, count if small else min(count, settings.workers))
     for _ in _run_blocks(lambda piece: piece_fn(*piece), pieces):
         pass
 
@@ -306,18 +308,20 @@ def split_rows(piece_fn, rows: int, work: int, small: bool = False) -> None:
 KEY_CHUNK = 2 ** 16
 
 
-def attention(q: Variable, k: Variable, v: Variable) -> Variable:
+def attention(q: Variable, k: Variable, v: Variable,
+              block_scores: int = ATTENTION_BLOCK_SCORES) -> Variable:
     """Global attention V col_softmax(K^T Q) as one tape node.
 
     q: (N, Hq, Wq, C), k: (N, H, W, C), v: (N, H, W, Cv); returns
     (N, Hq, Wq, Cv), where each output position is a softmax-weighted
     sum of the value vectors at all H*W key positions of its batch
-    element. Query positions are processed in blocks, and no
-    n_keys x n_queries matrix is ever stored. Layers with at least two
-    full blocks of scores run their blocks on the ATTENTION_WORKERS
-    threads of the pool, unless called on a pool thread, with at most one
-    block per worker alive at once (:func:`_run_blocks`); each block
-    allocates its own block of scores. Forward and backward run with
+    element. Query positions are processed in blocks of
+    max(1, block_scores // (H*W)), and no n_keys x n_queries matrix is
+    ever stored. Layers with at least two full blocks of scores
+    (:func:`_pooled`) run their blocks on the threads of the pool,
+    unless called on a pool thread, with at most one block per worker
+    alive at once (:func:`_run_blocks`); each block allocates its own
+    block of scores. Forward and backward run with
     subnormals flushed in hardware (:func:`vstain._flush_to_zero`).
 
     The forward (after FlashAttention-2's, arXiv:2307.08691) never
@@ -364,10 +368,10 @@ def attention(q: Variable, k: Variable, v: Variable) -> Variable:
     km = k.data.reshape(n, -1, c)
     vm = v.data.reshape(n, -1, cv)
     n_queries, n_keys = hq * wq, km.shape[1]
-    step = max(1, ATTENTION_BLOCK_SCORES // n_keys)
+    step = max(1, block_scores // n_keys)
     tasks = [(b, slice(lo, lo + step)) for b in range(n) for lo in range(0, n_queries, step)]
     dtype = np.result_type(qm, km, vm)
-    pooled = _pooled(n, n_queries, n_keys)
+    pooled = _pooled(n, n_queries, n_keys, block_scores)
 
     def with_column(m, column):
         """m (..., rows, C) with `column` (..., rows) appended as its last channel."""

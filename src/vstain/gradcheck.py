@@ -61,17 +61,13 @@ def run_suite(seed: int = 0) -> list[CheckRow]:
     qa, ka, va = (ra.normal(size=(2, 2, 5, 3)), ra.normal(size=(2, 2, 3, 3)),
                   ra.normal(size=(2, 2, 3, 2)))
     p = ra.normal(size=(2, 2, 5, 2))
-    block_scores = ag.ATTENTION_BLOCK_SCORES
-    ag.ATTENTION_BLOCK_SCORES = 4 * 6
-    try:
-        check("attention/q",
-              lambda t: ag.dot_sum(ag.attention(t, ag.var(ka), ag.var(va)), p), qa)
-        check("attention/k",
-              lambda t: ag.dot_sum(ag.attention(ag.var(qa), t, ag.var(va)), p), ka)
-        check("attention/v",
-              lambda t: ag.dot_sum(ag.attention(ag.var(qa), ag.var(ka), t), p), va)
-    finally:
-        ag.ATTENTION_BLOCK_SCORES = block_scores
+
+    def attend(q, k, v):
+        return ag.dot_sum(ag.attention(q, k, v, block_scores=4 * 6), p)
+
+    check("attention/q", lambda t: attend(t, ag.var(ka), ag.var(va)), qa)
+    check("attention/k", lambda t: attend(ag.var(qa), t, ag.var(va)), ka)
+    check("attention/v", lambda t: attend(ag.var(qa), ag.var(ka), t), va)
 
     # convolutions (input, weight and bias paths)
     w = rng.normal(size=(3, 3, 3, 4))

@@ -81,7 +81,7 @@ def _windows_per_worker(cfg) -> bool:
     Smaller windows ran no faster on the pool, and each window in flight
     there holds its forward's memory."""
     p = cfg.patch_size
-    return ag._pooled(1, p * p // 4, p * p)
+    return ag._pooled(1, p * p // 4, p * p, ag.ATTENTION_BLOCK_SCORES)
 
 
 def _add_window(net: Network, features: np.ndarray, oy: int, ox: int,

@@ -43,8 +43,8 @@ ALLOWED = {
         "libm.so.6 cannot be loaded on x86-64 glibc: a platform fallback",
     ("autograd.py", "<module>", "else os.cpu_count() or 1)"):
         "no os.sched_getaffinity: a platform fallback",
-    ("autograd.py", "_forget_pool",
-     "_pool = None  # a forked child has none of the pool's threads"):
+    ("autograd.py", "_forget_executor",
+     "pool.executor = None  # a forked child has none of the pool's threads"):
         "runs only in a forked child, which ends by os._exit and writes no lines",
     ("cli.py", "<module>", "sys.exit(main())"):
         "runs only as `python -m vstain.cli`; `python -m vstain` enters by __main__.py",

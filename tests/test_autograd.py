@@ -301,36 +301,25 @@ def test_batch_norm_eval_uses_running_stats():
     assert state.mean[0] == 4.0 and state.var[0] == 9.0
 
 
-def _attention_with_grads(q, k, v, probe):
+def _attention_with_grads(q, k, v, probe, block_scores=ag.ATTENTION_BLOCK_SCORES):
     qv, kv, vv = (ag.var(a.copy(), requires_grad=True) for a in (q, k, v))
-    out = ag.attention(qv, kv, vv)
+    out = ag.attention(qv, kv, vv, block_scores)
     ag.backward(ag.dot_sum(out, probe))
     return out.data, qv.grad, kv.grad, vv.grad
 
 
-def test_attention_blocks_agree_with_one_block(monkeypatch):
+def test_attention_blocks_agree_with_one_block():
     r = np.random.default_rng(21)
     q = r.normal(size=(2, 3, 5, 4))   # 15 queries
     k = r.normal(size=(2, 4, 3, 4))   # 12 keys
     v = r.normal(size=(2, 4, 3, 3))
     probe = r.normal(size=(2, 3, 5, 3))
-    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", 10**9)
-    single = _attention_with_grads(q, k, v, probe)
-    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", 4 * 12)  # blocks 4, 4, 4, 3
-    chunked = _attention_with_grads(q, k, v, probe)
-    again = _attention_with_grads(q, k, v, probe)
+    single = _attention_with_grads(q, k, v, probe, 10**9)
+    chunked = _attention_with_grads(q, k, v, probe, 4 * 12)  # blocks 4, 4, 4, 3
+    again = _attention_with_grads(q, k, v, probe, 4 * 12)
     for a, b, c in zip(single, chunked, again):
         assert np.allclose(a, b, rtol=0, atol=1e-12)
         assert np.array_equal(b, c)
-
-
-@pytest.fixture
-def fresh_pool(monkeypatch):
-    """No attention pool at the start; the test's pool is shut down after."""
-    monkeypatch.setattr(ag, "_pool", None)
-    yield
-    if ag._pool is not None:
-        ag._pool.shutdown()
 
 
 def attention_case(seed, n=1, queries=(10, 10), keys=(8, 8), c=4, cv=3,
@@ -342,14 +331,16 @@ def attention_case(seed, n=1, queries=(10, 10), keys=(8, 8), c=4, cv=3,
     return q, k, v, r.normal(size=(n, *queries, cv)).astype(dtype)
 
 
-def with_workers(monkeypatch, workers, case):
-    monkeypatch.setattr(ag, "ATTENTION_WORKERS", workers)
-    return _attention_with_grads(*case)
-
-
 # 64 keys: blocks of 16 queries, so every case's 100 queries make six
 # full blocks and a ragged one of 4
 SMALL_BLOCK = 64 * 16
+
+
+def with_workers(use_pool, workers, case):
+    """Attention and its gradients in blocks of SMALL_BLOCK scores, on a
+    new pool of `workers` threads."""
+    use_pool(workers=workers)
+    return _attention_with_grads(*case, SMALL_BLOCK)
 
 
 @pytest.mark.parametrize("name, case", [
@@ -357,60 +348,54 @@ SMALL_BLOCK = 64 * 16
     ("float32", dict(dtype=np.float32)),
     ("subnormal tail", dict(scale=8.0, dtype=np.float32)),
 ])
-def test_pooled_attention_bits_do_not_depend_on_worker_count(monkeypatch, fresh_pool,
-                                                            name, case):
-    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", SMALL_BLOCK)
+def test_pooled_attention_bits_do_not_depend_on_worker_count(use_pool, name, case):
     case = attention_case(3, **case)
     if name == "subnormal tail":
         # unflushed, the first block's weights would hold subnormals
         scores = case[1].reshape(-1, 4) @ case[0].reshape(-1, 4)[:16].T
         e = np.exp(scores - scores.max(axis=0))
         assert np.count_nonzero((e > 0) & (e < np.finfo(np.float32).tiny)) > 0
-    serial = with_workers(monkeypatch, 1, case)
-    assert ag._pool is None
-    pooled = with_workers(monkeypatch, 2, case)
-    assert ag._pool is not None
+    serial = with_workers(use_pool, 1, case)
+    assert ag.pool.executor is None
+    pooled = with_workers(use_pool, 2, case)
+    assert ag.pool.executor is not None
     for a, b in zip(serial, pooled):
         assert a.dtype == b.dtype and np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def test_layer_under_two_blocks_of_scores_runs_inline(monkeypatch, fresh_pool):
-    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", SMALL_BLOCK)
+def test_layer_under_two_blocks_of_scores_runs_inline(use_pool):
     case = attention_case(4, queries=(4, 7))  # 28 x 64 scores: under two blocks
-    serial = with_workers(monkeypatch, 1, case)
-    inline = with_workers(monkeypatch, 2, case)
-    assert ag._pool is None
+    serial = with_workers(use_pool, 1, case)
+    inline = with_workers(use_pool, 2, case)
+    assert ag.pool.executor is None
     for a, b in zip(serial, inline):
         assert np.array_equal(a, b)
 
 
-def test_numeric_error_in_a_worker_reaches_the_caller(monkeypatch, fresh_pool):
-    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", SMALL_BLOCK)
-    monkeypatch.setattr(ag, "ATTENTION_WORKERS", 2)
+def test_numeric_error_in_a_worker_reaches_the_caller(use_pool):
+    pool = use_pool(workers=2)
     q, k, v, probe = attention_case(5)
     bad = q.copy()
     bad[0, 9, 9, 0] = np.nan  # the last query: the ragged block's scores
     with pytest.raises(NumericError):
-        ag.attention(ag.var(bad), ag.var(k), ag.var(v))
-    assert ag._pool is not None
-    after = _attention_with_grads(q, k, v, probe)
-    serial = with_workers(monkeypatch, 1, (q, k, v, probe))
+        ag.attention(ag.var(bad), ag.var(k), ag.var(v), SMALL_BLOCK)
+    assert pool.executor is not None
+    after = _attention_with_grads(q, k, v, probe, SMALL_BLOCK)
+    serial = with_workers(use_pool, 1, (q, k, v, probe))
     for a, b in zip(serial, after):
         assert np.array_equal(a, b)
 
 
-def test_forked_child_runs_pooled_attention(monkeypatch, fresh_pool):
-    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", SMALL_BLOCK)
-    monkeypatch.setattr(ag, "ATTENTION_WORKERS", 2)
+def test_forked_child_runs_pooled_attention(use_pool):
     case = attention_case(6)
-    expected = _attention_with_grads(*case)
-    assert ag._pool is not None
+    expected = with_workers(use_pool, 2, case)
+    assert ag.pool.executor is not None
     pid = os.fork()
     if pid == 0:  # child: never return into the test runner
         code = 1
         try:
-            got = _attention_with_grads(*case)
+            got = _attention_with_grads(*case, SMALL_BLOCK)
             code = 0 if all(np.array_equal(a, b) for a, b in zip(expected, got)) else 2
         finally:
             os._exit(code)
@@ -426,17 +411,15 @@ def test_forked_child_runs_pooled_attention(monkeypatch, fresh_pool):
     pytest.fail("forked child hung in pooled attention")
 
 
-def test_pooled_attention_backward_keeps_one_score_block_per_worker(monkeypatch,
-                                                                    fresh_pool):
+def test_pooled_attention_backward_keeps_one_score_block_per_worker(use_pool):
     # 4096 keys and queries with 4 channels: each 256-query block of
     # scores is 4 MB, and everything else is small
     workers, block_scores = 2, 2 ** 20
-    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", block_scores)
-    monkeypatch.setattr(ag, "ATTENTION_WORKERS", workers)
+    use_pool(workers=workers)
     q, k, v, probe = attention_case(7, queries=(64, 64), keys=(64, 64),
                                     dtype=np.float32)
     qv, kv, vv = (ag.var(a, requires_grad=True) for a in (q, k, v))
-    loss = ag.dot_sum(ag.attention(qv, kv, vv), probe)
+    loss = ag.dot_sum(ag.attention(qv, kv, vv, block_scores), probe)
     tracemalloc.start()
     try:
         ag.backward(loss)
@@ -447,17 +430,16 @@ def test_pooled_attention_backward_keeps_one_score_block_per_worker(monkeypatch,
     assert peak <= (workers + 1) * block_bytes
 
 
-def test_attention_backward_holds_no_copy_of_the_whole_query(monkeypatch, fresh_pool):
+def test_attention_backward_holds_no_copy_of_the_whole_query(use_pool):
     # 4096 queries of 256 channels over 64 keys: the query tensor is 4 MB
     # and each 256-query block of scores 64 KB. With the query itself
     # taking no gradient, the one query-sized array backward needs is the
     # query gradient; a whole [Q, -lse] operand would be a second one
-    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", 2 ** 14)
-    monkeypatch.setattr(ag, "ATTENTION_WORKERS", 2)
+    use_pool(workers=2)
     q, k, v, probe = attention_case(8, queries=(64, 64), keys=(8, 8), c=256, cv=2,
                                     dtype=np.float32)
     kv, vv = ag.var(k, requires_grad=True), ag.var(v, requires_grad=True)
-    loss = ag.dot_sum(ag.attention(ag.var(q), kv, vv), probe)
+    loss = ag.dot_sum(ag.attention(ag.var(q), kv, vv, 2 ** 14), probe)
     tracemalloc.start()
     try:
         ag.backward(loss)
@@ -472,12 +454,11 @@ def unfolded(a):
     return a[0].reshape(-1, a.shape[-1]).T.astype(np.float64)
 
 
-def test_float32_pooled_attention_matches_the_float64_oracle(monkeypatch, fresh_pool):
+def test_float32_pooled_attention_matches_the_float64_oracle(use_pool):
     # six full blocks and a ragged one of 4 queries, on two workers
-    monkeypatch.setattr(ag, "ATTENTION_BLOCK_SCORES", SMALL_BLOCK)
     q, k, v, probe = attention_case(9, scale=1.5, dtype=np.float32)
-    got = with_workers(monkeypatch, 2, (q, k, v, probe))
-    assert ag._pool is not None
+    got = with_workers(use_pool, 2, (q, k, v, probe))
+    assert ag.pool.executor is not None
     qs, ks, vs = unfolded(q), unfolded(k), unfolded(v)
     want = (oracle_attention(qs, ks, vs),
             *oracle_attention_grads(qs, ks, vs, unfolded(probe)))

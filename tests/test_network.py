@@ -67,7 +67,8 @@ def test_the_largest_attention_layer_decides_the_window_gate(monkeypatch, patch,
         nw.forward(net, x, "eval")
     assert len(shapes) == 2 * stages + 1
     assert max(queries * keys for queries, keys in shapes) == patch ** 4 // 4
-    assert inference._windows_per_worker(cfg) == any(ag._pooled(1, *s) for s in shapes)
+    assert inference._windows_per_worker(cfg) == any(
+        ag._pooled(1, *s, ag.ATTENTION_BLOCK_SCORES) for s in shapes)
     assert inference._windows_per_worker(cfg) == (patch == 128)
 
 
@@ -281,10 +282,10 @@ def test_expectation_render_holds_no_full_size_float64():
     assert peak < probs.size * 8 / 4  # a quarter of one (H, W, 256) float64
 
 
-def test_renders_of_predict_paper_distributions_hold_about_their_output(monkeypatch):
+def test_renders_of_predict_paper_distributions_hold_about_their_output(use_pool):
     # predict-paper's (1, 192, 192, 8, 256) float32 distributions: argmax
     # once copied each worker's strided slice of rows, 38 MB in all
-    monkeypatch.setattr(ag, "ATTENTION_WORKERS", 2)
+    use_pool(workers=2)
     probs = np.zeros((1, 192, 192, 8, 256), dtype=np.float32)
     task = probs[:, :, :, 5]
     # quarter steps leave ties, which resolve to the lower class
