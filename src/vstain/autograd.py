@@ -190,10 +190,10 @@ class Pool:
     them; the one in use is the module's :data:`pool`. At most `workers`
     (every CPU by default) run at once. :func:`split_rows` keeps work
     under `min_work` multiply-adds on the calling thread, where hand-offs
-    cost more than a second core saves, and cuts small pieces of `piece_work`."""
+    cost more than a second core saves, and cuts pieces of min_work / 4."""
 
-    def __init__(self, workers: int = _CPUS, min_work: int = 2 ** 26, piece_work: int = 2 ** 24):
-        self.workers, self.min_work, self.piece_work = workers, min_work, piece_work
+    def __init__(self, workers: int = _CPUS, min_work: int = 2 ** 26):
+        self.workers, self.min_work = workers, min_work
         self.executor: ThreadPoolExecutor | None = None
 
     def start(self) -> ThreadPoolExecutor:
@@ -282,12 +282,12 @@ def split_rows(piece_fn, rows: int, work: int, small: bool = False) -> None:
     all rows, a pass over an array PASS_WORK per element. Under the
     module's :data:`pool`: below its `min_work`, [0, rows) is one piece
     on the calling thread. Otherwise the rows are cut by :func:`_pieces`
-    into work // piece_work pieces, at most `workers` unless `small`
+    into work // (min_work / 4) pieces, at most `workers` unless `small`
     (when a piece's temporaries grow with its rows), and the pieces run
     on the pool, at most one per worker at once (:func:`_run_blocks`).
 
     At the default settings a split product's pieces each hold at least
-    piece_work / 2 multiply-adds and at least two rows, which keeps them
+    min_work / 8 multiply-adds and at least two rows, which keeps them
     on OpenBLAS's blocked path, the one whose bits a cut of output rows
     or columns does not change. A one-row product goes to GEMV instead,
     and some products under about 2^20 multiply-adds to OpenBLAS's
@@ -298,7 +298,7 @@ def split_rows(piece_fn, rows: int, work: int, small: bool = False) -> None:
     if work < settings.min_work:
         piece_fn(0, rows)
         return
-    count = work // settings.piece_work
+    count = work // (settings.min_work // 4)
     pieces = _pieces(rows, count if small else min(count, settings.workers))
     for _ in _run_blocks(lambda piece: piece_fn(*piece), pieces):
         pass

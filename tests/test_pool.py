@@ -13,7 +13,6 @@ import threading
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +54,7 @@ def case(seed, *shapes):
 # layer, the enc1 query generator (stride 2), the dec3 dense block's 1x1
 # output, an enc1 value convolution, whose work is exactly the default
 # min_work, and dec3's widest dense layer; and the head's shape, whose
-# weight gradient has rows that each hold more than the default piece_work
+# weight gradient has rows that each hold more than a default piece
 CONVS = {
     "enc1-dense-3x3": ((1, 128, 128, 48), (3, 3, 48, 16), 1),
     "enc1-query-3x3-s2": ((1, 128, 128, 64), (3, 3, 64, 32), 2),
@@ -327,7 +326,9 @@ def test_run_blocks_keeps_at_most_workers_tasks_alive(use_pool, workers):
     # each pooled block's temporaries and result then exist at most once
     # per worker. The pool has more threads than that, so only the bound
     # holds the count down, and later tasks finish sooner.
-    use_pool(workers=workers).executor = ThreadPoolExecutor(5)  # threads to spare
+    pool = use_pool(workers=5)
+    pool.start()  # five threads to spare
+    pool.workers = workers
     lock, alive, most = threading.Lock(), [0], [0]
 
     def block(task):
@@ -369,8 +370,8 @@ def test_render_bits_do_not_depend_on_the_split(use_pool, split_pieces, render):
     probs /= probs.sum(-1, keepdims=True)
     whole = outputs(use_pool, None, lambda: [nw.distributions_to_image(probs, 1, render)])
     for workers in (1, 2, 3):
-        # 2^23.6 work, 192 times piece_work: one piece per worker
-        use_pool(workers=workers, min_work=2 ** 16, piece_work=2 ** 16)
+        # 2^23.6 work, 192 pieces of min_work / 4: one piece per worker
+        use_pool(workers=workers, min_work=2 ** 18)
         split_pieces.clear()
         assert np.array_equal(whole[0], nw.distributions_to_image(probs, 1, render))
         [(_, ranges)] = split_pieces
@@ -388,7 +389,7 @@ def test_split_rows_covers_every_row_once_in_pieces(use_pool):
             seen[lo:hi] += 1
             pieces.append((lo, hi))
 
-        work = 5 * pool.piece_work + 7
+        work = 5 * (pool.min_work // 4) + 7
         ag.split_rows(piece, 100, work, small)
         assert np.all(seen == 1) and len(pieces) == count
     assert pool.executor is not None

@@ -505,11 +505,12 @@ def test_non_finite_parameter_after_update_dumps_the_step_start(tmp_path):
 
 
 def test_default_batch1_step_holds_at_most_128_mib(use_pool):
-    """The traced peak of one default batch-1 training step: forward,
-    masked loss with 3 of 8 tasks labelled, backward and the Adam update,
-    as train runs it. On a 2-worker pool it read 124.15-124.19 MiB (and
-    105.3 MiB on one worker; 2-vCPU Xeon, OpenBLAS 0.3.31); the pool's
-    timing moves it by under 1 MiB. The 3.8 MiB margin is less than the
+    """The traced peak of the forward, masked loss (3 of 8 tasks
+    labelled), backward and Adam update of one default batch-1 training
+    step. It bounds those calls, not the rest of train's step (the
+    gradient norm and the checks around the update). On a 2-worker pool
+    it read 124.15-124.19 MiB (and 105.3 MiB on one worker; 2-vCPU Xeon,
+    OpenBLAS 0.3.31); the pool's timing moves it by under 1 MiB. The 3.8 MiB margin is less than the
     5.6 MiB of the decoder's output features, so a step that keeps one
     more array of their size alive at its peak fails."""
     use_pool(workers=2)  # each worker holds its own temporaries at the peak
