@@ -22,7 +22,6 @@ import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,12 +66,18 @@ def var(data, requires_grad: bool = False) -> Variable:
     return Variable(data, requires_grad=requires_grad)
 
 
+def recording(parents: tuple[Variable, ...]) -> bool:
+    """Whether an op on `parents` is recorded: tape recording is on for
+    the calling thread and some parent requires gradients."""
+    return _thread.grad_enabled and any(p.requires_grad for p in parents)
+
+
 def make_op(data: np.ndarray, parents: tuple[Variable, ...], backward_fn) -> Variable:
     """Create a graph node; records the closure only while grads are enabled.
 
     `backward_fn(grad)` must accumulate into each parent via :func:`accumulate`.
     """
-    track = _thread.grad_enabled and any(p.requires_grad for p in parents)
+    track = recording(parents)
     out = Variable(data, requires_grad=track)
     if track:
         out._parents = parents
@@ -346,11 +351,12 @@ def attention(q: Variable, k: Variable, v: Variable,
     D_j = g_j . out_j is each query's row dot of its output gradient and
     the forward output, computed once for all blocks from the output as
     this node holds it (a dense block may have moved it into its buffer,
-    :class:`ChannelBuffer`); it equals the column sum of P * dP, which
-    would need dP whole. D is summed in float64, where float32 products
-    are exact, and rounded once, which makes the query and key gradients
-    of float32 attention slightly closer to float64 ones than a float32
-    sum. The query and key gradients are then dS^T K and dS Q.
+    :func:`dense_block.dense_forward`); it equals the column sum of
+    P * dP, which would need dP whole. D is summed in float64, where
+    float32 products are exact, and rounded once, which makes the query
+    and key gradients of float32 attention slightly closer to float64
+    ones than a float32 sum. The query and key gradients are then dS^T K
+    and dS Q.
     """
     for name, t in (("q", q), ("k", k), ("v", v)):
         if t.data.ndim != 4:
@@ -461,185 +467,6 @@ def deconv2d(x: Variable, w: Variable, b: Variable) -> Variable:
         accumulate(b, gb)
 
     return make_op(out, (x, w, b), bw)
-
-
-class ChannelBuffer:
-    """A dense block's feature maps side by side in one (N, H, W, C) array.
-
-    The block's inputs are copied in first. An input that an op made
-    (not a leaf) then has its data rebound to its channels of the
-    buffer, so the buffer holds the only copy; a leaf keeps its own
-    array, which its caller owns (a finite-difference check writes into
-    it in place). Each layer then writes its output into the next free
-    channels (:meth:`free`) and appends it (:meth:`append`), and each
-    convolution reads the channels filled so far in place
-    (:func:`buffer_conv2d`), so no layer's input is ever copied. In
-    backward the convolutions run latest first, and each adds its input
-    gradient into one gradient array of the buffer's shape; every layer
-    output's gradient is its slice of that array, complete once the
-    convolutions reading it have run. So each element receives the same
-    addends in the same order as when every layer concatenated its input
-    and output into a new array: a single input then takes its slice and
-    the first convolution's gradient as two additions, and several
-    inputs, which were concatenated first, take their slices of the sum.
-    """
-
-    def __init__(self, inputs: list[Variable], channels: int):
-        shape = inputs[0].data.shape
-        for i, x in enumerate(inputs):
-            if x.data.ndim != 4 or x.data.shape[:3] != shape[:3]:
-                raise ShapeError(f"channel buffer: input {i} has shape {x.data.shape}, "
-                                 f"expected (N,H,W) {shape[:3]}")
-        self.data = np.empty(shape[:3] + (channels,), np.result_type(*(x.data for x in inputs)))
-        self.parts: list[Variable] = []
-        self.bounds = [0]
-        self.grad: np.ndarray | None = None
-        for x in inputs:
-            view = self.free(x.data.shape[3])
-            view[...] = x.data
-            # an op output is then held here only, in its own dtype; a
-            # leaf's array is its caller's
-            if x._backward is not None and x.data.dtype == view.dtype:
-                x.data = view
-            self.append(x)
-        self.inputs = len(inputs)
-
-    def free(self, width: int) -> np.ndarray:
-        """The next `width` unfilled channels, as a view to write into."""
-        lo = self.bounds[-1]
-        return self.data[..., lo : lo + width]
-
-    def append(self, v: Variable) -> None:
-        """Record v, whose data has been written into :meth:`free`'s view."""
-        self.parts.append(v)
-        self.bounds.append(self.bounds[-1] + v.data.shape[3])
-
-    def _backward(self, parts: tuple[Variable, ...], g: np.ndarray) -> None:
-        """Take the gradient g of the channels of `parts`, the buffer's
-        first parts, from a convolution that read them."""
-        single = len(parts) == 1  # the first convolution of a one-input block
-        if not single:
-            if self.grad is None:  # the block's last convolution, first in backward
-                self.grad = np.zeros_like(self.data)
-                first = self.inputs
-                for v, lo, hi in zip(self.parts[first:], self.bounds[first:],
-                                     self.bounds[first + 1:]):
-                    if v.requires_grad:
-                        v.grad = self.grad[..., lo:hi]
-            self.grad[..., : g.shape[3]] += g
-        if len(parts) == self.inputs:  # the block's first convolution
-            for x, lo, hi in zip(parts, self.bounds, self.bounds[1:]):
-                if self.grad is not None:
-                    accumulate(x, self.grad[..., lo:hi])
-                if single:
-                    accumulate(x, g)
-            self.grad = None
-
-
-def buffer_conv2d(buf: ChannelBuffer, w: Variable, b: Variable) -> Variable:
-    """Stride-1 conv2d of the channels `buf` holds so far, read in place."""
-    parts, data, width = tuple(buf.parts), buf.data, buf.bounds[-1]
-    out = kernels.conv2d(data[..., :width], w.data, b.data, 1)
-
-    def bw(g):
-        gx, gw, gb = kernels.conv2d_backward(data[..., :width], w.data, 1, g)
-        buf._backward(parts, gx)
-        accumulate(w, gw)
-        accumulate(b, gb)
-
-    return make_op(out, parts + (w, b), bw)
-
-
-# ---------------------------------------------------------------------------
-# normalisation / regularisation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BnState:
-    """Running statistics for one batch-norm layer (updated in train mode)."""
-
-    mean: np.ndarray
-    var: np.ndarray
-    momentum: float = 0.9
-    eps: float = 1e-5
-
-    @classmethod
-    def create(cls, channels: int, dtype=np.float32) -> "BnState":
-        return cls(mean=np.zeros(channels, dtype=dtype),
-                   var=np.ones(channels, dtype=dtype))
-
-
-def bn_relu_dropout(x: Variable, gamma: Variable, beta: Variable, state: BnState,
-                    mode: str, rate: float, rng: np.random.Generator | None,
-                    out: np.ndarray | None = None) -> Variable:
-    """Batch norm, ReLU and, in train mode, inverted dropout as one tape node.
-
-    Batch norm is per channel over the (N, H, W) axes: train mode
-    normalises by batch statistics and folds them into the running
-    estimates, eval mode uses the running estimates only. Dropout zeroes
-    each entry with probability `rate`, drawn from `rng` (needed when
-    train mode drops anything), and scales the rest by 1/(1-rate). The
-    output is written into `out` when given: an array of x's shape and
-    dtype, such as the free channels of a dense block's buffer.
-
-    Backward keeps only the output and the per-channel mean and inverse
-    deviation. The output is > 0 exactly where the ReLU passed and the
-    entry was kept, so it is the combined mask; the normalised input is
-    recomputed from x bit for bit.
-    """
-    if mode not in ("train", "eval"):
-        raise ShapeError(f"bn_relu_dropout: invalid mode {mode!r}")
-    if not 0.0 <= rate < 1.0:
-        raise ShapeError(f"bn_relu_dropout: rate must be in [0, 1), got {rate}")
-    dropping = mode == "train" and rate > 0.0
-    if dropping and rng is None:
-        raise ShapeError("bn_relu_dropout: train mode with dropout needs an rng")
-    axes = (0, 1, 2)
-    dtype = x.data.dtype
-    if mode == "train":
-        mu = x.data.mean(axis=axes)
-        varb = x.data.var(axis=axes)
-        state.mean = (state.momentum * state.mean
-                      + (1.0 - state.momentum) * mu).astype(state.mean.dtype)
-        state.var = (state.momentum * state.var
-                     + (1.0 - state.momentum) * varb).astype(state.var.dtype)
-    else:
-        mu = state.mean.astype(dtype)
-        varb = state.var.astype(dtype)
-    inv = 1.0 / np.sqrt(varb + state.eps)
-
-    def normalised():
-        xhat = x.data - mu
-        xhat *= inv
-        return xhat
-
-    y = gamma.data * normalised()
-    y += beta.data
-    y = y.astype(dtype, copy=False)
-    out = np.maximum(y, 0, out=y if out is None else out)
-    del y
-    if dropping:
-        out *= (rng.random(out.shape) >= rate).astype(dtype) / (1.0 - rate)
-
-    def bw(g):
-        # the +0.0 turns -0.0 into +0.0, as the zeroed gradient buffers
-        # between three separate nodes would
-        g = g * (out > 0)
-        g += 0.0
-        if dropping:
-            g *= np.ones((), dtype) / (1.0 - rate)
-        xhat = normalised()
-        accumulate(gamma, (g * xhat).sum(axis=axes))
-        accumulate(beta, g.sum(axis=axes))
-        gxhat = g * gamma.data
-        if mode == "train":
-            gx = (gxhat - gxhat.mean(axis=axes)
-                  - xhat * (gxhat * xhat).mean(axis=axes)) * inv
-            accumulate(x, gx)
-        else:
-            accumulate(x, gxhat * inv)
-
-    return make_op(out, (x, gamma, beta), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -109,11 +109,6 @@ def gpt_forward(x: Variable, params: GptLayerParams) -> Variable:
 
     Attention runs per batch element; there is no cross-batch mixing.
     """
-    if x.data.shape[3] != params.in_channels:
-        raise ShapeError(
-            f"gpt layer: input has {x.data.shape[3]} channels, "
-            f"params expect {params.in_channels}"
-        )
     if params.variant is GptVariant.DOWN:
         q = ag.conv2d(x, params.gen_w, params.gen_b, stride=2)
     elif params.variant is GptVariant.SAME:

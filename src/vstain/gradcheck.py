@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .dense_block import dense_forward, make_dense_block
+from .dense_block import BnState, bn_relu_dropout, dense_forward, make_dense_block
 from .errors import ConfigError
 from .gpt_layer import GptVariant, gpt_forward, make_gpt_layer
 from .network import NetworkConfig, build, forward
@@ -117,9 +117,14 @@ def run_suite(seed: int = 0) -> list[CheckRow]:
     p = rf.normal(size=(2, 4, 4, 3))
 
     def fused(x, g, b, mode="train"):
-        y = ag.bn_relu_dropout(x, g, b, ag.BnState.create(3, np.float64), mode, 0.5,
-                               np.random.default_rng(11))
-        return ag.dot_sum(y, p)
+        y, bw = bn_relu_dropout(x.data, g.data, b.data, BnState.create(3, np.float64), mode,
+                                0.5, np.random.default_rng(11))
+
+        def node_bw(grad):
+            for v, gv in zip((x, g, b), bw(grad)):
+                ag.accumulate(v, gv)
+
+        return ag.dot_sum(ag.make_op(y, (x, g, b), node_bw), p)
 
     for mode in ("train", "eval"):
         check(f"bn_relu_dropout/{mode}/input",

@@ -85,9 +85,6 @@ def col_softmax(m: np.ndarray) -> np.ndarray:
     and add nothing to the column sum; where that mode does nothing,
     they stay as computed.
     """
-    m = np.asarray(m)
-    if m.ndim < 2:
-        raise ShapeError(f"col_softmax: expected a matrix, got rank {m.ndim}")
     x = np.copy(m)
     with _flush_to_zero():
         exp_shifted_inplace(x, -2, "col_softmax: non-finite input")

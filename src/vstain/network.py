@@ -34,9 +34,9 @@ import numpy as np
 
 from . import autograd as ag
 from . import gptt, kernels
-from .autograd import BnState, Variable
+from .autograd import Variable
 from .kernels import he_init
-from .dense_block import DenseBlockParams, dense_forward, make_dense_block
+from .dense_block import BnState, DenseBlockParams, dense_forward, make_dense_block
 from .errors import ConfigError, DataError, ShapeError, from_fields, require_types
 from .gpt_layer import (GptLayerParams, GptVariant, default_value_channels,
                         gpt_forward, make_gpt_layer)
@@ -265,14 +265,10 @@ def forward(net: Network, x: Variable, mode: str = "eval",
     """Decoder features (N, patch, patch, decoder_channels[-1]) for a patch
     batch: the input of the 1x1 head."""
     cfg = net.config
-    n, h, w, c = x.data.shape
+    _, h, w, _ = x.data.shape
     if (h, w) != (cfg.patch_size, cfg.patch_size):
         raise ShapeError(
             f"forward: input is {h}x{w}, config patch size is {cfg.patch_size}"
-        )
-    if c != 3 * cfg.input_channels:
-        raise ShapeError(
-            f"forward: input has {c} channels, expected 3*{cfg.input_channels}"
         )
 
     h_ = ag.conv2d(x, net.stem_w, net.stem_b, stride=1)

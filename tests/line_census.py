@@ -53,9 +53,6 @@ ALLOWED = {
     ("gptt.py", "read_gptt",
      'raise DataError(f"{source}: truncated payload at byte {header_end}")'):
         "the file shrinks between its size and its read: a race no test can time",
-    ("kernels.py", "col_softmax",
-     'raise ShapeError(f"col_softmax: expected a matrix, got rank {m.ndim}")'):
-        "only benchmarks/tracer.py and the tests call col_softmax, never below rank 2",
 }
 
 SITECUSTOMIZE = '''

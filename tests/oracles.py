@@ -5,9 +5,10 @@ python loops or plain numpy and never call the production kernels, so
 agreement is meaningful. `closure_arrays` lists what a tape node's
 backward keeps. Two reference chains reuse production ops around the
 step they stand in for: the batch norm, ReLU and dropout tape ops are
-the separate nodes that `autograd.bn_relu_dropout` fuses, and the
-concatenating dense block is the reference for the channel buffer that
-`dense_block.dense_forward` fills in place.
+the separate nodes that `dense_block.bn_relu_dropout` fuses, and the
+concatenating dense block, a tape node per layer and per concatenation,
+is the reference for the one node that `dense_block.dense_forward`
+records over the channel buffer it fills in place.
 
 The softmax oracle runs under `vstain._flush_to_zero`, the hardware mode
 the production softmax runs under, so that its exps and column sums
@@ -21,6 +22,7 @@ import numpy as np
 
 import vstain
 from vstain import autograd as ag
+from vstain.dense_block import bn_relu_dropout
 from vstain.gpt_layer import GptVariant
 
 
@@ -276,6 +278,17 @@ def oracle_bn_relu_dropout(x, gamma, beta, state, mode, rate, rng):
     return oracle_dropout(h, rate, rng) if mode == "train" else h
 
 
+def bn_relu_dropout_node(x, gamma, beta, state, mode, rate, rng):
+    """`dense_block.bn_relu_dropout` on Variables, as one tape node."""
+    out, bw = bn_relu_dropout(x.data, gamma.data, beta.data, state, mode, rate, rng)
+
+    def node_bw(g):
+        for v, gv in zip((x, gamma, beta), bw(g)):
+            ag.accumulate(v, gv)
+
+    return ag.make_op(out, (x, gamma, beta), node_bw)
+
+
 def oracle_concat_channels(xs):
     """Channel concatenation as its own tape node: a copy of every input."""
     out = np.concatenate([x.data for x in xs], axis=3)
@@ -295,7 +308,7 @@ def oracle_dense_forward(x, params, mode, rng=None):
     feats = x if isinstance(x, ag.Variable) else oracle_concat_channels(list(x))
     for layer in params.layers:
         h = ag.conv2d(feats, layer.conv_w, layer.conv_b, stride=1)
-        h = ag.bn_relu_dropout(h, layer.bn_gamma, layer.bn_beta, layer.bn_state, mode,
-                               params.dropout_rate, rng)
+        h = bn_relu_dropout_node(h, layer.bn_gamma, layer.bn_beta, layer.bn_state, mode,
+                                 params.dropout_rate, rng)
         feats = oracle_concat_channels([feats, h])
     return ag.conv2d(feats, params.out_w, params.out_b, stride=1)

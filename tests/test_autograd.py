@@ -1,7 +1,9 @@
 """Tape semantics, backward contracts, and the finite-difference oracle."""
 
+import importlib
 import inspect
 import os
+import pkgutil
 import signal
 import sys
 import threading
@@ -11,12 +13,14 @@ import weakref
 
 import numpy as np
 import pytest
-from oracles import (closure_arrays, oracle_attention, oracle_attention_grads,
-                     oracle_bn_relu_dropout, oracle_concat_channels)
+from oracles import (bn_relu_dropout_node, closure_arrays, oracle_attention,
+                     oracle_attention_grads, oracle_bn_relu_dropout, oracle_concat_channels)
 
+import vstain
 from vstain import autograd as ag
 from vstain import kernels as K
 from vstain import network as nw
+from vstain.dense_block import BnState, bn_relu_dropout
 from vstain.errors import NumericError, ShapeError, VstainError
 from vstain.training import masked_cross_entropy
 
@@ -116,7 +120,7 @@ def test_backward_releases_every_interior_node():
     params = net.named_parameters()
     ag.zero_grad(params.values())
     ag.backward(loss)
-    assert len(interior) > 50
+    assert len(interior) == 37  # each of the 7 dense blocks is one node
     assert all(node.grad is None and node._backward is None and node._parents == ()
                for node in interior)
     assert np.any(net.stem_w.grad) and np.any(net.head_w.grad)
@@ -126,39 +130,37 @@ def test_backward_releases_every_interior_node():
 
 
 def fused_layer(x, mode="train", rate=0.5, seed=4, state=None, gamma=1.0, beta=0.0):
-    """bn_relu_dropout on leaves; returns (output, x, gamma, beta)."""
+    """bn_relu_dropout with constant gamma and beta; returns (output, backward)."""
     c = x.shape[3]
-    xv = ag.var(x, requires_grad=True)
-    gv = ag.var(np.full(c, gamma, x.dtype), requires_grad=True)
-    bv = ag.var(np.full(c, beta, x.dtype), requires_grad=True)
-    state = state or ag.BnState.create(c, x.dtype)
-    return (ag.bn_relu_dropout(xv, gv, bv, state, mode, rate, np.random.default_rng(seed)),
-            xv, gv, bv)
+    state = state or BnState.create(c, x.dtype)
+    return bn_relu_dropout(x, np.full(c, gamma, x.dtype), np.full(c, beta, x.dtype), state,
+                           mode, rate, np.random.default_rng(seed))
 
 
 def test_dropout_replay_with_same_seed_is_bitwise():
     x = rng.normal(size=(1, 4, 4, 2)).astype(np.float32)
-    a = fused_layer(x, seed=3)[0].data
-    b = fused_layer(x, seed=3)[0].data
+    a = fused_layer(x, seed=3)[0]
+    b = fused_layer(x, seed=3)[0]
     assert np.array_equal(a, b)
 
 
 def test_bn_relu_dropout_tape_keeps_no_activation_sized_array():
-    # backward keeps the output and per-channel statistics, never the
-    # normalised input, the batch-norm or ReLU output or the keep-mask
+    # backward keeps its input, the output and per-channel statistics,
+    # never the normalised input, the batch-norm or ReLU output or the
+    # keep-mask
     shape = (2, 8, 8, 4)
     x = np.random.default_rng(3).normal(size=shape).astype(np.float32)
-    y = fused_layer(x, rate=0.3)[0]
-    held = closure_arrays(y._backward)
-    assert any(a is y.data for a in held)
-    assert all(a is y.data or a.size <= shape[3] for a in held)
+    y, bw = fused_layer(x, rate=0.3)
+    held = closure_arrays(bw)
+    assert any(a is y for a in held) and any(a is x for a in held)
+    assert all(a is y or a is x or a.size <= shape[3] for a in held)
 
 
 def test_dropout_eval_scale():
     # inverted dropout: kept entries scale by 1 / (1 - rate), exactly
     x = np.random.default_rng(6).normal(size=(1, 10, 100, 1))
-    plain = fused_layer(x, rate=0.0, beta=5.0)[0].data
-    out = fused_layer(x, rate=0.5, beta=5.0, seed=5)[0].data
+    plain = fused_layer(x, rate=0.0, beta=5.0)[0]
+    out = fused_layer(x, rate=0.5, beta=5.0, seed=5)[0]
     kept = out != 0
     assert np.all(plain > 0) and np.array_equal(out[kept], 2.0 * plain[kept])
     assert 300 < np.count_nonzero(kept) < 700
@@ -192,8 +194,8 @@ def test_bn_relu_dropout_matches_the_unfused_chain_bitwise(mode, rate, dtype):
     g[r.random(shape) < 0.2] = -0.0
     g[r.random(shape) < 0.1] = 0.0
     results = []
-    for op in (ag.bn_relu_dropout, oracle_bn_relu_dropout):
-        state = ag.BnState(mean=np.full(3, 0.2, dtype), var=np.full(3, 1.7, dtype))
+    for op in (bn_relu_dropout_node, oracle_bn_relu_dropout):
+        state = BnState(mean=np.full(3, 0.2, dtype), var=np.full(3, 1.7, dtype))
         leaves = [ag.var(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
         draws = np.random.default_rng(11)
         y = op(*leaves, state, mode, rate, draws)
@@ -213,11 +215,11 @@ def test_bn_relu_dropout_rejects_bad_arguments():
         fused_layer(x, mode="predict")
     with pytest.raises(ShapeError, match="rate"):
         fused_layer(x, rate=1.0)
-    c = ag.var(np.ones(1, np.float32))
+    c = np.ones(1, np.float32)
     with pytest.raises(ShapeError, match="rng"):
-        ag.bn_relu_dropout(ag.var(x), c, c, ag.BnState.create(1), "train", 0.5, None)
+        bn_relu_dropout(x, c, c, BnState.create(1), "train", 0.5, None)
     # eval mode drops nothing, so it needs no generator
-    ag.bn_relu_dropout(ag.var(x), c, c, ag.BnState.create(1), "eval", 0.5, None)
+    bn_relu_dropout(x, c, c, BnState.create(1), "eval", 0.5, None)
 
 
 def test_batch_norm_uses_the_documented_momentum_and_epsilon():
@@ -228,9 +230,8 @@ def test_batch_norm_uses_the_documented_momentum_and_epsilon():
     mean, var = x.mean(axis=(0, 1, 2)), x.var(axis=(0, 1, 2))
     assert np.isclose(var[1], 1e-4)
     gamma, beta = np.array([1.5, 0.5]), np.array([0.25, 0.1])
-    state = ag.BnState.create(2, np.float64)
-    out = ag.bn_relu_dropout(ag.var(x), ag.var(gamma), ag.var(beta), state, "train", 0.0,
-                             None).data
+    state = BnState.create(2, np.float64)
+    out = bn_relu_dropout(x, gamma, beta, state, "train", 0.0, None)[0]
     assert np.allclose(state.mean, 0.9 * 0.0 + 0.1 * mean, rtol=1e-12, atol=0)
     assert np.allclose(state.var, 0.9 * 1.0 + 0.1 * var, rtol=1e-12, atol=0)
     expected = np.maximum(gamma * (x - mean) / np.sqrt(var + 1e-5) + beta, 0)
@@ -281,23 +282,23 @@ def test_grad_mode_is_per_thread():
 
 
 def test_batch_norm_train_updates_running_stats():
-    state = ag.BnState.create(2)
+    state = BnState.create(2)
     x = rng.normal(size=(2, 3, 3, 2)).astype(np.float32) * 3 + 1
     # beta 10 lifts every standardised value clear of the ReLU
     out = fused_layer(x, rate=0.0, state=state, beta=10.0)[0]
     assert not np.allclose(state.mean, 0)
     # train-mode output is standardised per channel
-    assert np.allclose(out.data.mean(axis=(0, 1, 2)), 10, atol=1e-5)
-    assert np.allclose(out.data.var(axis=(0, 1, 2)), 1, atol=1e-3)
+    assert np.allclose(out.mean(axis=(0, 1, 2)), 10, atol=1e-5)
+    assert np.allclose(out.var(axis=(0, 1, 2)), 1, atol=1e-3)
 
 
 def test_batch_norm_eval_uses_running_stats():
-    state = ag.BnState.create(1)
+    state = BnState.create(1)
     state.mean[:] = 4.0
     state.var[:] = 9.0
     x = np.full((1, 2, 2, 1), 7.0, np.float32)
     out = fused_layer(x, mode="eval", state=state)[0]
-    assert np.allclose(out.data, (7.0 - 4.0) / np.sqrt(9.0 + 1e-5), atol=1e-6)
+    assert np.allclose(out, (7.0 - 4.0) / np.sqrt(9.0 + 1e-5), atol=1e-6)
     assert state.mean[0] == 4.0 and state.var[0] == 9.0
 
 
@@ -507,7 +508,8 @@ def test_attention_shape_checks():
 
 def test_every_tape_op_is_recorded_by_a_training_step(monkeypatch):
     # an op no training step records is dead weight on the tape; dot_sum
-    # is the gradient checks' scalar probe
+    # is the gradient checks' scalar probe, and gradcheck wraps the array
+    # function it checks in a node of its own
     recorded = set()
     make_op = ag.make_op
 
@@ -515,8 +517,11 @@ def test_every_tape_op_is_recorded_by_a_training_step(monkeypatch):
         recorded.add(sys._getframe(1).f_code.co_name)
         return make_op(data, parents, backward_fn)
 
-    ops = {name for name, fn in vars(ag).items()
-           if inspect.isfunction(fn) and fn.__module__ == ag.__name__
+    modules = [importlib.import_module(f"vstain.{m.name}")
+               for m in pkgutil.iter_modules(vstain.__path__)
+               if m.name not in ("__main__", "gradcheck")]
+    ops = {name for module in modules for name, fn in vars(module).items()
+           if inspect.isfunction(fn) and fn.__module__ == module.__name__
            and name != "make_op" and "make_op" in fn.__code__.co_names}
     monkeypatch.setattr(ag, "make_op", recording_make_op)
     cfg = nw.NetworkConfig.tiny()
@@ -529,5 +534,5 @@ def test_every_tape_op_is_recorded_by_a_training_step(monkeypatch):
     mask = np.ones((2, cfg.task_count), bool)
     ag.backward(masked_cross_entropy(features, net.head_w, net.head_b, targets, mask,
                                      cfg.value_classes))
-    assert {"attention", "conv2d", "deconv2d", "bn_relu_dropout"} <= ops
+    assert {"attention", "conv2d", "deconv2d", "dense_forward", "masked_cross_entropy"} <= ops
     assert sorted(ops - recorded - {"dot_sum"}) == []

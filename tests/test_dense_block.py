@@ -98,13 +98,14 @@ def test_train_mode_seeded_reproducible():
     assert np.array_equal(outs[0], outs[1])
 
 
-def test_train_layer_records_two_tape_nodes():
-    # per layer: conv and the fused batch norm/ReLU/dropout node; then the
-    # block's 1x1 conv. No layer concatenates.
+def test_train_block_records_one_tape_node():
+    # every layer's conv, batch norm, ReLU and dropout and the block's 1x1
+    # conv are one node, whose parents are the input and the parameters
     db = make_dense_block(np.random.default_rng(7), 4, 2, 3, 6)
-    out = dense_forward(ag.var(np.ones((1, 4, 4, 4), np.float32)), db, "train",
-                        np.random.default_rng(1))
-    assert sum(v._backward is not None for v in ag._topo_order(out)) == 2 * 2 + 1
+    x = ag.var(np.ones((1, 4, 4, 4), np.float32))
+    out = dense_forward(x, db, "train", np.random.default_rng(1))
+    assert sum(v._backward is not None for v in ag._topo_order(out)) == 1
+    assert out._parents == (x,) + tuple(p for _, p in db.param_items())
 
 
 def record_ops(monkeypatch):
@@ -131,20 +132,29 @@ def test_convolutions_read_the_block_buffer_in_place(monkeypatch):
     ops = record_ops(monkeypatch)
     x = ag.var(rng.normal(size=(2, 5, 5, 4)).astype(np.float32), requires_grad=True)
     out = dense_forward(x, db, "train", np.random.default_rng(2))
-    assert ops == ["buffer_conv2d", "bn_relu_dropout"] * 3 + ["buffer_conv2d"]
-    nodes = [v for v in ag._topo_order(out) if v._backward is not None]
-    layer_outputs = [v for v in nodes if v.data.shape[3] == 2 and v.data.base is not None]
-    assert len(layer_outputs) == 3
-    buffer = layer_outputs[0].data.base
-    assert buffer.shape == (2, 5, 5, 4 + 3 * 2)
-    assert all(v.data.base is buffer for v in layer_outputs)
+    assert ops == ["dense_forward"]
+    buffer = conv_inputs[-1]
+    assert buffer.shape == (2, 5, 5, 4 + 3 * 2) and buffer.base is None
     assert [a.shape[3] for a in conv_inputs] == [4, 6, 8, 10]
-    assert all(a.base is buffer for a in conv_inputs)
+    assert all(a.base is buffer for a in conv_inputs[:-1])
+    # backward reads the same channels of the buffer the node holds
+    conv_inputs.clear()
+    backward_inputs, conv2d_backward = [], K.conv2d_backward
+
+    def recording_conv2d_backward(x, *args):
+        backward_inputs.append(x)
+        return conv2d_backward(x, *args)
+
+    monkeypatch.setattr(K, "conv2d_backward", recording_conv2d_backward)
+    ag.backward(ag.dot_sum(out, np.ones(out.data.shape)))
+    assert conv_inputs == []
+    assert [a.shape[3] for a in backward_inputs] == [10, 8, 6, 4]
+    assert all(a is buffer or a.base is buffer for a in backward_inputs)
 
 
-def test_default_train_forward_records_95_tape_nodes(monkeypatch):
-    # 127 with a concat node per dense layer (29) and per decoder stage
-    # (3); the count does not depend on the patch size
+def test_default_train_forward_records_37_tape_nodes(monkeypatch):
+    # each of the 7 dense blocks is one node, however many layers it has;
+    # the count does not depend on the patch size
     cfg = nw.NetworkConfig(patch_size=16)
     net = nw.build(cfg, np.random.default_rng(0))
     r = np.random.default_rng(1)
@@ -154,8 +164,8 @@ def test_default_train_forward_records_95_tape_nodes(monkeypatch):
     targets = r.integers(0, cfg.value_classes, size=(1, 16, 16, cfg.task_count))
     loss = masked_cross_entropy(features, net.head_w, net.head_b, targets,
                                 np.ones((1, cfg.task_count), bool), cfg.value_classes)
-    assert sum(v._backward is not None for v in ag._topo_order(loss)) == len(ops) == 95
-    assert "concat_channels" not in " ".join(ops)
+    assert sum(v._backward is not None for v in ag._topo_order(loss)) == len(ops) == 37
+    assert ops.count("dense_forward") == 7
 
 
 def upstream(y, g):

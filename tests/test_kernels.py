@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import vstain
 from vstain import autograd as ag
 from vstain import kernels as K
+from vstain.dense_block import dense_forward, make_dense_block
 from vstain.errors import NumericError, ShapeError
 from vstain.multiscale import _reflect_indices
 
@@ -407,18 +408,26 @@ def test_mirror_pad_reflection():
 # ---------------------------------------------------------------------------
 
 def buffer_of(*arrays):
-    return ag.ChannelBuffer([ag.var(a) for a in arrays], sum(a.shape[3] for a in arrays))
+    """The buffer a depth-0 dense block fills from op outputs holding
+    `arrays`, read where each input's data now lives."""
+    leaf = ag.var(np.zeros(()), requires_grad=True)
+    inputs = [ag.make_op(a, (leaf,), lambda g: None) for a in arrays]
+    block = make_dense_block(np.random.default_rng(0), sum(a.shape[3] for a in arrays),
+                             0, 1, 1)
+    dense_forward(inputs, block, "eval")
+    assert all(v.data.base is inputs[0].data.base for v in inputs)
+    return inputs[0].data.base
 
 
 def test_concat_single_identity():
     x = rng.normal(size=(2, 3, 3, 4)).astype(np.float32)
-    assert np.array_equal(buffer_of(x).data, x)
+    assert np.array_equal(buffer_of(x), x)
 
 
 def test_concat_order_and_round_trip():
     a = rng.normal(size=(2, 4, 4, 2)).astype(np.float32)
     b = rng.normal(size=(2, 4, 4, 3)).astype(np.float32)
-    out = buffer_of(a, b).data
+    out = buffer_of(a, b)
     assert out.shape == (2, 4, 4, 5)
     assert np.array_equal(out[..., :2], a)
     assert np.array_equal(out[..., 2:], b)
